@@ -63,7 +63,8 @@ fn main() {
         let hier_inst = HierInstance::from_mpp(&mpp, 1, green_cost);
         let hier = solve_hier(&hier_inst, limits()).expect("hier solve");
 
-        // Cross-solver check: two independent engines, one optimum.
+        // Reduction check: at cap = 0 the hier facade runs the vanilla
+        // search, so it must reproduce the vanilla optimum.
         assert_eq!(
             vanilla.total, degenerate.total,
             "hier(cap=0) diverged from the vanilla solver on c={c}"

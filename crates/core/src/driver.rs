@@ -1,7 +1,8 @@
 //! Sequential and hash-sharded parallel A\* drivers over the [`Domain`]
 //! abstraction.
 //!
-//! Both exact solvers (MPP and SPP) describe their state space through
+//! Both exact solvers (MPP, with or without the three-level game's
+//! green tier, and SPP) describe their state space through
 //! [`Domain`] — packing/unpacking of bit-packed keys, goal test,
 //! admissible heuristic, successor enumeration — and the drivers here
 //! own the search loop, the packed interning arenas, and the frontier.
@@ -68,12 +69,8 @@ pub type EmitFn<'a, K> = &'a mut dyn FnMut(K, u64, PackedMove, HeurThunk<'_>);
 /// Implementations canonicalize inside [`Domain::expand`] (the driver
 /// never sees raw states) and must keep the emission order
 /// deterministic — the sequential engine's tie-breaking, and therefore
-/// its exact witness, depends on it.
-///
-/// Public (re-exported through [`crate::engine`]) so downstream game
-/// variants — e.g. the three-level hierarchy in `rbp-hier` — can plug
-/// their state spaces into the same sequential and sharded-parallel
-/// engines the built-in MPP/SPP solvers use.
+/// its exact witness, depends on it. The MPP domain (with or without
+/// the three-level green tier) and the SPP domain implement it.
 pub trait Domain: Sync {
     /// Unpacked state (solver-native masks).
     type Key: Copy;
@@ -124,7 +121,7 @@ pub trait Domain: Sync {
     /// (same key → same shard on every call and every worker) — the
     /// distributed termination proof and duplicate detection rely on
     /// it. Defaults to the hash partition; solvers override it to
-    /// route through a [`crate::engine::Partition`].
+    /// route through a [`crate::partition::Partition`].
     #[inline]
     fn owner(&self, _key: &Self::Key, hash: u64, shards: usize) -> usize {
         shard_of(hash, shards)

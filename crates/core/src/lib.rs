@@ -11,7 +11,9 @@
 //!   pebbles, batched parallel rules over shaded selections, the
 //!   `g`-weighted cost function, a validator, a step-simulation engine
 //!   for schedulers, run statistics (communication vs. spill I/O, work
-//!   balance, recomputation), and an exact solver for small instances;
+//!   balance, recomputation), and an exact solver for small instances —
+//!   optionally extended by the bounded green tier of `rbp-hier`'s
+//!   three-level game, so both games share one search;
 //! - [`translate`]: the Lemma 5 simulation compiling MPP strategies to
 //!   single-processor strategies with fast memory `k·r`;
 //! - [`cost`]: the shared cost model and surplus cost (Definition 1).
@@ -47,34 +49,17 @@ pub mod spp;
 mod spsc;
 pub mod translate;
 
-/// The exact-solver engine behind the MPP and SPP solvers, exposed so
-/// downstream crates can plug new game variants into the same
-/// sequential and hash-sharded parallel A\* drivers.
-///
-/// A variant describes its state space through [`engine::Domain`]
-/// (bit-packed canonical keys, goal test, admissible heuristic,
-/// successor enumeration) and calls [`engine::search`]; the driver owns
-/// the frontier, the packed interning arenas, global solve limits, and
-/// the HDA\*-style cross-shard protocol. `rbp-hier`'s three-level
-/// solver is the first external client.
-pub mod engine {
-    pub use crate::arena::{pack_fields, unpack_fields, words_for, MAX_KEY_WORDS};
-    pub use crate::driver::{search, Domain, DriverOutcome, EmitFn, HeurThunk};
-    pub use crate::partition::Partition;
-    pub use crate::search::{PackedMove, PhaseProf, PhaseStats};
-}
-
 pub use cost::{Cost, CostModel};
 pub use mode::GameMode;
 pub use mpp::{
     async_makespan, batchify, solve_mpp, solve_mpp_with, validate_mpp, AsyncTiming, Configuration,
-    IoClass, MppError, MppErrorKind, MppInstance, MppMove, MppRun, MppRunStats, MppSimulator,
-    MppSolution, MppStrategy, Pebble, ProcId,
+    GreenTier, IoClass, MppError, MppErrorKind, MppInstance, MppMove, MppRun, MppRunStats,
+    MppSimulator, MppSolution, MppStrategy, Pebble, ProcId,
 };
 pub use partition::PartitionMode;
 pub use search::{
-    phase_timing_enabled, trace_shards, AdmissibleHeuristic, HeurCtx, PhaseProf, PhaseStats,
-    SearchConfig, SearchOutcome, SearchStats, ShardStats, SolveLimits, StopReason, MAX_THREADS,
+    phase_timing_enabled, AdmissibleHeuristic, PhaseStats, SearchConfig, SearchOutcome,
+    SearchStats, ShardStats, SolveLimits, StopReason, MAX_THREADS,
 };
 pub use spp::{
     solve_spp, solve_spp_with, zero_io_order, zero_io_pebbling_exists, SppError, SppInstance,

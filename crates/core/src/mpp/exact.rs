@@ -1,4 +1,5 @@
-//! Exact optimal MPP solver for small instances.
+//! Exact optimal MPP solver for small instances, optionally with the
+//! green tier of the three-level game.
 //!
 //! A\* search over configurations `(R^1..R^k, B)` packed into `u64`
 //! masks, built on the shared [`crate::search`] engine. Transitions are
@@ -24,6 +25,17 @@
 //!   and red deletions are generated lazily, only on a processor at
 //!   capacity (`≥ r`, so a capacity-1 processor still makes progress).
 //!
+//! **Green tier.** `rbp-hier`'s three-level game adds a shared green
+//! set `G` of bounded capacity between the red and blue memories, with
+//! one batched store/load pair of its own cost ([`GreenTier`]).
+//! [`solve_tiered`] searches `(R^1..R^k, G, B)` with the same kernel:
+//! the green set is invariant under shade relabeling, so symmetry and
+//! the permutation trail carry over; green pebbles are evicted lazily
+//! when the tier is full and stored at most into its free slots; and
+//! `G ∪ B` plays the blue role in the goal test and the heuristic,
+//! whose reload cost drops to `min(g, green)`. Without a tier the green
+//! mask stays empty and the key packs the `k + 1` two-level fields.
+//!
 //! Complexity is brutal by design (the problem is NP-hard even for
 //! 2-layer DAGs, Lemma 2): intended for `n ≤ ~10`, `k ≤ 4`.
 
@@ -35,9 +47,11 @@ use crate::driver::{self, Domain, EmitFn};
 use crate::partition::Partition;
 use crate::search::{
     trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchOutcome,
-    SearchStats, ShardStats, StopReason, MAX_THREADS,
+    StopReason, MAX_THREADS,
 };
-use crate::{AdmissibleHeuristic, Cost, MppInstance, MppMove, MppStrategy, Pebble, SolveLimits};
+use crate::{
+    AdmissibleHeuristic, Cost, MppInstance, MppMove, MppStrategy, Pebble, ProcId, SolveLimits,
+};
 
 const MAX_K: usize = 4;
 
@@ -52,9 +66,52 @@ pub struct MppSolution {
     pub strategy: MppStrategy,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// The shared, bounded mid-level (green) memory of the three-level
+/// game: at most `cap` green pebbles, and `cost` per batched green
+/// store or load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GreenTier {
+    /// Green capacity (the search supports at most 64).
+    pub cap: usize,
+    /// Cost of one batched green store or load.
+    pub cost: u64,
+}
+
+/// The rule one witness step of [`solve_tiered`] applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// Batched compute.
+    Compute,
+    /// Batched blue load.
+    Load,
+    /// Batched blue store.
+    Store,
+    /// Batched green load.
+    LoadGreen,
+    /// Batched green store.
+    StoreGreen,
+    /// Removal of the red pebble of the selection's single entry.
+    RemoveRed,
+    /// Removal of the green pebble on the node of the selection's
+    /// single entry (its processor carries no meaning).
+    RemoveGreen,
+}
+
+/// Rules by packed-move tag (`Rule as u32`).
+const RULES: [Rule; 7] = [
+    Rule::Compute,
+    Rule::Load,
+    Rule::Store,
+    Rule::LoadGreen,
+    Rule::StoreGreen,
+    Rule::RemoveRed,
+    Rule::RemoveGreen,
+];
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct Key {
     reds: [u64; MAX_K],
+    green: u64,
     blue: u64,
 }
 
@@ -63,20 +120,23 @@ impl Key {
     fn red_all(&self) -> u64 {
         self.reds.iter().fold(0, |a, &b| a | b)
     }
+
+    /// The pebbles outside fast memory: green joins blue as "available
+    /// without recomputing" for the goal test and the heuristic.
+    #[inline]
+    fn outer(&self) -> u64 {
+        self.green | self.blue
+    }
 }
 
-// Packed move layout (see `crate::search::PackedMove`): bits 30..=31
-// hold the tag; batch moves store one 7-bit slot per processor
-// (bit 6 = active, bits 0..=5 = node); removals store the node in bits
-// 0..=5 and the processor in bits 6..=7.
-const TAG_COMPUTE: u32 = 0;
-const TAG_LOAD: u32 = 1;
-const TAG_STORE: u32 = 2;
-const TAG_REMOVE: u32 = 3;
-
+// Packed move layout (see `crate::search::PackedMove`): bits 28..=30
+// hold the rule tag; batch moves store one 7-bit slot per processor
+// (bit 6 = active, bits 0..=5 = node) in bits 0..=27; removals store
+// the node in bits 0..=5 and, for red removals, the processor in bits
+// 6..=7.
 #[inline]
-fn encode_batch(tag: u32, batch: &[(usize, u32)]) -> PackedMove {
-    let mut w = tag << 30;
+fn encode_batch(rule: Rule, batch: &[(usize, u32)]) -> PackedMove {
+    let mut w = (rule as u32) << 28;
     for &(j, i) in batch {
         w |= (0x40 | i) << (7 * j as u32);
     }
@@ -84,14 +144,14 @@ fn encode_batch(tag: u32, batch: &[(usize, u32)]) -> PackedMove {
 }
 
 #[inline]
-fn encode_remove(proc: usize, node: u32) -> PackedMove {
-    (TAG_REMOVE << 30) | ((proc as u32) << 6) | node
+fn encode_remove(rule: Rule, proc: usize, node: u32) -> PackedMove {
+    ((rule as u32) << 28) | ((proc as u32) << 6) | node
 }
 
-fn decode(w: PackedMove, k: usize) -> (u32, Vec<(usize, u32)>) {
-    let tag = w >> 30;
-    if tag == TAG_REMOVE {
-        return (tag, vec![(((w >> 6) & 0x3) as usize, w & 0x3f)]);
+fn decode(w: PackedMove, k: usize) -> (Rule, Vec<(usize, u32)>) {
+    let rule = RULES[(w >> 28) as usize];
+    if matches!(rule, Rule::RemoveRed | Rule::RemoveGreen) {
+        return (rule, vec![(((w >> 6) & 0x3) as usize, w & 0x3f)]);
     }
     let mut pairs = Vec::new();
     for j in 0..k {
@@ -100,24 +160,19 @@ fn decode(w: PackedMove, k: usize) -> (u32, Vec<(usize, u32)>) {
             pairs.push((j, slot & 0x3f));
         }
     }
-    (tag, pairs)
+    (rule, pairs)
 }
 
-fn apply(key: &mut Key, tag: u32, pairs: &[(usize, u32)]) {
-    match tag {
-        TAG_COMPUTE | TAG_LOAD => {
-            for &(j, i) in pairs {
-                key.reds[j] |= 1 << i;
-            }
-        }
-        TAG_STORE => {
-            for &(_, i) in pairs {
-                key.blue |= 1 << i;
-            }
-        }
-        _ => {
-            let (j, i) = pairs[0];
-            key.reds[j] &= !(1 << i);
+#[inline]
+fn apply(key: &mut Key, rule: Rule, pairs: &[(usize, u32)]) {
+    for &(j, i) in pairs {
+        let bit = 1u64 << i;
+        match rule {
+            Rule::Compute | Rule::Load | Rule::LoadGreen => key.reds[j] |= bit,
+            Rule::Store => key.blue |= bit,
+            Rule::StoreGreen => key.green |= bit,
+            Rule::RemoveRed => key.reds[j] &= !bit,
+            Rule::RemoveGreen => key.green &= !bit,
         }
     }
 }
@@ -145,7 +200,8 @@ fn is_sorted_desc(xs: &[u64]) -> bool {
 }
 
 /// Canonicalizes `raw` and returns the gather permutation `pi` such that
-/// `canonical.reds[q] == raw.reds[pi[q]]`.
+/// `canonical.reds[q] == raw.reds[pi[q]]`. The shared green and blue
+/// sets are invariant under shade relabeling.
 fn canon_with_perm(raw: Key, k: usize, symmetry: bool) -> (Key, [usize; MAX_K]) {
     let mut idx = [0usize, 1, 2, 3];
     if !symmetry {
@@ -187,27 +243,84 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
             ("partition", Json::from(config.partition.as_str())),
         ],
     );
-    let (solution, stats, reason, shards, phases) = solve_inner(instance, config);
-    stats.trace("mpp", solution.as_ref().map(|s| s.total));
-    trace_shards("mpp", &shards);
-    phases.trace("mpp");
-    SearchOutcome {
-        solution,
-        stats,
-        reason,
-        shards,
-        phases,
-    }
+    solve_tiered(instance, None, config, "mpp", |rule, batch| match rule {
+        Rule::Compute => MppMove::Compute(batch),
+        Rule::Load => MppMove::Load(batch),
+        Rule::Store => MppMove::Store(batch),
+        Rule::RemoveRed => MppMove::Remove(Pebble::Red(batch[0].0, batch[0].1)),
+        Rule::LoadGreen | Rule::StoreGreen | Rule::RemoveGreen => {
+            unreachable!("green rule without a green tier")
+        }
+    })
+    .map(|(total, moves)| {
+        let strategy = MppStrategy::from_moves(moves);
+        let cost = strategy
+            .validate(instance)
+            .expect("solver produced an invalid strategy");
+        debug_assert_eq!(cost.total(instance.model), total);
+        MppSolution {
+            total,
+            cost,
+            strategy,
+        }
+    })
+}
+
+/// The search behind [`solve_with`] and `rbp-hier`'s three-level
+/// solver: solves `instance`, extended by the green `tier` when given,
+/// and reports the search counters under `solver.<which>.*` trace
+/// names. The solution is the optimal total plus the witness, one
+/// `step(rule, selection)` per move with the shaded selection under
+/// concrete processor labels; the caller builds its own move type from
+/// those steps and validates the strategy.
+///
+/// Unsupported (`None` with [`StopReason::Unsupported`]) when the
+/// instance is infeasible (`r ≤ Δ_in`), too large (`n > 64` or
+/// `k > 4`), or the tier holds more than 64 pebbles.
+#[must_use]
+pub fn solve_tiered<M>(
+    instance: &MppInstance,
+    tier: Option<GreenTier>,
+    config: &SearchConfig,
+    which: &str,
+    step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
+) -> SearchOutcome<(u64, Vec<M>)> {
+    let out = if instance.dag.n() == 0 && supported(instance.k, tier) {
+        SearchOutcome {
+            solution: Some((0, Vec::new())),
+            ..SearchOutcome::stopped(StopReason::Solved)
+        }
+    } else if let Some(domain) = build_domain(instance, tier, config) {
+        let out = driver::search(&domain, config);
+        SearchOutcome {
+            solution: out
+                .best
+                .map(|(total, path)| (total, reconstruct(instance.k, path, config.symmetry, step))),
+            stats: out.stats,
+            reason: out.reason,
+            shards: out.shards,
+            phases: out.phases,
+        }
+    } else {
+        SearchOutcome::stopped(StopReason::Unsupported)
+    };
+    out.stats
+        .trace(which, out.solution.as_ref().map(|&(total, _)| total));
+    trace_shards(which, &out.shards);
+    out.phases.trace(which);
+    out
 }
 
 /// The MPP state space described for the shared search drivers: keys
-/// are `(R^1..R^k, B)` masks bit-packed to `(k+1) * n` bits, successors
-/// are whole batched rule applications (canonicalized under processor
-/// symmetry before emission).
+/// are `(R^1..R^k, [G,] B)` masks bit-packed to `(k+1) * n` bits, plus
+/// `n` for the green field when a tier exists; successors are whole
+/// batched rule applications (canonicalized under processor symmetry
+/// before emission).
 struct MppDomain {
     n: usize,
     k: usize,
     r: usize,
+    tier: Option<GreenTier>,
     compute: u64,
     g: u64,
     preds_mask: Vec<u64>,
@@ -218,6 +331,14 @@ struct MppDomain {
     dominance: bool,
     max_priority: u64,
     partition: Partition,
+}
+
+impl MppDomain {
+    /// Packed fields: the red masks, the green mask if a tier exists,
+    /// and the blue mask.
+    fn fields(&self) -> usize {
+        self.k + 1 + usize::from(self.tier.is_some())
+    }
 }
 
 /// Reused per-worker expansion buffers (allocation-free inner loop) and
@@ -236,46 +357,51 @@ impl Default for MppScratch {
     }
 }
 
+/// Per-processor option masks: `f(j)` for the `k` live processors.
+#[inline]
+fn per_proc(k: usize, f: impl Fn(usize) -> u64) -> [u64; MAX_K] {
+    std::array::from_fn(|j| if j < k { f(j) } else { 0 })
+}
+
 impl Domain for MppDomain {
     type Key = Key;
     type Scratch = MppScratch;
 
     fn key_words(&self) -> usize {
-        words_for(self.k + 1, self.n)
+        words_for(self.fields(), self.n)
     }
 
     fn pack(&self, key: &Key, out: &mut [u64]) {
-        let mut fields = [0u64; MAX_K + 1];
+        let mut fields = [0u64; MAX_K + 2];
         fields[..self.k].copy_from_slice(&key.reds[..self.k]);
-        fields[self.k] = key.blue;
-        pack_fields(&fields[..self.k + 1], self.n, out);
+        fields[self.k] = key.green;
+        fields[self.fields() - 1] = key.blue;
+        pack_fields(&fields[..self.fields()], self.n, out);
     }
 
     fn unpack(&self, words: &[u64]) -> Key {
-        let mut fields = [0u64; MAX_K + 1];
-        unpack_fields(words, self.n, &mut fields[..self.k + 1]);
-        let mut reds = [0u64; MAX_K];
-        reds[..self.k].copy_from_slice(&fields[..self.k]);
-        Key {
-            reds,
-            blue: fields[self.k],
+        let mut fields = [0u64; MAX_K + 2];
+        unpack_fields(words, self.n, &mut fields[..self.fields()]);
+        let mut key = Key::default();
+        key.reds[..self.k].copy_from_slice(&fields[..self.k]);
+        if self.tier.is_some() {
+            key.green = fields[self.k];
         }
+        key.blue = fields[self.fields() - 1];
+        key
     }
 
     fn root(&self) -> Key {
-        Key {
-            reds: [0; MAX_K],
-            blue: 0,
-        }
+        Key::default()
     }
 
     fn is_goal(&self, key: &Key) -> bool {
-        self.sinks_mask & !(key.red_all() | key.blue) == 0
+        self.sinks_mask & !(key.red_all() | key.outer()) == 0
     }
 
     fn heuristic(&self, key: &Key) -> Option<u64> {
         if self.use_heuristic {
-            self.heur.eval(key.red_all(), key.blue, 0)
+            self.heur.eval(key.red_all(), key.outer(), 0)
         } else {
             Some(0)
         }
@@ -286,7 +412,10 @@ impl Domain for MppDomain {
     }
 
     fn owner(&self, key: &Key, hash: u64, shards: usize) -> usize {
-        self.partition.owner(key.red_all(), key.blue, hash, shards)
+        // Green pebbles are fast-memory-adjacent for locality purposes:
+        // fold them into the red side of the partition signature.
+        self.partition
+            .owner(key.red_all() | key.green, key.blue, hash, shards)
     }
 
     fn expand(&self, key: &Key, scratch: &mut MppScratch, emit: EmitFn<'_, Key>) {
@@ -301,7 +430,7 @@ impl Domain for MppDomain {
         let hctx: Option<HeurCtx> = if self.use_heuristic {
             let t0 = prof.start();
             prof.stats.heur_full_evals += 1;
-            let ctx = self.heur.prepare(key.red_all(), key.blue, 0);
+            let ctx = self.heur.prepare(key.red_all(), key.outer(), 0);
             prof.stop_heur(t0);
             debug_assert!(ctx.is_some(), "MPP states are never dead");
             ctx
@@ -328,9 +457,9 @@ impl Domain for MppDomain {
                 let hv = match &hctx {
                     Some(ctx) => {
                         self.heur
-                            .eval_delta(ctx, raw.red_all(), raw.blue, 0, &mut prof.stats)
+                            .eval_delta(ctx, raw.red_all(), raw.outer(), 0, &mut prof.stats)
                     }
-                    None => self.heur.eval(raw.red_all(), raw.blue, 0),
+                    None => self.heur.eval(raw.red_all(), raw.outer(), 0),
                 };
                 prof.stop_heur(t0);
                 hv
@@ -343,89 +472,87 @@ impl Domain for MppDomain {
                 for i in iter_bits(key.reds[j]) {
                     let mut nk = key;
                     nk.reds[j] &= !(1u64 << i);
-                    emit_raw(nk, 0, encode_remove(j, i));
+                    emit_raw(nk, 0, encode_remove(Rule::RemoveRed, j, i));
+                }
+            }
+        }
+
+        // --- R4-H: lazy green eviction when the tier is full (cost 0). ---
+        if let Some(tier) = self.tier {
+            if key.green.count_ones() as usize >= tier.cap {
+                for i in iter_bits(key.green) {
+                    let mut nk = key;
+                    nk.green &= !(1u64 << i);
+                    emit_raw(nk, 0, encode_remove(Rule::RemoveGreen, 0, i));
                 }
             }
         }
 
         let mut suppressed = 0u64;
-        let mut opts = [0u64; MAX_K];
+        // Emits every batch over the per-processor option masks as one
+        // application of `rule` (see `for_each_batch`).
+        let mut batched =
+            |rule: Rule, opts: [u64; MAX_K], distinct: bool, budget: usize, cost: u64| {
+                for_each_batch(
+                    &opts[..k],
+                    distinct,
+                    self.dominance,
+                    budget,
+                    batch,
+                    &mut suppressed,
+                    &mut |batch| {
+                        let mut nk = key;
+                        apply(&mut nk, rule, batch);
+                        emit_raw(nk, cost, encode_batch(rule, batch));
+                    },
+                );
+            };
+        let has_room = |j: usize| (key.reds[j].count_ones() as usize) < r;
 
         // --- R3-M: batched computes. ---
         // Option masks per processor: eligible nodes (not yet red here,
         // all predecessors red here), empty at capacity.
-        for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = 0;
-            if key.reds[j].count_ones() as usize >= r {
-                continue;
+        let computable = per_proc(k, |j| {
+            if !has_room(j) {
+                return 0;
             }
-            for i in iter_bits(full & !key.reds[j]) {
-                if self.preds_mask[i as usize] & !key.reds[j] == 0 {
-                    *opt |= 1u64 << i;
-                }
-            }
-        }
-        for_each_batch(
-            &opts[..k],
-            false,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(j, i) in batch {
-                    nk.reds[j] |= 1u64 << i;
-                }
-                emit_raw(nk, self.compute, encode_batch(TAG_COMPUTE, batch));
-            },
-        );
+            iter_bits(full & !key.reds[j])
+                .filter(|&i| self.preds_mask[i as usize] & !key.reds[j] == 0)
+                .fold(0, |m, i| m | (1u64 << i))
+        });
+        batched(Rule::Compute, computable, false, usize::MAX, self.compute);
 
-        // --- R2-M: batched loads (distinct vertices). ---
-        for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = if key.reds[j].count_ones() as usize >= r {
-                0
-            } else {
-                key.blue & !key.reds[j]
-            };
-        }
-        for_each_batch(
-            &opts[..k],
-            true,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(j, i) in batch {
-                    nk.reds[j] |= 1u64 << i;
-                }
-                emit_raw(nk, self.g, encode_batch(TAG_LOAD, batch));
-            },
-        );
+        // --- R2-M: batched blue loads (distinct vertices). ---
+        let loadable = |src: u64| per_proc(k, |j| if has_room(j) { src & !key.reds[j] } else { 0 });
+        batched(Rule::Load, loadable(key.blue), true, usize::MAX, self.g);
 
-        // --- R1-M: batched stores (distinct vertices). ---
+        // --- R1-M: batched blue stores (distinct vertices). ---
         // Storing an already-blue node is structurally excluded by the
         // option mask — the other half of the dominance story.
-        for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = key.reds[j] & !key.blue;
+        let blue_stores = per_proc(k, |j| key.reds[j] & !key.blue);
+        batched(Rule::Store, blue_stores, true, usize::MAX, self.g);
+
+        if let Some(tier) = self.tier {
+            // --- R6-H: batched green loads (distinct vertices). ---
+            batched(
+                Rule::LoadGreen,
+                loadable(key.green),
+                true,
+                usize::MAX,
+                tier.cost,
+            );
+
+            // --- R5-H: batched green stores (distinct vertices, bounded
+            // by the shared capacity — the enumerator's `budget` enforces
+            // the free-slot cap, and maximality is judged against it, so
+            // a batch filling every free slot is maximal even when idle
+            // processors still hold storable values). ---
+            let free = tier.cap.saturating_sub(key.green.count_ones() as usize);
+            if free > 0 {
+                let green_stores = per_proc(k, |j| key.reds[j] & !key.green);
+                batched(Rule::StoreGreen, green_stores, true, free, tier.cost);
+            }
         }
-        for_each_batch(
-            &opts[..k],
-            true,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(_, i) in batch {
-                    nk.blue |= 1u64 << i;
-                }
-                emit_raw(nk, self.g, encode_batch(TAG_STORE, batch));
-            },
-        );
 
         prof.stats.idle_suppressed += suppressed;
     }
@@ -435,14 +562,22 @@ impl Domain for MppDomain {
     }
 }
 
+/// Whether the search handles `k` processors and the green tier.
+fn supported(k: usize, tier: Option<GreenTier>) -> bool {
+    (1..=MAX_K).contains(&k) && tier.is_none_or(|t| t.cap <= 64)
+}
+
 /// Builds the search domain for a supported, non-empty, feasible
 /// instance; `None` otherwise (the caller distinguishes the trivial
 /// `n == 0` case itself).
-fn build_domain(instance: &MppInstance, config: &SearchConfig) -> Option<MppDomain> {
+fn build_domain(
+    instance: &MppInstance,
+    tier: Option<GreenTier>,
+    config: &SearchConfig,
+) -> Option<MppDomain> {
     let dag = instance.dag;
     let n = dag.n();
-    let k = instance.k;
-    if n == 0 || n > 64 || k > MAX_K || k == 0 || !instance.is_feasible() {
+    if n == 0 || n > 64 || !supported(instance.k, tier) || !instance.is_feasible() {
         return None;
     }
     let model = instance.model;
@@ -460,70 +595,43 @@ fn build_domain(instance: &MppInstance, config: &SearchConfig) -> Option<MppDoma
         .iter()
         .fold(0u64, |m, s| m | (1u64 << s.index()));
 
-    // Priority ceiling for the bucket representation: twice the Lemma 1
-    // trivial upper bound covers every f-value the search can push.
+    // Priority ceiling for the bucket representation: the game can
+    // always ignore the green tier, so twice the Lemma 1 trivial upper
+    // bound covers every f-value the search can push.
     let ub = (model.g * (dag.max_in_degree() as u64 + 1))
         .saturating_add(model.compute)
         .saturating_mul(n as u64);
-    let max_priority = ub
-        .saturating_mul(2)
-        .saturating_add(model.g.saturating_add(model.compute));
+    let max_priority = ub.saturating_mul(2).saturating_add(
+        model
+            .g
+            .saturating_add(model.compute)
+            .saturating_add(tier.map_or(0, |t| t.cost)),
+    );
+
+    // The heuristic's re-entry term assumes the cheapest way to
+    // re-redden an evicted value; the green tier may undercut a blue
+    // reload.
+    let mut heur = AdmissibleHeuristic::for_mpp(instance);
+    if let Some(tier) = tier {
+        heur = heur.with_load_cost(model.g.min(tier.cost));
+    }
 
     Some(MppDomain {
         n,
-        k,
+        k: instance.k,
         r: instance.r,
+        tier,
         compute: model.compute,
         g: model.g,
         preds_mask,
         sinks_mask,
-        heur: AdmissibleHeuristic::for_mpp(instance),
+        heur,
         use_heuristic: config.heuristic,
         symmetry: config.symmetry,
         dominance: config.dominance,
         max_priority,
         partition: Partition::build(config.partition, dag, config.threads.clamp(1, MAX_THREADS)),
     })
-}
-
-#[allow(clippy::type_complexity)]
-fn solve_inner(
-    instance: &MppInstance,
-    config: &SearchConfig,
-) -> (
-    Option<MppSolution>,
-    SearchStats,
-    StopReason,
-    Vec<ShardStats>,
-    PhaseStats,
-) {
-    if instance.dag.n() == 0 && instance.k > 0 && instance.k <= MAX_K {
-        return (
-            Some(MppSolution {
-                total: 0,
-                cost: Cost::zero(),
-                strategy: MppStrategy::new(),
-            }),
-            SearchStats::default(),
-            StopReason::Solved,
-            Vec::new(),
-            PhaseStats::default(),
-        );
-    }
-    let Some(domain) = build_domain(instance, config) else {
-        return (
-            None,
-            SearchStats::default(),
-            StopReason::Unsupported,
-            Vec::new(),
-            PhaseStats::default(),
-        );
-    };
-    let out = driver::search(&domain, config);
-    let solution = out
-        .best
-        .map(|(total, path)| reconstruct(instance, path, total, config.symmetry));
-    (solution, out.stats, out.reason, out.shards, out.phases)
 }
 
 /// Enumerates non-empty batches over per-processor option bitmasks:
@@ -659,42 +767,27 @@ fn for_each_batch(
 /// its parent's canonical representative, while the canonical successor
 /// is a *sorted* relabeling of the raw successor. Replaying forward, we
 /// maintain the composed permutation `perm` (canonical index → concrete
-/// processor id) and emit every move under concrete labels, so the
-/// strategy validates against the ordinary rules.
-fn reconstruct(
-    instance: &MppInstance,
+/// processor id) and hand every step to `step` under concrete labels,
+/// so the strategy validates against the ordinary rules.
+fn reconstruct<M>(
+    k: usize,
     path: Vec<(Key, PackedMove)>,
-    total: u64,
     symmetry: bool,
-) -> MppSolution {
-    let k = instance.k;
+    mut step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
+) -> Vec<M> {
     let mut perm = [0usize, 1, 2, 3];
-    let mut cur = path.first().map_or(
-        Key {
-            reds: [0; MAX_K],
-            blue: 0,
-        },
-        |&(p, _)| p,
-    );
+    let mut cur = path.first().map_or(Key::default(), |&(p, _)| p);
     let mut moves = Vec::with_capacity(path.len());
     for (parent, mv) in path {
         debug_assert_eq!(parent, cur);
-        let (tag, pairs) = decode(mv, k);
-        let concrete: Vec<(usize, NodeId)> = pairs
+        let (rule, pairs) = decode(mv, k);
+        let concrete = pairs
             .iter()
             .map(|&(j, i)| (perm[j], NodeId::new(i as usize)))
             .collect();
-        moves.push(match tag {
-            TAG_COMPUTE => MppMove::Compute(concrete),
-            TAG_LOAD => MppMove::Load(concrete),
-            TAG_STORE => MppMove::Store(concrete),
-            _ => {
-                let (p, v) = concrete[0];
-                MppMove::Remove(Pebble::Red(p, v))
-            }
-        });
+        moves.push(step(rule, concrete));
         let mut raw = parent;
-        apply(&mut raw, tag, &pairs);
+        apply(&mut raw, rule, &pairs);
         let (next, pi) = canon_with_perm(raw, k, symmetry);
         let prev_perm = perm;
         for q in 0..k {
@@ -702,16 +795,7 @@ fn reconstruct(
         }
         cur = next;
     }
-    let strategy = MppStrategy::from_moves(moves);
-    let cost = strategy
-        .validate(instance)
-        .expect("solver produced an invalid strategy");
-    debug_assert_eq!(cost.total(instance.model), total);
-    MppSolution {
-        total,
-        cost,
-        strategy,
-    }
+    moves
 }
 
 fn iter_bits(mut mask: u64) -> impl Iterator<Item = u32> {
@@ -732,25 +816,39 @@ pub mod probe {
     //!
     //! Exposes the raw (symmetry-off) naive vs dominance-pruned
     //! successor sets along deterministic pseudo-random walks — the
-    //! substrate of the successor-set equivalence property tests — and
-    //! the micro-kernels (`canonicalize`, heuristic delta vs
-    //! from-scratch, per-expansion successor generation) timed by the
-    //! `solver_kernel` bench group. Not a public API.
+    //! substrate of the successor-set equivalence property tests, with
+    //! or without the green tier — and the micro-kernels
+    //! (`canonicalize`, heuristic delta vs from-scratch, per-expansion
+    //! successor generation) timed by the `solver_kernel` bench group.
+    //! Not a public API.
 
     use super::*;
     use rbp_util::Rng;
 
-    /// A raw successor snapshot: per-processor red masks, blue mask,
-    /// and edge cost. Produced with symmetry canonicalization off so
-    /// set comparisons see concrete processor labels.
+    /// A raw successor snapshot: per-processor red masks, the shared
+    /// green and blue masks, and edge cost. Produced with symmetry
+    /// canonicalization off so set comparisons see concrete processor
+    /// labels.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub struct Succ {
         /// Per-processor red masks (entries `k..` are zero).
         pub reds: [u64; MAX_K],
+        /// Green mask (zero without a tier).
+        pub green: u64,
         /// Blue mask.
         pub blue: u64,
         /// Edge cost of the generating move.
         pub cost: u64,
+    }
+
+    impl Succ {
+        fn key(&self) -> Key {
+            Key {
+                reds: self.reds,
+                green: self.green,
+                blue: self.blue,
+            }
+        }
     }
 
     fn expand_into(domain: &MppDomain, key: &Key, scratch: &mut MppScratch) -> Vec<Succ> {
@@ -758,6 +856,7 @@ pub mod probe {
         domain.expand(key, scratch, &mut |k2, c, _mv, _hv| {
             out.push(Succ {
                 reds: k2.reds,
+                green: k2.green,
                 blue: k2.blue,
                 cost: c,
             })
@@ -781,11 +880,12 @@ pub mod probe {
     #[must_use]
     pub fn successor_walk(
         instance: &MppInstance,
+        tier: Option<GreenTier>,
         seed: u64,
         steps: usize,
     ) -> Vec<(Vec<Succ>, Vec<Succ>)> {
-        let naive = build_domain(instance, &raw_config(false)).expect("unsupported instance");
-        let pruned = build_domain(instance, &raw_config(true)).expect("unsupported instance");
+        let naive = build_domain(instance, tier, &raw_config(false)).expect("unsupported instance");
+        let pruned = build_domain(instance, tier, &raw_config(true)).expect("unsupported instance");
         let mut rng = Rng::new(seed);
         let mut scratch = MppScratch::default();
         let mut key = naive.root();
@@ -796,13 +896,8 @@ pub mod probe {
             if ns.is_empty() {
                 break;
             }
-            let pick = rng.index(ns.len());
-            let next = Key {
-                reds: ns[pick].reds,
-                blue: ns[pick].blue,
-            };
+            key = ns[rng.index(ns.len())].key();
             out.push((ns, ps));
-            key = next;
         }
         out
     }
@@ -835,7 +930,7 @@ pub mod probe {
     /// evaluations have run. Returns a checksum of the bounds.
     #[must_use]
     pub fn heur_kernel(instance: &MppInstance, iters: u64, delta: bool, seed: u64) -> u64 {
-        let domain = build_domain(instance, &raw_config(true)).expect("unsupported instance");
+        let domain = build_domain(instance, None, &raw_config(true)).expect("unsupported instance");
         let mut rng = Rng::new(seed);
         let mut scratch = MppScratch::default();
         let mut stats = PhaseStats::default();
@@ -850,14 +945,14 @@ pub mod probe {
             }
             let ctx = domain
                 .heur
-                .prepare(key.red_all(), key.blue, 0)
+                .prepare(key.red_all(), key.outer(), 0)
                 .expect("MPP states are never dead");
             for s in &succs {
-                let red_all = s.reds.iter().fold(0, |a, &b| a | b);
+                let (red_all, outer) = (s.key().red_all(), s.key().outer());
                 let hv = if delta {
-                    domain.heur.eval_delta(&ctx, red_all, s.blue, 0, &mut stats)
+                    domain.heur.eval_delta(&ctx, red_all, outer, 0, &mut stats)
                 } else {
-                    domain.heur.eval(red_all, s.blue, 0)
+                    domain.heur.eval(red_all, outer, 0)
                 };
                 acc = acc.rotate_left(5) ^ hv.unwrap_or(u64::MAX);
                 done += 1;
@@ -865,11 +960,7 @@ pub mod probe {
                     break;
                 }
             }
-            let pick = rng.index(succs.len());
-            key = Key {
-                reds: succs[pick].reds,
-                blue: succs[pick].blue,
-            };
+            key = succs[rng.index(succs.len())].key();
         }
         acc
     }
@@ -880,14 +971,11 @@ pub mod probe {
     /// total number of emitted successors.
     #[must_use]
     pub fn expand_kernel(instance: &MppInstance, iters: u64, dominance: bool, seed: u64) -> u64 {
-        let domain = build_domain(
-            instance,
-            &SearchConfig {
-                dominance,
-                ..SearchConfig::default()
-            },
-        )
-        .expect("unsupported instance");
+        let config = SearchConfig {
+            dominance,
+            ..SearchConfig::default()
+        };
+        let domain = build_domain(instance, None, &config).expect("unsupported instance");
         let mut rng = Rng::new(seed);
         let mut scratch = MppScratch::default();
         let mut key = domain.root();
@@ -899,11 +987,7 @@ pub mod probe {
                 key = domain.root();
                 continue;
             }
-            let pick = rng.index(succs.len());
-            key = Key {
-                reds: succs[pick].reds,
-                blue: succs[pick].blue,
-            };
+            key = succs[rng.index(succs.len())].key();
         }
         emitted
     }

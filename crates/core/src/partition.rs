@@ -95,9 +95,8 @@ impl std::fmt::Display for PartitionMode {
 
 /// A built ownership function: [`PartitionMode`] plus the per-instance
 /// tables it projects through. Built once per solve and shared
-/// read-only by every worker. Re-exported through [`crate::engine`] so
-/// external [`crate::engine::Domain`] implementations can route their
-/// canonical states through the same structure-aware projections.
+/// read-only by every worker; the solvers' [`crate::driver::Domain`]
+/// implementations route their canonical states through it.
 #[derive(Debug)]
 pub struct Partition {
     mode: PartitionMode,

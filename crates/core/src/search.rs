@@ -334,8 +334,8 @@ impl SearchStats {
 }
 
 /// Per-shard counters from one parallel solve (empty for sequential
-/// runs). Emitted as `solver.<which>.shard<i>.*` trace gauges via
-/// [`trace_shards`].
+/// runs). Emitted as `solver.<which>.shard<i>.*` trace gauges after
+/// each parallel solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index (also the owning worker thread's index).
@@ -393,7 +393,7 @@ impl ShardStats {
 /// pushed,sent,send_blocks,foreign_expansions,locality_fraction,
 /// duplicate_rate,arena_bytes}` trace gauges. No-op while tracing is
 /// disabled or for sequential solves (empty slice).
-pub fn trace_shards(which: &str, shards: &[ShardStats]) {
+pub(crate) fn trace_shards(which: &str, shards: &[ShardStats]) {
     if !rbp_trace::enabled() {
         return;
     }
@@ -567,13 +567,13 @@ impl PhaseStats {
 }
 
 /// Scratch-embedded phase profiler the `Domain` implementations
-/// accumulate into during [`expand`](crate::engine::Domain::expand).
+/// accumulate into during [`expand`](crate::driver::Domain::expand).
 ///
 /// Owns a [`PhaseStats`] plus the cached timing flag; the driver drains
 /// it once per worker via `Domain::take_phases`, so the hot loop never
 /// touches shared state.
 #[derive(Debug, Clone)]
-pub struct PhaseProf {
+pub(crate) struct PhaseProf {
     timing: bool,
     /// The counters being accumulated.
     pub stats: PhaseStats,
@@ -640,6 +640,31 @@ pub struct SearchOutcome<T> {
     pub shards: Vec<ShardStats>,
     /// Phase-level hot-path accounting (summed across shards).
     pub phases: PhaseStats,
+}
+
+impl<T> SearchOutcome<T> {
+    /// An outcome without a solution and with zeroed counters.
+    pub(crate) fn stopped(reason: StopReason) -> Self {
+        SearchOutcome {
+            solution: None,
+            stats: SearchStats::default(),
+            reason,
+            shards: Vec::new(),
+            phases: PhaseStats::default(),
+        }
+    }
+
+    /// Maps the solution, keeping the counters.
+    #[must_use]
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> SearchOutcome<U> {
+        SearchOutcome {
+            solution: self.solution.map(f),
+            stats: self.stats,
+            reason: self.reason,
+            shards: self.shards,
+            phases: self.phases,
+        }
+    }
 }
 
 /// A compact one-word move encoding; the solvers define the bit layout.
@@ -835,7 +860,7 @@ impl AdmissibleHeuristic {
     /// three-level game reloads green-held values at `green_cost`,
     /// which may undercut the blue `g`.
     #[must_use]
-    pub fn with_load_cost(mut self, load_cost: u64) -> Self {
+    pub(crate) fn with_load_cost(mut self, load_cost: u64) -> Self {
         self.load_cost = load_cost;
         self
     }
@@ -924,7 +949,7 @@ impl AdmissibleHeuristic {
     /// Returns `None` iff the parent state is dead (same contract as
     /// `eval`).
     #[must_use]
-    pub fn prepare(&self, red_all: u64, blue: u64, computed: u64) -> Option<HeurCtx> {
+    pub(crate) fn prepare(&self, red_all: u64, blue: u64, computed: u64) -> Option<HeurCtx> {
         let pebbled = red_all | blue;
         let mut need = self.sinks & !pebbled;
         let mut stack = need;
@@ -942,13 +967,14 @@ impl AdmissibleHeuristic {
         if need & uncomputable != 0 {
             return None;
         }
-        let h = self.terms(need, pred_union, red_all, blue, uncomputable);
-        debug_assert_eq!(Some(h), self.eval(red_all, blue, computed));
+        debug_assert_eq!(
+            Some(self.terms(need, pred_union, red_all, blue, uncomputable)),
+            self.eval(red_all, blue, computed)
+        );
         Some(HeurCtx {
             pebbled,
             need,
             pred_union,
-            h,
             computed,
         })
     }
@@ -985,7 +1011,7 @@ impl AdmissibleHeuristic {
     /// the last copy) or changed `computed` — re-runs the from-scratch
     /// evaluation.
     #[must_use]
-    pub fn eval_delta(
+    pub(crate) fn eval_delta(
         &self,
         ctx: &HeurCtx,
         red_all: u64,
@@ -1047,23 +1073,14 @@ impl AdmissibleHeuristic {
 }
 
 /// Per-parent context for [`AdmissibleHeuristic::eval_delta`]: the
-/// parent's pebbled mask, needed set, and bound, cached by
+/// parent's pebbled mask and needed set, cached by
 /// [`AdmissibleHeuristic::prepare`] once per expansion.
 #[derive(Debug, Clone, Copy)]
-pub struct HeurCtx {
+pub(crate) struct HeurCtx {
     pebbled: u64,
     need: u64,
     pred_union: u64,
-    h: u64,
     computed: u64,
-}
-
-impl HeurCtx {
-    /// The parent's heuristic value (what `eval` returned for it).
-    #[must_use]
-    pub fn h(&self) -> u64 {
-        self.h
-    }
 }
 
 fn masks(dag: &rbp_dag::Dag) -> (Vec<u64>, u64) {
@@ -1182,7 +1199,7 @@ mod tests {
         let mut stats = PhaseStats::default();
         for m in 0u64..(1 << n) {
             let ctx = h.prepare(m, 0, 0).expect("MPP states are never dead");
-            assert_eq!(ctx.h(), h.eval(m, 0, 0).unwrap());
+            assert_eq!(h.eval_delta(&ctx, m, 0, 0, &mut stats), h.eval(m, 0, 0));
             for v in 0..n {
                 let bit = 1u64 << v;
                 if m & bit != 0 {
@@ -1220,9 +1237,10 @@ mod tests {
             variant: SppVariant::hong_kung(),
         };
         let h = AdmissibleHeuristic::for_spp(&inst);
-        let mut stats = PhaseStats::default();
         let ctx = h.prepare(0, 1 << 0, 0).expect("state is live");
-        assert_eq!(ctx.h(), 4);
+        let parent = h.eval_delta(&ctx, 0, 1 << 0, 0, &mut PhaseStats::default());
+        assert_eq!(parent, Some(4));
+        let mut stats = PhaseStats::default();
         // Hong–Kung variants carry I/O terms; the fast paths recompute
         // the load/store arithmetic from the cached needed set, so
         // every delta evaluation must still agree with eval.

@@ -1,49 +1,25 @@
 //! Exact optimal solver for the three-level game on small instances.
 //!
-//! A\* search over configurations `(R^1..R^k, G, B)` packed into `u64`
-//! masks, built on the shared [`rbp_core::engine`] drivers — the same
-//! sequential and hash-distributed parallel machinery as the two-level
-//! `solve_mpp`. Transitions are whole rule applications: all non-empty
-//! batched selections of a single rule type are enumerated, so the
-//! solver exploits the one-cost-per-parallel-step semantics exactly, on
-//! both the blue and the green tier.
+//! A thin facade over `rbp_core`'s exact MPP search, which takes the
+//! green tier as an optional part of its state space
+//! ([`rbp_core::mpp::exact::solve_tiered`]): one A\* kernel, with
+//! processor-symmetry canonicalization, the Lemma 1 admissible
+//! heuristic (`G ∪ B` in the role of the blue set, reload cost
+//! `min(g, green)`), lazy eviction and maximal-batch dominance pruning,
+//! serves both games. This module maps the decoded witness steps to
+//! [`HierMove`]s, validates them with [`crate::validate_hier`], and
+//! reports the `solve.hier` span and the `hier.*` trace counters.
 //!
-//! State-space reductions, all correctness-preserving and inherited
-//! from the two-level solver:
-//!
-//! - **Processor symmetry.** Shades are interchangeable; the green and
-//!   blue sets are shared, so sorting the per-processor red masks is
-//!   still a sound canonicalization and the permutation-trail witness
-//!   reconstruction carries over unchanged.
-//! - **Admissible heuristic.** The two-level Lemma-1 heuristic
-//!   `ceil(|needed| / k) · compute` evaluated with `G ∪ B` in the role
-//!   of the blue set: a green pebble, like a blue one, certifies the
-//!   value exists outside fast memory, so the count of still-to-compute
-//!   nodes is unchanged and the bound remains admissible (it counts
-//!   compute applications only, never I/O).
-//! - **Lazy eviction.** Red deletions only on a processor at capacity,
-//!   green deletions only when the green tier is at capacity, blue
-//!   pebbles never deleted.
-//!
-//! With `green_cap = 0` no green rule is ever enabled and the explored
-//! state space is exactly the two-level one — the randomized
-//! reduction-equivalence suite in this crate's tests pins that down
-//! against `rbp_core::solve_mpp` numerically.
+//! With `green_cap = 0` the facade passes no tier, so the three-level
+//! solve *is* the vanilla solve — same states, same witness. The
+//! randomized reduction-equivalence suite in this crate's tests pins
+//! that down against `rbp_core::solve_mpp_with`.
 
-use rbp_core::engine::{
-    pack_fields, search, unpack_fields, words_for, Domain, EmitFn, PackedMove, Partition,
-    PhaseProf, PhaseStats,
-};
-use rbp_core::{
-    trace_shards, AdmissibleHeuristic, HeurCtx, SearchConfig, SearchOutcome, SearchStats,
-    ShardStats, SolveLimits, StopReason, MAX_THREADS,
-};
-use rbp_dag::NodeId;
+use rbp_core::mpp::exact::{solve_tiered, Rule};
+use rbp_core::{SearchConfig, SearchOutcome, SolveLimits};
 use rbp_util::Json;
 
 use crate::{HierCost, HierInstance, HierMove, HierPebble, HierStrategy};
-
-const MAX_K: usize = 4;
 
 /// An optimal three-level solution found by [`solve`].
 #[derive(Debug, Clone)]
@@ -56,129 +32,10 @@ pub struct HierSolution {
     pub strategy: HierStrategy,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct Key {
-    reds: [u64; MAX_K],
-    green: u64,
-    blue: u64,
-}
-
-impl Key {
-    #[inline]
-    fn red_all(&self) -> u64 {
-        self.reds.iter().fold(0, |a, &b| a | b)
-    }
-}
-
-// Packed move layout: bits 28..=30 hold the tag (seven rule variants
-// need three bits, one more than the two-level solver's two); batch
-// moves store one 7-bit slot per processor (bit 6 = active, bits 0..=5
-// = node) in bits 0..=27; removals store the node in bits 0..=5 and,
-// for red removals, the processor in bits 6..=7.
-const TAG_COMPUTE: u32 = 0;
-const TAG_LOAD: u32 = 1;
-const TAG_STORE: u32 = 2;
-const TAG_LOAD_GREEN: u32 = 3;
-const TAG_STORE_GREEN: u32 = 4;
-const TAG_REMOVE_RED: u32 = 5;
-const TAG_REMOVE_GREEN: u32 = 6;
-
-#[inline]
-fn encode_batch(tag: u32, batch: &[(usize, u32)]) -> PackedMove {
-    let mut w = tag << 28;
-    for &(j, i) in batch {
-        w |= (0x40 | i) << (7 * j as u32);
-    }
-    w
-}
-
-#[inline]
-fn encode_remove(tag: u32, proc: usize, node: u32) -> PackedMove {
-    (tag << 28) | ((proc as u32) << 6) | node
-}
-
-fn decode(w: PackedMove, k: usize) -> (u32, Vec<(usize, u32)>) {
-    let tag = w >> 28;
-    if tag == TAG_REMOVE_RED || tag == TAG_REMOVE_GREEN {
-        return (tag, vec![(((w >> 6) & 0x3) as usize, w & 0x3f)]);
-    }
-    let mut pairs = Vec::new();
-    for j in 0..k {
-        let slot = (w >> (7 * j as u32)) & 0x7f;
-        if slot & 0x40 != 0 {
-            pairs.push((j, slot & 0x3f));
-        }
-    }
-    (tag, pairs)
-}
-
-fn apply(key: &mut Key, tag: u32, pairs: &[(usize, u32)]) {
-    match tag {
-        TAG_COMPUTE | TAG_LOAD | TAG_LOAD_GREEN => {
-            for &(j, i) in pairs {
-                key.reds[j] |= 1 << i;
-            }
-        }
-        TAG_STORE => {
-            for &(_, i) in pairs {
-                key.blue |= 1 << i;
-            }
-        }
-        TAG_STORE_GREEN => {
-            for &(_, i) in pairs {
-                key.green |= 1 << i;
-            }
-        }
-        TAG_REMOVE_RED => {
-            let (j, i) = pairs[0];
-            key.reds[j] &= !(1 << i);
-        }
-        _ => {
-            let (_, i) = pairs[0];
-            key.green &= !(1 << i);
-        }
-    }
-}
-
-/// Sorts the masks descending (insertion sort; `len ≤ 4`).
-#[inline]
-fn sort_desc(xs: &mut [u64]) {
-    for i in 1..xs.len() {
-        let mut j = i;
-        while j > 0 && xs[j] > xs[j - 1] {
-            xs.swap(j, j - 1);
-            j -= 1;
-        }
-    }
-}
-
-/// Whether the masks are already in canonical (descending) order — the
-/// memo check that lets most successors skip the sort (the parent is
-/// canonical; order-preserving moves produce sorted children).
-#[inline]
-fn is_sorted_desc(xs: &[u64]) -> bool {
-    xs.windows(2).all(|w| w[0] >= w[1])
-}
-
-/// Canonicalizes `raw` and returns the gather permutation `pi` such
-/// that `canonical.reds[q] == raw.reds[pi[q]]`. The shared green and
-/// blue sets are invariant under shade relabeling.
-fn canon_with_perm(raw: Key, k: usize, symmetry: bool) -> (Key, [usize; MAX_K]) {
-    let mut idx = [0usize, 1, 2, 3];
-    if !symmetry {
-        return (raw, idx);
-    }
-    idx[..k].sort_by(|&a, &b| raw.reds[b].cmp(&raw.reds[a]));
-    let mut out = raw;
-    for (q, &i) in idx[..k].iter().enumerate() {
-        out.reds[q] = raw.reds[i];
-    }
-    (out, idx)
-}
-
 /// Finds a minimum-total-cost three-level pebbling with the default
 /// (fully optimized) configuration, or `None` if infeasible
-/// (`r ≤ Δ_in`), too large (`n > 64` or `k > 4`), or out of budget.
+/// (`r ≤ Δ_in`), too large (`n > 64`, `k > 4` or `green_cap > 64`), or
+/// out of budget.
 #[must_use]
 pub fn solve(instance: &HierInstance, limits: SolveLimits) -> Option<HierSolution> {
     solve_with(instance, &SearchConfig::default().with_limits(limits)).solution
@@ -206,15 +63,38 @@ pub fn solve_with(instance: &HierInstance, config: &SearchConfig) -> SearchOutco
             ("partition", Json::from(config.partition.as_str())),
         ],
     );
-    let (solution, stats, reason, shards, phases) = solve_inner(instance, config);
-    stats.trace("hier", solution.as_ref().map(|s| s.total));
-    trace_shards("hier", &shards);
-    phases.trace("hier");
+    let out = solve_tiered(
+        &instance.mpp_instance(),
+        instance.green_tier(),
+        config,
+        "hier",
+        |rule, batch| match rule {
+            Rule::Compute => HierMove::Compute(batch),
+            Rule::Load => HierMove::Load(batch),
+            Rule::Store => HierMove::Store(batch),
+            Rule::LoadGreen => HierMove::LoadGreen(batch),
+            Rule::StoreGreen => HierMove::StoreGreen(batch),
+            Rule::RemoveRed => HierMove::Remove(HierPebble::Red(batch[0].0, batch[0].1)),
+            Rule::RemoveGreen => HierMove::Remove(HierPebble::Green(batch[0].1)),
+        },
+    )
+    .map(|(total, moves)| {
+        let strategy = HierStrategy::from_moves(moves);
+        let cost = strategy
+            .validate(instance)
+            .expect("hier solver produced an invalid strategy");
+        debug_assert_eq!(cost.total(instance.model), total);
+        HierSolution {
+            total,
+            cost,
+            strategy,
+        }
+    });
     if rbp_trace::enabled() {
         rbp_trace::counter("hier.runs", 1);
         rbp_trace::gauge("hier.green_cap", instance.green_cap as f64);
         rbp_trace::gauge("hier.green_cost", instance.model.green as f64);
-        if let Some(sol) = &solution {
+        if let Some(sol) = &out.solution {
             rbp_trace::counter("hier.green_stores", sol.cost.green_stores);
             rbp_trace::counter("hier.green_loads", sol.cost.green_loads);
             rbp_trace::counter("hier.blue_stores", sol.cost.stores);
@@ -223,699 +103,13 @@ pub fn solve_with(instance: &HierInstance, config: &SearchConfig) -> SearchOutco
             rbp_trace::gauge("hier.total", sol.total as f64);
         }
     }
-    SearchOutcome {
-        solution,
-        stats,
-        reason,
-        shards,
-        phases,
-    }
-}
-
-/// The three-level state space described for the shared search drivers:
-/// keys are `(R^1..R^k, G, B)` masks bit-packed to `(k+2) · n` bits,
-/// successors are whole batched rule applications (canonicalized under
-/// processor symmetry before emission).
-struct HierDomain {
-    n: usize,
-    k: usize,
-    r: usize,
-    green_cap: usize,
-    compute: u64,
-    g: u64,
-    green: u64,
-    preds_mask: Vec<u64>,
-    sinks_mask: u64,
-    heur: AdmissibleHeuristic,
-    use_heuristic: bool,
-    symmetry: bool,
-    dominance: bool,
-    max_priority: u64,
-    partition: Partition,
-}
-
-/// Reused per-worker expansion buffers (allocation-free inner loop) and
-/// the embedded phase profiler the driver drains via `take_phases`.
-struct HierScratch {
-    batch: Vec<(usize, u32)>,
-    prof: PhaseProf,
-}
-
-impl Default for HierScratch {
-    fn default() -> Self {
-        HierScratch {
-            batch: Vec::with_capacity(MAX_K),
-            prof: PhaseProf::default(),
-        }
-    }
-}
-
-impl Domain for HierDomain {
-    type Key = Key;
-    type Scratch = HierScratch;
-
-    fn key_words(&self) -> usize {
-        words_for(self.k + 2, self.n)
-    }
-
-    fn pack(&self, key: &Key, out: &mut [u64]) {
-        let mut fields = [0u64; MAX_K + 2];
-        fields[..self.k].copy_from_slice(&key.reds[..self.k]);
-        fields[self.k] = key.green;
-        fields[self.k + 1] = key.blue;
-        pack_fields(&fields[..self.k + 2], self.n, out);
-    }
-
-    fn unpack(&self, words: &[u64]) -> Key {
-        let mut fields = [0u64; MAX_K + 2];
-        unpack_fields(words, self.n, &mut fields[..self.k + 2]);
-        let mut reds = [0u64; MAX_K];
-        reds[..self.k].copy_from_slice(&fields[..self.k]);
-        Key {
-            reds,
-            green: fields[self.k],
-            blue: fields[self.k + 1],
-        }
-    }
-
-    fn root(&self) -> Key {
-        Key {
-            reds: [0; MAX_K],
-            green: 0,
-            blue: 0,
-        }
-    }
-
-    fn is_goal(&self, key: &Key) -> bool {
-        self.sinks_mask & !(key.red_all() | key.green | key.blue) == 0
-    }
-
-    fn heuristic(&self, key: &Key) -> Option<u64> {
-        if self.use_heuristic {
-            // Green joins blue as "available without recomputing": the
-            // compute-count lower bound is oblivious to which outer
-            // tier holds the value.
-            self.heur.eval(key.red_all(), key.green | key.blue, 0)
-        } else {
-            Some(0)
-        }
-    }
-
-    fn max_priority(&self) -> u64 {
-        self.max_priority
-    }
-
-    fn owner(&self, key: &Key, hash: u64, shards: usize) -> usize {
-        // Green pebbles are fast-memory-adjacent for locality purposes:
-        // fold them into the red side of the partition signature.
-        self.partition
-            .owner(key.red_all() | key.green, key.blue, hash, shards)
-    }
-
-    fn expand(&self, key: &Key, scratch: &mut HierScratch, emit: EmitFn<'_, Key>) {
-        let (k, r, n) = (self.k, self.r, self.n);
-        let key = *key;
-        let full = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let HierScratch { batch, prof } = scratch;
-
-        // Per-parent heuristic context with `G ∪ B` in the blue role
-        // (see `heuristic`): one from-scratch closure walk whose needed
-        // set answers most successors in O(1) via `eval_delta`.
-        let hctx: Option<HeurCtx> = if self.use_heuristic {
-            let t0 = prof.start();
-            prof.stats.heur_full_evals += 1;
-            let ctx = self.heur.prepare(key.red_all(), key.green | key.blue, 0);
-            prof.stop_heur(t0);
-            debug_assert!(ctx.is_some(), "three-level states are never dead");
-            ctx
-        } else {
-            None
-        };
-
-        let mut emit_raw = |mut raw: Key, cost: u64, mv: PackedMove| {
-            if self.symmetry {
-                let t0 = prof.start();
-                if is_sorted_desc(&raw.reds[..k]) {
-                    prof.stats.canon_memo_hits += 1;
-                } else {
-                    sort_desc(&mut raw.reds[..k]);
-                    prof.stats.canon_sorts += 1;
-                }
-                prof.stop_canon(t0);
-            }
-            emit(raw, cost, mv, &mut || {
-                if !self.use_heuristic {
-                    return Some(0);
-                }
-                let t0 = prof.start();
-                let outer = raw.green | raw.blue;
-                let hv = match &hctx {
-                    Some(ctx) => {
-                        self.heur
-                            .eval_delta(ctx, raw.red_all(), outer, 0, &mut prof.stats)
-                    }
-                    None => self.heur.eval(raw.red_all(), outer, 0),
-                };
-                prof.stop_heur(t0);
-                hv
-            });
-        };
-
-        // --- R4-H: lazy red eviction on full processors (cost 0). ---
-        for j in 0..k {
-            if key.reds[j].count_ones() as usize >= r {
-                for i in iter_bits(key.reds[j]) {
-                    let mut nk = key;
-                    nk.reds[j] &= !(1u64 << i);
-                    emit_raw(nk, 0, encode_remove(TAG_REMOVE_RED, j, i));
-                }
-            }
-        }
-
-        // --- R4-H: lazy green eviction when the tier is full (cost 0).
-        if self.green_cap > 0 && key.green.count_ones() as usize >= self.green_cap {
-            for i in iter_bits(key.green) {
-                let mut nk = key;
-                nk.green &= !(1u64 << i);
-                emit_raw(nk, 0, encode_remove(TAG_REMOVE_GREEN, 0, i));
-            }
-        }
-
-        let mut suppressed = 0u64;
-        let mut opts = [0u64; MAX_K];
-
-        // --- R3-H: batched computes. ---
-        for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = 0;
-            if key.reds[j].count_ones() as usize >= r {
-                continue;
-            }
-            for i in iter_bits(full & !key.reds[j]) {
-                if self.preds_mask[i as usize] & !key.reds[j] == 0 {
-                    *opt |= 1u64 << i;
-                }
-            }
-        }
-        for_each_batch(
-            &opts[..k],
-            false,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(j, i) in batch {
-                    nk.reds[j] |= 1u64 << i;
-                }
-                emit_raw(nk, self.compute, encode_batch(TAG_COMPUTE, batch));
-            },
-        );
-
-        // --- R2-H: batched blue loads (distinct vertices). ---
-        for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = if key.reds[j].count_ones() as usize >= r {
-                0
-            } else {
-                key.blue & !key.reds[j]
-            };
-        }
-        for_each_batch(
-            &opts[..k],
-            true,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(j, i) in batch {
-                    nk.reds[j] |= 1u64 << i;
-                }
-                emit_raw(nk, self.g, encode_batch(TAG_LOAD, batch));
-            },
-        );
-
-        // --- R1-H: batched blue stores (distinct vertices). Storing an
-        // already-blue node is structurally excluded by the mask. ---
-        for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = key.reds[j] & !key.blue;
-        }
-        for_each_batch(
-            &opts[..k],
-            true,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(_, i) in batch {
-                    nk.blue |= 1u64 << i;
-                }
-                emit_raw(nk, self.g, encode_batch(TAG_STORE, batch));
-            },
-        );
-
-        if self.green_cap == 0 {
-            // No green rule is ever enabled: the remaining enumeration
-            // is dead weight, and skipping it keeps the explored state
-            // space literally the two-level one.
-            prof.stats.idle_suppressed += suppressed;
-            return;
-        }
-
-        // --- R6-H: batched green loads (distinct vertices). ---
-        for (j, opt) in opts.iter_mut().enumerate().take(k) {
-            *opt = if key.reds[j].count_ones() as usize >= r {
-                0
-            } else {
-                key.green & !key.reds[j]
-            };
-        }
-        for_each_batch(
-            &opts[..k],
-            true,
-            self.dominance,
-            usize::MAX,
-            batch,
-            &mut suppressed,
-            &mut |batch| {
-                let mut nk = key;
-                for &(j, i) in batch {
-                    nk.reds[j] |= 1u64 << i;
-                }
-                emit_raw(nk, self.green, encode_batch(TAG_LOAD_GREEN, batch));
-            },
-        );
-
-        // --- R5-H: batched green stores (distinct vertices, bounded by
-        // the shared capacity — the enumerator's `budget` enforces the
-        // free-slot cap, and maximality is judged against it, so a
-        // batch filling every free slot is maximal even when idle
-        // processors still hold storable values). ---
-        let free = self.green_cap - (key.green.count_ones() as usize).min(self.green_cap);
-        if free > 0 {
-            for (j, opt) in opts.iter_mut().enumerate().take(k) {
-                *opt = key.reds[j] & !key.green;
-            }
-            for_each_batch(
-                &opts[..k],
-                true,
-                self.dominance,
-                free,
-                batch,
-                &mut suppressed,
-                &mut |batch| {
-                    let mut nk = key;
-                    for &(_, i) in batch {
-                        nk.green |= 1u64 << i;
-                    }
-                    emit_raw(nk, self.green, encode_batch(TAG_STORE_GREEN, batch));
-                },
-            );
-        }
-
-        prof.stats.idle_suppressed += suppressed;
-    }
-
-    fn take_phases(&self, scratch: &mut HierScratch) -> PhaseStats {
-        scratch.prof.take()
-    }
-}
-
-/// Builds the search domain for a supported, non-empty, feasible
-/// instance; `None` otherwise (the caller distinguishes the trivial
-/// `n == 0` case itself).
-fn build_domain(instance: &HierInstance, config: &SearchConfig) -> Option<HierDomain> {
-    let dag = instance.dag;
-    let n = dag.n();
-    let k = instance.k;
-    if n == 0 || n > 64 || k > MAX_K || k == 0 || instance.green_cap > 64 {
-        return None;
-    }
-    if !instance.is_feasible() {
-        return None;
-    }
-    let model = instance.model;
-
-    let preds_mask: Vec<u64> = dag
-        .nodes()
-        .map(|v| {
-            dag.preds(v)
-                .iter()
-                .fold(0u64, |m, p| m | (1u64 << p.index()))
-        })
-        .collect();
-    let sinks_mask: u64 = dag
-        .sinks()
-        .iter()
-        .fold(0u64, |m, s| m | (1u64 << s.index()));
-
-    // Priority ceiling for the bucket representation: the game can
-    // always ignore the green tier, so twice the two-level Lemma 1
-    // trivial upper bound still covers every f-value the search pushes.
-    let ub = (model.g * (dag.max_in_degree() as u64 + 1))
-        .saturating_add(model.compute)
-        .saturating_mul(n as u64);
-    let max_priority = ub.saturating_mul(2).saturating_add(
-        model
-            .g
-            .saturating_add(model.compute)
-            .saturating_add(model.green),
-    );
-
-    Some(HierDomain {
-        n,
-        k,
-        r: instance.r,
-        green_cap: instance.green_cap,
-        compute: model.compute,
-        g: model.g,
-        green: model.green,
-        preds_mask,
-        sinks_mask,
-        // The re-entry term assumes `load_cost` is the cheapest way to
-        // re-redden an evicted value; in the three-level game the green
-        // tier may undercut a blue reload.
-        heur: AdmissibleHeuristic::for_mpp(&instance.mpp_instance())
-            .with_load_cost(model.g.min(model.green)),
-        use_heuristic: config.heuristic,
-        symmetry: config.symmetry,
-        dominance: config.dominance,
-        max_priority,
-        partition: Partition::build(config.partition, dag, config.threads.clamp(1, MAX_THREADS)),
-    })
-}
-
-#[allow(clippy::type_complexity)]
-fn solve_inner(
-    instance: &HierInstance,
-    config: &SearchConfig,
-) -> (
-    Option<HierSolution>,
-    SearchStats,
-    StopReason,
-    Vec<ShardStats>,
-    PhaseStats,
-) {
-    let k = instance.k;
-    if instance.dag.n() == 0 && k > 0 && k <= MAX_K && instance.green_cap <= 64 {
-        return (
-            Some(HierSolution {
-                total: 0,
-                cost: HierCost::zero(),
-                strategy: HierStrategy::new(),
-            }),
-            SearchStats::default(),
-            StopReason::Solved,
-            Vec::new(),
-            PhaseStats::default(),
-        );
-    }
-    let Some(domain) = build_domain(instance, config) else {
-        return (
-            None,
-            SearchStats::default(),
-            StopReason::Unsupported,
-            Vec::new(),
-            PhaseStats::default(),
-        );
-    };
-    let out = search(&domain, config);
-    let solution = out
-        .best
-        .map(|(total, path)| reconstruct(instance, path, total, config.symmetry));
-    (solution, out.stats, out.reason, out.shards, out.phases)
-}
-
-/// Enumerates non-empty batches over per-processor option bitmasks:
-/// each processor picks one set bit of its mask or idles. Identical to
-/// the two-level enumerator (including the inclusion-maximality
-/// dominance pruning — see `rbp_core::mpp`'s `for_each_batch` for the
-/// soundness argument); kept local because the scratch layout is
-/// crate-private on both sides. `budget` caps the number of acting
-/// processors (the green-store free-slot cap; `usize::MAX` otherwise).
-fn for_each_batch(
-    options: &[u64],
-    distinct_vertices: bool,
-    maximal: bool,
-    budget: usize,
-    batch: &mut Vec<(usize, u32)>,
-    suppressed: &mut u64,
-    f: &mut impl FnMut(&[(usize, u32)]),
-) {
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        options: &[u64],
-        j: usize,
-        distinct: bool,
-        maximal: bool,
-        budget: usize,
-        used: u64,
-        batch: &mut Vec<(usize, u32)>,
-        suppressed: &mut u64,
-        f: &mut impl FnMut(&[(usize, u32)]),
-    ) {
-        if j == options.len() {
-            if batch.is_empty() {
-                return;
-            }
-            if maximal && batch.len() < budget {
-                for (jj, &opt) in options.iter().enumerate() {
-                    if batch.iter().any(|&(b, _)| b == jj) {
-                        continue;
-                    }
-                    let ext = if distinct { opt & !used } else { opt };
-                    if ext != 0 {
-                        // Idle processor jj could still act: this batch
-                        // is dominated by the one that also assigns it.
-                        *suppressed += 1;
-                        return;
-                    }
-                }
-            }
-            f(batch);
-            return;
-        }
-        let avail = if distinct {
-            options[j] & !used
-        } else {
-            options[j]
-        };
-        let can_act = avail != 0 && batch.len() < budget;
-        // Idle branch; early subtree cut only when sound (see the
-        // two-level enumerator).
-        if maximal && !distinct && can_act && budget >= options.len() {
-            *suppressed += 1;
-        } else {
-            rec(
-                options,
-                j + 1,
-                distinct,
-                maximal,
-                budget,
-                used,
-                batch,
-                suppressed,
-                f,
-            );
-        }
-        if !can_act {
-            return;
-        }
-        let mut m = avail;
-        while m != 0 {
-            let i = m.trailing_zeros();
-            m &= m - 1;
-            batch.push((j, i));
-            rec(
-                options,
-                j + 1,
-                distinct,
-                maximal,
-                budget,
-                used | (1u64 << i),
-                batch,
-                suppressed,
-                f,
-            );
-            batch.pop();
-        }
-    }
-    batch.clear();
-    rec(
-        options,
-        0,
-        distinct_vertices,
-        maximal,
-        budget,
-        0,
-        batch,
-        suppressed,
-        f,
-    );
-}
-
-/// Rebuilds the witness from the canonical-state parent chain,
-/// re-applying the shade permutation trail exactly as the two-level
-/// reconstruction does (green and blue sets are permutation-invariant,
-/// so only the red labels need translating).
-fn reconstruct(
-    instance: &HierInstance,
-    path: Vec<(Key, PackedMove)>,
-    total: u64,
-    symmetry: bool,
-) -> HierSolution {
-    let k = instance.k;
-    let mut perm = [0usize, 1, 2, 3];
-    let mut cur = path.first().map_or(
-        Key {
-            reds: [0; MAX_K],
-            green: 0,
-            blue: 0,
-        },
-        |&(p, _)| p,
-    );
-    let mut moves = Vec::with_capacity(path.len());
-    for (parent, mv) in path {
-        debug_assert_eq!(parent, cur);
-        let (tag, pairs) = decode(mv, k);
-        let concrete: Vec<(usize, NodeId)> = pairs
-            .iter()
-            .map(|&(j, i)| (perm[j], NodeId::new(i as usize)))
-            .collect();
-        moves.push(match tag {
-            TAG_COMPUTE => HierMove::Compute(concrete),
-            TAG_LOAD => HierMove::Load(concrete),
-            TAG_STORE => HierMove::Store(concrete),
-            TAG_LOAD_GREEN => HierMove::LoadGreen(concrete),
-            TAG_STORE_GREEN => HierMove::StoreGreen(concrete),
-            TAG_REMOVE_RED => {
-                let (p, v) = concrete[0];
-                HierMove::Remove(HierPebble::Red(p, v))
-            }
-            _ => HierMove::Remove(HierPebble::Green(concrete[0].1)),
-        });
-        let mut raw = parent;
-        apply(&mut raw, tag, &pairs);
-        let (next, pi) = canon_with_perm(raw, k, symmetry);
-        let prev_perm = perm;
-        for q in 0..k {
-            perm[q] = prev_perm[pi[q]];
-        }
-        cur = next;
-    }
-    let strategy = HierStrategy::from_moves(moves);
-    let cost = strategy
-        .validate(instance)
-        .expect("hier solver produced an invalid strategy");
-    debug_assert_eq!(cost.total(instance.model), total);
-    HierSolution {
-        total,
-        cost,
-        strategy,
-    }
-}
-
-fn iter_bits(mut mask: u64) -> impl Iterator<Item = u32> {
-    std::iter::from_fn(move || {
-        if mask == 0 {
-            None
-        } else {
-            let i = mask.trailing_zeros();
-            mask &= mask - 1;
-            Some(i)
-        }
-    })
-}
-
-#[doc(hidden)]
-pub mod probe {
-    //! Test hooks into the successor-generation kernel: raw
-    //! (symmetry-off) naive vs dominance-pruned successor sets along
-    //! deterministic pseudo-random walks, for the successor-set
-    //! equivalence property tests. Not a public API.
-
-    use super::*;
-    use rbp_util::Rng;
-
-    /// A raw successor snapshot: per-processor red masks, the shared
-    /// green and blue masks, and edge cost. Produced with symmetry
-    /// canonicalization off so set comparisons see concrete labels.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    pub struct Succ {
-        /// Per-processor red masks (entries `k..` are zero).
-        pub reds: [u64; MAX_K],
-        /// Green (middle-tier) mask.
-        pub green: u64,
-        /// Blue mask.
-        pub blue: u64,
-        /// Edge cost of the generating move.
-        pub cost: u64,
-    }
-
-    fn expand_into(domain: &HierDomain, key: &Key, scratch: &mut HierScratch) -> Vec<Succ> {
-        let mut out = Vec::new();
-        domain.expand(key, scratch, &mut |k2, c, _mv, _hv| {
-            out.push(Succ {
-                reds: k2.reds,
-                green: k2.green,
-                blue: k2.blue,
-                cost: c,
-            })
-        });
-        out
-    }
-
-    fn raw_config(dominance: bool) -> SearchConfig {
-        SearchConfig {
-            heuristic: false,
-            symmetry: false,
-            dominance,
-            ..SearchConfig::default()
-        }
-    }
-
-    /// Walks `steps` states from the root along a seeded random path
-    /// (always stepping through a *naive* successor), returning the
-    /// `(naive, pruned)` successor sets of every visited state.
-    /// Panics on unsupported instances.
-    #[must_use]
-    pub fn successor_walk(
-        instance: &HierInstance,
-        seed: u64,
-        steps: usize,
-    ) -> Vec<(Vec<Succ>, Vec<Succ>)> {
-        let naive = build_domain(instance, &raw_config(false)).expect("unsupported instance");
-        let pruned = build_domain(instance, &raw_config(true)).expect("unsupported instance");
-        let mut rng = Rng::new(seed);
-        let mut scratch = HierScratch::default();
-        let mut key = naive.root();
-        let mut out = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let ns = expand_into(&naive, &key, &mut scratch);
-            let ps = expand_into(&pruned, &key, &mut scratch);
-            if ns.is_empty() {
-                break;
-            }
-            let pick = rng.index(ns.len());
-            let next = Key {
-                reds: ns[pick].reds,
-                green: ns[pick].green,
-                blue: ns[pick].blue,
-            };
-            out.push((ns, ps));
-            key = next;
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbp_core::{solve_mpp, MppInstance};
+    use rbp_core::{solve_mpp, solve_mpp_with, MppInstance, StopReason};
     use rbp_dag::{dag_from_edges, generators};
 
     fn limits() -> SolveLimits {
@@ -932,14 +126,26 @@ mod tests {
 
     #[test]
     fn zero_capacity_matches_vanilla_exactly() {
+        // Four processors on 12 nodes pack five vanilla fields into one
+        // 64-bit word; a green field would need a second.
         for (d, k, r, g) in [
             (generators::binary_in_tree(4), 2, 3, 2),
             (generators::grid(2, 3), 2, 3, 2),
             (generators::independent_chains(2, 3), 2, 2, 3),
+            (generators::independent_chains(3, 4), 4, 2, 2),
         ] {
             let mpp = MppInstance::new(&d, k, r, g);
-            let vanilla = solve_mpp(&mpp, limits()).unwrap();
-            let hier = solve(&HierInstance::from_mpp(&mpp, 0, 1), limits()).unwrap();
+            let config = SearchConfig::default().with_limits(limits());
+            let vanilla = solve_mpp_with(&mpp, &config);
+            let hier = solve_with(&HierInstance::from_mpp(&mpp, 0, 1), &config);
+            let (vs, hs) = (&vanilla.stats, &hier.stats);
+            assert_eq!(
+                (hs.settled, hs.pushed, hs.arena_peak_bytes),
+                (vs.settled, vs.pushed, vs.arena_peak_bytes),
+                "{}",
+                d.name()
+            );
+            let (vanilla, hier) = (vanilla.solution.unwrap(), hier.solution.unwrap());
             assert_eq!(hier.total, vanilla.total, "{}", d.name());
             assert_eq!(hier.cost.green_io_steps(), 0);
         }

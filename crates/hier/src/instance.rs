@@ -1,6 +1,6 @@
 //! Hierarchical instances, the two-I/O-cost model, and configurations.
 
-use rbp_core::{CostModel, GameMode, MppInstance};
+use rbp_core::{CostModel, GameMode, GreenTier, MppInstance};
 use rbp_dag::{Dag, NodeId, NodeSet};
 
 /// Per-rule costs of the three-level game.
@@ -157,9 +157,9 @@ impl<'a> HierInstance<'a> {
     }
 
     /// Lifts an MPP instance according to a [`GameMode`]. Returns
-    /// `None` for [`GameMode::Vanilla`] — the caller should keep using
-    /// the two-level machinery, which is both faster and byte-identical
-    /// in cost.
+    /// `None` for [`GameMode::Vanilla`]: the caller keeps the two-level
+    /// machinery, which answers the same question (the exact solvers
+    /// share one search) in the two-level move language.
     #[must_use]
     pub fn from_mode(mpp: &MppInstance<'a>, mode: GameMode) -> Option<Self> {
         match mode {
@@ -180,6 +180,16 @@ impl<'a> HierInstance<'a> {
             r: self.r,
             model: self.model.as_mpp(),
         }
+    }
+
+    /// The green tier as the exact search sees it: `None` at
+    /// `green_cap = 0`, where the game is vanilla MPP.
+    #[must_use]
+    pub fn green_tier(&self) -> Option<GreenTier> {
+        (self.green_cap > 0).then_some(GreenTier {
+            cap: self.green_cap,
+            cost: self.model.green,
+        })
     }
 
     /// Feasibility requires `r ≥ Δ_in + 1` and at least one processor,

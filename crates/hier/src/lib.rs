@@ -32,11 +32,13 @@
 //!   `OPT_MPP ≤ g·(blue I/O + green I/O) + computes` — the three-level
 //!   optimum with green re-priced at `g`.
 //!
-//! The exact solver ([`solve_hier`]) runs on the shared
-//! [`rbp_core::engine`] A\* drivers (sequential and hash-sharded
-//! parallel), inheriting processor-symmetry canonicalization, the
+//! The exact solver ([`solve_hier`]) is a thin facade over
+//! `rbp_core`'s exact MPP search, which takes the green tier as an
+//! optional part of its state space: one A\* kernel (sequential and
+//! hash-sharded parallel) with processor-symmetry canonicalization, the
 //! Lemma 1 admissible heuristic (with `G ∪ B` as the out-of-fast-memory
-//! set), and lazy eviction. Heuristic schedulers ([`GreenList`],
+//! set), and lazy eviction serves both games, and at `green_cap = 0`
+//! the three-level solve is the vanilla solve. Heuristic schedulers ([`GreenList`],
 //! [`HierTopoBaseline`]) build strategies through the rule-enforcing
 //! [`HierSimulator`].
 //!

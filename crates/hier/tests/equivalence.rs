@@ -3,15 +3,16 @@
 //! exact optimum, instance for instance.
 //!
 //! 100 seeded random instances, two degeneracies each:
-//! - `green_cap = 0`: the green rules are never enabled, so the state
-//!   space is literally the two-level one — totals must match.
+//! - `green_cap = 0`: the solver passes no green tier to the shared MPP
+//!   search, so the solve *is* the two-level one — totals, search
+//!   counters and the witness must match move for move.
 //! - `green_cost = g`: the tier is usable but never cheaper — the
 //!   optimum must still match (witness tallies may legitimately trade
 //!   green for blue traffic at equal cost).
 
-use rbp_core::{solve_mpp, MppInstance, SolveLimits};
+use rbp_core::{solve_mpp, solve_mpp_with, MppInstance, SearchConfig, SolveLimits};
 use rbp_dag::{generators, Dag};
-use rbp_hier::{solve_hier, HierInstance};
+use rbp_hier::{solve_hier, solve_hier_with, HierInstance};
 use rbp_util::Rng;
 
 fn limits() -> SolveLimits {
@@ -38,10 +39,27 @@ fn zero_green_capacity_matches_vanilla_on_100_seeds() {
     for case in 0..100 {
         let (dag, k, r, g) = draw(&mut rng);
         let mpp = MppInstance::new(&dag, k, r, g);
-        let vanilla = solve_mpp(&mpp, limits()).expect("vanilla solve");
+        let config = SearchConfig::default().with_limits(limits());
+        let vanilla_out = solve_mpp_with(&mpp, &config);
+        let vanilla = vanilla_out.solution.expect("vanilla solve");
         let green_cost = rng.range_u64(1, g + 1);
-        let hier =
-            solve_hier(&HierInstance::from_mpp(&mpp, 0, green_cost), limits()).expect("hier solve");
+        let inst = HierInstance::from_mpp(&mpp, 0, green_cost);
+        let hier_out = solve_hier_with(&inst, &config);
+        let hier = hier_out.solution.expect("hier solve");
+        // One search: the same states settled, pushed and interned.
+        let (hs, vs) = (&hier_out.stats, &vanilla_out.stats);
+        assert_eq!(
+            (hs.settled, hs.pushed, hs.arena_peak_bytes),
+            (vs.settled, vs.pushed, vs.arena_peak_bytes),
+            "case {case}: search counters diverged without a green tier"
+        );
+        // ... and the same witness, move for move (no green move to drop).
+        assert_eq!(hier.strategy.len(), vanilla.strategy.len(), "case {case}");
+        assert_eq!(
+            rbp_hier::hier_to_mpp(&inst, &hier.strategy).moves,
+            vanilla.strategy.moves,
+            "case {case}: witnesses diverged without a green tier"
+        );
         assert_eq!(
             hier.total,
             vanilla.total,

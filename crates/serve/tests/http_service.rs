@@ -158,8 +158,10 @@ fn async_submit_poll_result_flow() {
 #[test]
 fn sync_deadline_answers_504_with_poll_handle() {
     let server = small_server();
-    // A 400 ms portfolio race with a 30 ms deadline must time out.
-    let body = r#"{"generator":{"family":"grid","params":[2,4]},"k":2,"r":3,"g":2,"budget_ms":400,"deadline_ms":30}"#;
+    // A 400 ms portfolio race with a 30 ms deadline must time out. The
+    // 81-node grid is beyond the exact lane (n ≤ 64), so no proven
+    // optimum can end the race early: refinement runs the full budget.
+    let body = r#"{"generator":{"family":"grid","params":[9,9]},"k":2,"r":3,"g":2,"budget_ms":400,"deadline_ms":30}"#;
     let resp = post(&server, "/v1/portfolio", body);
     assert_eq!(resp.status, 504, "{}", resp.body);
     let json = Json::parse(&resp.body).unwrap();

@@ -5,6 +5,7 @@
 # no external dependencies, so everything runs with --offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+repo=$(pwd)
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
@@ -15,8 +16,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --offline --release --workspace --all-targets
 
-echo "== cargo test =="
-cargo test --offline --release -q
+echo "== cargo test (every workspace member) =="
+cargo test --workspace --offline --release -q
 
 echo "== cargo doc (missing docs are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
@@ -31,7 +32,13 @@ echo "== rustdoc gate on rbp-hier (crate-wide deny(missing_docs)) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p rbp-hier --quiet
 
 echo "== quick solver sweep (equivalence + speedup smoke) =="
-./target/release/exp_solver --quick
+# exp_solver writes BENCH_solver.json into its working directory: run it
+# from a scratch directory so the committed full-run numbers stay put.
+sweep_dir=$(mktemp -d)
+trap 'rm -rf "$sweep_dir"' EXIT
+(cd "$sweep_dir" && "$repo/target/release/exp_solver" --quick)
+trap - EXIT
+rm -rf "$sweep_dir"
 
 echo "== parallel solver smoke (--threads 4, every partition mode, same optimum) =="
 seq_opt=$(./target/release/rbp solve tests/fixtures/chains_2x4.dag 2 3 2 \
@@ -78,7 +85,9 @@ echo "== hot-path perf guard (state-count ceiling on a fixed fixture) =="
 #   heuristic off (no probe)      : 80,303
 #   both off                      : 187,589
 # The 30,000 ceiling passes the default config with ~9% headroom and
-# fails if the probe, the heuristic, or dominance stops pruning.
+# fails if the heuristic or dominance stops pruning. The incumbent
+# probe finds no schedule on this fixture within its 20,000-state
+# budget, so losing it leaves the count unchanged.
 guard_trace=$(mktemp)
 trap 'rm -f "$guard_trace"' EXIT
 guard_opt=$(RBP_TRACE="$guard_trace" \
@@ -97,6 +106,31 @@ echo "$guard_report" | grep -q "solver.phase.mpp.idle_suppressed" \
 trap - EXIT
 rm -f "$guard_trace"
 echo "perf guard: OPT=11 within the 30000-state ceiling, Hot path section rendered"
+
+echo "== three-level perf guard (state-count ceiling on the separation gadget) =="
+# The same load-independent gate for the three-level search. Measured
+# counts on hier_skip 4 (k=2, r=3, g=2, green_cap=2, green_cost=1),
+# OPT = 9:
+#   default        : 36,455 settled
+#   dominance off  : 36,514
+#   heuristic off  : 4,483,187
+# The 40,000 ceiling catches a lost heuristic. It does not catch lost
+# dominance pruning, which saves this instance almost nothing (the
+# grid_3x3 guard above covers that), nor a lost incumbent probe: the
+# probe finds no schedule here within its 20,000-state budget, so the
+# count is 36,455 with or without it.
+hier_guard_dag=$(mktemp)
+trap 'rm -f "$hier_guard_dag"' EXIT
+./target/release/rbp gen hier_skip 4 > "$hier_guard_dag"
+hier_guard_opt=$(./target/release/rbp solve "$hier_guard_dag" 2 3 2 \
+    --levels 3 --green-cap 2 --green-cost 1 --max-states 40000 \
+    | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
+    || { echo "three-level perf guard failed: settled-state count exceeded 40000"; exit 1; }
+[ "$hier_guard_opt" = "9" ] \
+    || { echo "three-level perf guard failed: OPT=$hier_guard_opt on hier_skip 4, expected 9"; exit 1; }
+trap - EXIT
+rm -f "$hier_guard_dag"
+echo "three-level perf guard: OPT=9 within the 40000-state ceiling"
 
 echo "== trace report smoke (fixture round trip) =="
 ./target/release/rbp report tests/fixtures/trace_small.jsonl | grep -q "| chain(4) | 2 | 2 |"

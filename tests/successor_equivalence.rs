@@ -28,7 +28,6 @@ use rbp::core::{
     solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SolveLimits, SppInstance,
     SppVariant,
 };
-use rbp::hier::exact::probe as hier_probe;
 use rbp::hier::{solve_hier_with, HierInstance};
 use rbp::util::Rng;
 
@@ -63,7 +62,7 @@ fn mpp_pruned_successors_are_dominated_and_opt_preserved() {
         let inst = MppInstance::new(&dag, k, r, g);
         let ctx = format!("mpp case {case}: n={n} k={k} r={r} g={g}");
 
-        for (step, (naive, pruned)) in mpp_probe::successor_walk(&inst, case, WALK_STEPS)
+        for (step, (naive, pruned)) in mpp_probe::successor_walk(&inst, None, case, WALK_STEPS)
             .into_iter()
             .enumerate()
         {
@@ -183,9 +182,10 @@ fn spp_pruned_successors_are_dominated_and_opt_preserved() {
     }
 }
 
-/// 30 random three-level instances: maximal-batch pruning on all five
-/// batched rules (including budget-capped green stores) only drops
-/// pointwise-dominated successors, and OPT agrees.
+/// 30 random three-level instances, walked through the MPP kernel with
+/// the instance's green tier (none at `green_cap = 0`): maximal-batch
+/// pruning on all five batched rules (including budget-capped green
+/// stores) only drops pointwise-dominated successors, and OPT agrees.
 #[test]
 fn hier_pruned_successors_are_dominated_and_opt_preserved() {
     let (plain_cfg, dom_cfg) = configs();
@@ -203,10 +203,9 @@ fn hier_pruned_successors_are_dominated_and_opt_preserved() {
         let ctx =
             format!("hier case {case}: n={n} k={k} r={r} g={g} cap={green_cap} gc={green_cost}");
 
-        for (step, (naive, pruned)) in hier_probe::successor_walk(&inst, case, WALK_STEPS)
-            .into_iter()
-            .enumerate()
-        {
+        let walk =
+            mpp_probe::successor_walk(&inst.mpp_instance(), inst.green_tier(), case, WALK_STEPS);
+        for (step, (naive, pruned)) in walk.into_iter().enumerate() {
             for s in &pruned {
                 assert!(
                     naive.contains(s),
