@@ -6,6 +6,8 @@
 //! costs" charges a small ε per compute. All three are instances of
 //! [`CostModel`].
 
+use crate::rules::Rule;
+
 /// Per-rule costs of a pebbling game.
 ///
 /// `g` is the cost of one I/O step (a whole R1-M/R2-M application,
@@ -69,6 +71,18 @@ impl Cost {
     #[must_use]
     pub fn io_steps(&self) -> u64 {
         self.stores + self.loads
+    }
+
+    /// Counts one application of `rule`. Removals are free, and the
+    /// green rules belong to the three-level game's own tally.
+    #[inline]
+    pub fn tally(&mut self, rule: Rule) {
+        match rule {
+            Rule::Store => self.stores += 1,
+            Rule::Load => self.loads += 1,
+            Rule::Compute => self.computes += 1,
+            _ => {}
+        }
     }
 
     /// Total cost under `model`: `g·(stores + loads) + compute·computes`.

@@ -14,6 +14,10 @@
 //!   balance, recomputation), and an exact solver for small instances —
 //!   optionally extended by the bounded green tier of `rbp-hier`'s
 //!   three-level game, so both games share one search;
+//! - [`rules`]: the one move checker every game shares — a transition
+//!   function over a small pebble-store abstraction, parameterised by
+//!   `k`, `r`, the green capacity and the SPP variant, plus the shared
+//!   terminality check;
 //! - [`translate`]: the Lemma 5 simulation compiling MPP strategies to
 //!   single-processor strategies with fast memory `k·r`;
 //! - [`cost`]: the shared cost model and surplus cost (Definition 1).
@@ -44,6 +48,7 @@ pub mod mpp;
 mod partition;
 #[doc(hidden)]
 pub mod ringbench;
+pub mod rules;
 pub mod search;
 pub mod spp;
 mod spsc;

@@ -2,6 +2,7 @@
 
 use rbp_dag::{Dag, NodeId, NodeSet};
 
+use crate::rules::{PebbleStore, Sets};
 use crate::CostModel;
 
 /// An MPP problem instance: pebble `dag` with `k` processors, each with
@@ -99,6 +100,16 @@ impl Configuration {
             u.union_with(s);
         }
         u
+    }
+}
+
+impl PebbleStore for Configuration {
+    type Red = NodeSet;
+
+    #[inline]
+    fn sets(&mut self) -> Sets<'_, NodeSet> {
+        let computed = Some(&mut self.computed);
+        (&mut self.reds, &mut self.blue, None, computed)
     }
 }
 

@@ -45,6 +45,7 @@ use rbp_util::Json;
 use crate::arena::{pack_fields, unpack_fields, words_for};
 use crate::driver::{self, Domain, EmitFn};
 use crate::partition::Partition;
+use crate::rules::Rule;
 use crate::search::{
     trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchOutcome,
     StopReason, MAX_THREADS,
@@ -77,27 +78,8 @@ pub struct GreenTier {
     pub cost: u64,
 }
 
-/// The rule one witness step of [`solve_tiered`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rule {
-    /// Batched compute.
-    Compute,
-    /// Batched blue load.
-    Load,
-    /// Batched blue store.
-    Store,
-    /// Batched green load.
-    LoadGreen,
-    /// Batched green store.
-    StoreGreen,
-    /// Removal of the red pebble of the selection's single entry.
-    RemoveRed,
-    /// Removal of the green pebble on the node of the selection's
-    /// single entry (its processor carries no meaning).
-    RemoveGreen,
-}
-
-/// Rules by packed-move tag (`Rule as u32`).
+/// Rules by packed-move tag (`Rule as u32`). The search never deletes
+/// blue pebbles, so [`Rule::RemoveBlue`] has no tag.
 const RULES: [Rule; 7] = [
     Rule::Compute,
     Rule::Load,
@@ -173,6 +155,7 @@ fn apply(key: &mut Key, rule: Rule, pairs: &[(usize, u32)]) {
             Rule::StoreGreen => key.green |= bit,
             Rule::RemoveRed => key.reds[j] &= !bit,
             Rule::RemoveGreen => key.green &= !bit,
+            Rule::RemoveBlue => key.blue &= !bit,
         }
     }
 }
@@ -248,6 +231,7 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
         Rule::Load => MppMove::Load(batch),
         Rule::Store => MppMove::Store(batch),
         Rule::RemoveRed => MppMove::Remove(Pebble::Red(batch[0].0, batch[0].1)),
+        Rule::RemoveBlue => MppMove::Remove(Pebble::Blue(batch[0].1)),
         Rule::LoadGreen | Rule::StoreGreen | Rule::RemoveGreen => {
             unreachable!("green rule without a green tier")
         }
@@ -815,9 +799,10 @@ pub mod probe {
     //! Test and benchmark hooks into the successor-generation kernel.
     //!
     //! Exposes the raw (symmetry-off) naive vs dominance-pruned
-    //! successor sets along deterministic pseudo-random walks — the
-    //! substrate of the successor-set equivalence property tests, with
-    //! or without the green tier — and the micro-kernels
+    //! successor sets along deterministic pseudo-random walks, with the
+    //! decoded move behind each naive successor — the substrate of the
+    //! successor-set equivalence property tests, with or without the
+    //! green tier — and the micro-kernels
     //! (`canonicalize`, heuristic delta vs from-scratch, per-expansion
     //! successor generation) timed by the `solver_kernel` bench group.
     //! Not a public API.
@@ -842,6 +827,15 @@ pub mod probe {
     }
 
     impl Succ {
+        fn of(key: &Key, cost: u64) -> Self {
+            Succ {
+                reds: key.reds,
+                green: key.green,
+                blue: key.blue,
+                cost,
+            }
+        }
+
         fn key(&self) -> Key {
             Key {
                 reds: self.reds,
@@ -851,15 +845,15 @@ pub mod probe {
         }
     }
 
-    fn expand_into(domain: &MppDomain, key: &Key, scratch: &mut MppScratch) -> Vec<Succ> {
+    /// Every successor of `key` with the packed move generating it.
+    fn expand_into(
+        domain: &MppDomain,
+        key: &Key,
+        scratch: &mut MppScratch,
+    ) -> Vec<(Succ, PackedMove)> {
         let mut out = Vec::new();
-        domain.expand(key, scratch, &mut |k2, c, _mv, _hv| {
-            out.push(Succ {
-                reds: k2.reds,
-                green: k2.green,
-                blue: k2.blue,
-                cost: c,
-            })
+        domain.expand(key, scratch, &mut |k2, c, mv, _hv| {
+            out.push((Succ::of(&k2, c), mv));
         });
         out
     }
@@ -873,9 +867,24 @@ pub mod probe {
         }
     }
 
+    /// One visited state of a successor walk (here and in the SPP
+    /// probe), with successor snapshots of type `S`.
+    #[derive(Debug, Clone)]
+    pub struct WalkStep<S> {
+        /// The expanded state (its `cost` is 0).
+        pub parent: S,
+        /// The naive generator's successors.
+        pub naive: Vec<S>,
+        /// The move behind each naive successor: its rule and shaded
+        /// selection, under concrete processor labels.
+        pub moves: Vec<(Rule, Vec<(ProcId, NodeId)>)>,
+        /// The dominance-pruned generator's successors.
+        pub pruned: Vec<S>,
+    }
+
     /// Walks `steps` states from the root along a seeded random path
-    /// (always stepping through a *naive* successor), returning the
-    /// `(naive, pruned)` successor sets of every visited state.
+    /// (always stepping through a *naive* successor), returning every
+    /// visited state with its naive and pruned successor sets.
     /// Panics on unsupported instances.
     #[must_use]
     pub fn successor_walk(
@@ -883,7 +892,7 @@ pub mod probe {
         tier: Option<GreenTier>,
         seed: u64,
         steps: usize,
-    ) -> Vec<(Vec<Succ>, Vec<Succ>)> {
+    ) -> Vec<WalkStep<Succ>> {
         let naive = build_domain(instance, tier, &raw_config(false)).expect("unsupported instance");
         let pruned = build_domain(instance, tier, &raw_config(true)).expect("unsupported instance");
         let mut rng = Rng::new(seed);
@@ -891,13 +900,25 @@ pub mod probe {
         let mut key = naive.root();
         let mut out = Vec::with_capacity(steps);
         for _ in 0..steps {
-            let ns = expand_into(&naive, &key, &mut scratch);
-            let ps = expand_into(&pruned, &key, &mut scratch);
+            let (ns, packed): (Vec<_>, Vec<_>) =
+                expand_into(&naive, &key, &mut scratch).into_iter().unzip();
             if ns.is_empty() {
                 break;
             }
-            key = ns[rng.index(ns.len())].key();
-            out.push((ns, ps));
+            let decoded = |w| {
+                let (rule, pairs) = decode(w, instance.k);
+                let sel = pairs.into_iter().map(|(j, i)| (j, NodeId::new(i as usize)));
+                (rule, sel.collect())
+            };
+            let pruned = expand_into(&pruned, &key, &mut scratch);
+            let next = ns[rng.index(ns.len())].key();
+            out.push(WalkStep {
+                parent: Succ::of(&key, 0),
+                naive: ns,
+                moves: packed.into_iter().map(decoded).collect(),
+                pruned: pruned.into_iter().map(|(s, _)| s).collect(),
+            });
+            key = next;
         }
         out
     }
@@ -947,7 +968,7 @@ pub mod probe {
                 .heur
                 .prepare(key.red_all(), key.outer(), 0)
                 .expect("MPP states are never dead");
-            for s in &succs {
+            for (s, _) in &succs {
                 let (red_all, outer) = (s.key().red_all(), s.key().outer());
                 let hv = if delta {
                     domain.heur.eval_delta(&ctx, red_all, outer, 0, &mut stats)
@@ -960,7 +981,7 @@ pub mod probe {
                     break;
                 }
             }
-            key = succs[rng.index(succs.len())].key();
+            key = succs[rng.index(succs.len())].0.key();
         }
         acc
     }
@@ -987,7 +1008,7 @@ pub mod probe {
                 key = domain.root();
                 continue;
             }
-            key = succs[rng.index(succs.len())].key();
+            key = succs[rng.index(succs.len())].0.key();
         }
         emitted
     }

@@ -2,6 +2,8 @@
 
 use rbp_dag::NodeId;
 
+use crate::rules::{Move, Rule};
+
 /// Index of a processor, `0 ≤ proc < k`.
 pub type ProcId = usize;
 
@@ -89,6 +91,28 @@ impl MppMove {
     #[must_use]
     pub fn compute1(proc: ProcId, v: NodeId) -> Self {
         MppMove::Compute(vec![(proc, v)])
+    }
+}
+
+impl Move for MppMove {
+    #[inline]
+    fn with_rule<T>(&self, f: impl FnOnce(Rule, &[(ProcId, NodeId)]) -> T) -> T {
+        // One call of `f`, so the kernel behind it is inlined once.
+        let one;
+        let (rule, sel): (Rule, &[_]) = match *self {
+            MppMove::Store(ref b) => (Rule::Store, b),
+            MppMove::Load(ref b) => (Rule::Load, b),
+            MppMove::Compute(ref b) => (Rule::Compute, b),
+            MppMove::Remove(Pebble::Red(p, v)) => {
+                one = [(p, v)];
+                (Rule::RemoveRed, &one)
+            }
+            MppMove::Remove(Pebble::Blue(v)) => {
+                one = [(0, v)];
+                (Rule::RemoveBlue, &one)
+            }
+        };
+        f(rule, sel)
     }
 }
 

@@ -18,7 +18,7 @@
 //! The result validates against the same instance and never costs more;
 //! the cost strictly drops whenever any merge happened.
 
-use crate::mpp::strategy::apply_checked;
+use crate::rules::{apply_move, Game};
 use crate::{Configuration, MppInstance, MppMove, MppStrategy};
 
 /// Merges adjacent same-type moves into maximal legal batches. The input
@@ -26,6 +26,7 @@ use crate::{Configuration, MppInstance, MppMove, MppStrategy};
 /// as much.
 #[must_use]
 pub fn batchify(instance: &MppInstance, strategy: &MppStrategy) -> MppStrategy {
+    let game = Game::mpp(instance);
     let mut out: Vec<MppMove> = Vec::with_capacity(strategy.moves.len());
     // Configuration *before* the currently open batch.
     let mut pre = Configuration::initial(instance.dag, instance.k);
@@ -38,7 +39,7 @@ pub fn batchify(instance: &MppInstance, strategy: &MppStrategy) -> MppStrategy {
         if let Some(o) = &open {
             if let Some(candidate) = try_merge(o, mv) {
                 let mut trial = pre.clone();
-                if apply_checked(instance, &mut trial, &candidate).is_ok() {
+                if apply_move(&game, &mut trial, &candidate).is_ok() {
                     open = Some(candidate);
                     cur = trial;
                     continue;
@@ -50,7 +51,7 @@ pub fn batchify(instance: &MppInstance, strategy: &MppStrategy) -> MppStrategy {
             out.push(o);
             pre = cur.clone();
         }
-        apply_checked(instance, &mut cur, mv).expect("input strategy must be valid");
+        apply_move(&game, &mut cur, mv).expect("input strategy must be valid");
         if matches!(mv, MppMove::Remove(_)) {
             out.push(mv.clone());
             pre = cur.clone();

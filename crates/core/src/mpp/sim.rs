@@ -10,7 +10,7 @@
 
 use rbp_dag::NodeId;
 
-use crate::mpp::strategy::apply_checked;
+use crate::rules::{self, Game, Run};
 use crate::{
     Configuration, Cost, MppError, MppErrorKind, MppInstance, MppMove, MppStrategy, Pebble, ProcId,
 };
@@ -25,13 +25,7 @@ pub struct MppSimulator<'a> {
 }
 
 /// A finished, validated run.
-#[derive(Debug, Clone)]
-pub struct MppRun {
-    /// The strategy that was executed.
-    pub strategy: MppStrategy,
-    /// Its rule-application tally.
-    pub cost: Cost,
-}
+pub type MppRun = Run<MppMove, Cost>;
 
 impl<'a> MppSimulator<'a> {
     /// Starts a game in the initial configuration.
@@ -72,19 +66,14 @@ impl<'a> MppSimulator<'a> {
 
     /// Applies one move, or reports the violation without changing state.
     pub fn apply(&mut self, mv: MppMove) -> Result<(), MppError> {
-        // apply_checked mutates only on success for batch rules? It checks
-        // all pairs before inserting for Store/Load/Compute, and removals
-        // mutate atomically — so state stays clean on error.
-        apply_checked(&self.instance, &mut self.config, &mv).map_err(|kind| MppError {
-            step: self.moves.len(),
-            kind,
-        })?;
-        match &mv {
-            MppMove::Store(_) => self.cost.stores += 1,
-            MppMove::Load(_) => self.cost.loads += 1,
-            MppMove::Compute(_) => self.cost.computes += 1,
-            MppMove::Remove(_) => {}
-        }
+        let rule =
+            rules::apply_move(&Game::mpp(&self.instance), &mut self.config, &mv).map_err(|v| {
+                MppError {
+                    step: self.moves.len(),
+                    kind: v.into(),
+                }
+            })?;
+        self.cost.tally(rule);
         self.moves.push(mv);
         Ok(())
     }
@@ -124,14 +113,8 @@ impl<'a> MppSimulator<'a> {
     }
 
     /// Checks terminality and returns the finished run.
-    pub fn finish(self) -> Result<MppRun, MppError> {
-        if let Some(sink) = self
-            .instance
-            .dag
-            .sinks()
-            .into_iter()
-            .find(|&s| !self.config.has_pebble(s))
-        {
+    pub fn finish(mut self) -> Result<MppRun, MppError> {
+        if let Some(sink) = rules::bare_sink(&Game::mpp(&self.instance), &mut self.config) {
             return Err(MppError {
                 step: self.moves.len(),
                 kind: MppErrorKind::NotTerminal(sink),

@@ -2,61 +2,15 @@
 
 use rbp_dag::NodeId;
 
+use crate::rules::{self, Game, Rule, StepError, Strategy, Validate, Violation};
 use crate::{Configuration, Cost, MppInstance, MppMove, Pebble, ProcId};
 
 /// An MPP pebbling strategy: the sequence of rule applications
 /// `(t_1, …, t_T)`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MppStrategy {
-    /// The moves, in execution order.
-    pub moves: Vec<MppMove>,
-}
-
-impl MppStrategy {
-    /// Empty strategy.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Strategy from a move list.
-    #[must_use]
-    pub fn from_moves(moves: Vec<MppMove>) -> Self {
-        MppStrategy { moves }
-    }
-
-    /// Number of moves.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.moves.len()
-    }
-
-    /// Whether there are no moves.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
-
-    /// Appends a move.
-    pub fn push(&mut self, m: MppMove) {
-        self.moves.push(m);
-    }
-
-    /// Validates against `instance` and returns the cost tally.
-    pub fn validate(&self, instance: &MppInstance) -> Result<Cost, MppError> {
-        validate(instance, &self.moves)
-    }
-}
+pub type MppStrategy = Strategy<MppMove>;
 
 /// A rule violation found while replaying an MPP strategy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MppError {
-    /// Index of the offending move (or `moves.len()` for terminal-state
-    /// failures).
-    pub step: usize,
-    /// What went wrong.
-    pub kind: MppErrorKind,
-}
+pub type MppError = StepError<MppErrorKind>;
 
 /// The kinds of MPP rule violations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,45 +58,54 @@ pub enum MppErrorKind {
     NotTerminal(NodeId),
 }
 
-impl std::fmt::Display for MppError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "step {}: {:?}", self.step, self.kind)
+impl From<Violation> for MppErrorKind {
+    fn from(v: Violation) -> Self {
+        match v {
+            Violation::EmptySelection => Self::EmptySelection,
+            Violation::BadProcessor(p) => Self::BadProcessor(p),
+            Violation::DuplicateProcessor(p) => Self::DuplicateProcessor(p),
+            Violation::DuplicateVertex(v) => Self::DuplicateVertex(v),
+            Violation::StoreWithoutRed(Rule::Store, proc, node) => {
+                Self::StoreWithoutRed { proc, node }
+            }
+            Violation::LoadWithoutSource(Rule::Load, v) => Self::LoadWithoutBlue(v),
+            Violation::MissingInput(proc, node, missing) => Self::MissingInput {
+                proc,
+                node,
+                missing,
+            },
+            Violation::MemoryExceeded(proc, _, r) => Self::MemoryExceeded { proc, r },
+            Violation::AlreadyPebbled(v) => Self::AlreadyPebbled(v),
+            Violation::RemoveAbsent(Rule::RemoveRed, p, v) => Self::RemoveAbsent(Pebble::Red(p, v)),
+            Violation::RemoveAbsent(_, _, v) => Self::RemoveAbsent(Pebble::Blue(v)),
+            Violation::NotTerminal(v) => Self::NotTerminal(v),
+            other => unreachable!("{other:?} cannot arise in the two-level game"),
+        }
     }
 }
-
-impl std::error::Error for MppError {}
 
 /// Replays `moves` on `instance`, enforcing every rule, the per-processor
 /// memory bound, and terminality. Returns the cost tally.
 pub fn validate(instance: &MppInstance, moves: &[MppMove]) -> Result<Cost, MppError> {
     let mut config = Configuration::initial(instance.dag, instance.k);
     let mut cost = Cost::zero();
-    for (step, mv) in moves.iter().enumerate() {
-        apply_checked(instance, &mut config, mv).map_err(|kind| MppError { step, kind })?;
-        match mv {
-            MppMove::Store(_) => cost.stores += 1,
-            MppMove::Load(_) => cost.loads += 1,
-            MppMove::Compute(_) => cost.computes += 1,
-            MppMove::Remove(_) => {}
-        }
+    rules::replay(&Game::mpp(instance), &mut config, moves, |rule| {
+        cost.tally(rule)
+    })
+    .map(|()| cost)
+}
+
+impl Validate<MppMove> for MppInstance<'_> {
+    type Cost = Cost;
+    type Kind = MppErrorKind;
+
+    fn validate(&self, moves: &[MppMove]) -> Result<Cost, MppError> {
+        validate(self, moves)
     }
-    if let Some(sink) = instance
-        .dag
-        .sinks()
-        .into_iter()
-        .find(|&s| !config.has_pebble(s))
-    {
-        return Err(MppError {
-            step: moves.len(),
-            kind: MppErrorKind::NotTerminal(sink),
-        });
-    }
-    Ok(cost)
 }
 
 /// Applies one move to `config` if legal in `instance`, mutating
-/// `config` only on success. This is the single-step replay primitive
-/// behind [`validate`]; it is public so strategy transformers (e.g. the
+/// `config` only on success. Public so strategy transformers (e.g. the
 /// `rbp-refine` neighborhood model) can reconstruct the configuration
 /// at an arbitrary step without re-validating the whole prefix through
 /// a simulator.
@@ -151,114 +114,9 @@ pub fn apply_move(
     config: &mut Configuration,
     mv: &MppMove,
 ) -> Result<(), MppErrorKind> {
-    apply_checked(instance, config, mv)
-}
-
-/// Applies one move to `config` if legal in `instance`.
-pub(crate) fn apply_checked(
-    instance: &MppInstance,
-    config: &mut Configuration,
-    mv: &MppMove,
-) -> Result<(), MppErrorKind> {
-    let dag = instance.dag;
-    let k = instance.k;
-    let r = instance.r;
-
-    let check_selection =
-        |batch: &[(ProcId, NodeId)], distinct_vertices: bool| -> Result<(), MppErrorKind> {
-            if batch.is_empty() {
-                return Err(MppErrorKind::EmptySelection);
-            }
-            for (i, &(p, v)) in batch.iter().enumerate() {
-                if p >= k {
-                    return Err(MppErrorKind::BadProcessor(p));
-                }
-                for &(p2, v2) in &batch[..i] {
-                    if p2 == p {
-                        return Err(MppErrorKind::DuplicateProcessor(p));
-                    }
-                    if distinct_vertices && v2 == v {
-                        return Err(MppErrorKind::DuplicateVertex(v));
-                    }
-                }
-            }
-            Ok(())
-        };
-
-    match mv {
-        MppMove::Store(batch) => {
-            check_selection(batch, true)?;
-            for &(p, v) in batch {
-                if !config.reds[p].contains(v) {
-                    return Err(MppErrorKind::StoreWithoutRed { proc: p, node: v });
-                }
-                if config.blue.contains(v) {
-                    return Err(MppErrorKind::AlreadyPebbled(v));
-                }
-            }
-            for &(_, v) in batch {
-                config.blue.insert(v);
-            }
-        }
-        MppMove::Load(batch) => {
-            check_selection(batch, true)?;
-            for &(p, v) in batch {
-                if !config.blue.contains(v) {
-                    return Err(MppErrorKind::LoadWithoutBlue(v));
-                }
-                if config.reds[p].contains(v) {
-                    return Err(MppErrorKind::AlreadyPebbled(v));
-                }
-                if config.reds[p].len() + 1 > r {
-                    return Err(MppErrorKind::MemoryExceeded { proc: p, r });
-                }
-            }
-            for &(p, v) in batch {
-                config.reds[p].insert(v);
-            }
-        }
-        MppMove::Compute(batch) => {
-            // Vertices may repeat across processors in R3-M (two shades
-            // may compute the same node simultaneously).
-            check_selection(batch, false)?;
-            for &(p, v) in batch {
-                if config.reds[p].contains(v) {
-                    return Err(MppErrorKind::AlreadyPebbled(v));
-                }
-                if let Some(&missing) = dag.preds(v).iter().find(|&&u| !config.reds[p].contains(u))
-                {
-                    return Err(MppErrorKind::MissingInput {
-                        proc: p,
-                        node: v,
-                        missing,
-                    });
-                }
-                if config.reds[p].len() + 1 > r {
-                    return Err(MppErrorKind::MemoryExceeded { proc: p, r });
-                }
-            }
-            for &(p, v) in batch {
-                config.reds[p].insert(v);
-                config.computed.insert(v);
-            }
-        }
-        MppMove::Remove(pebble) => match *pebble {
-            Pebble::Red(p, v) => {
-                if p >= k {
-                    return Err(MppErrorKind::BadProcessor(p));
-                }
-                if !config.reds[p].remove(v) {
-                    return Err(MppErrorKind::RemoveAbsent(*pebble));
-                }
-            }
-            Pebble::Blue(v) => {
-                if !config.blue.remove(v) {
-                    return Err(MppErrorKind::RemoveAbsent(*pebble));
-                }
-            }
-        },
-    }
-    Ok(())
+    rules::apply_move(&Game::mpp(instance), config, mv)
+        .map(drop)
+        .map_err(Into::into)
 }
 
 #[cfg(test)]

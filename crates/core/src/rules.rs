@@ -1,0 +1,586 @@
+//! The pebbling rules, written once.
+//!
+//! The paper's games are one rule family: MPP's batched R1-M..R4-M over
+//! shaded selections, SPP as its one-processor case with the §3.1
+//! restrictions, and `rbp-hier`'s extra green store/load pair. [`apply`]
+//! checks one move of any of them against a [`PebbleStore`], changing
+//! the store only when every precondition holds, and [`bare_sink`] is
+//! their one terminality check. A [`Game`] carries the parameters, all
+//! existing instance fields; a game's move type reaches the kernel as a
+//! [`Rule`] and a shaded selection through [`Move`]. Every validator and
+//! simulator in the workspace checks its moves here.
+
+use rbp_dag::{Dag, HybridNodeSet, NodeId, NodeSet};
+
+use crate::{MppInstance, ProcId, SppInstance, SppVariant};
+
+/// The rule one move applies. Batched rules act on a shaded selection;
+/// removals on a one-entry selection whose processor only matters for
+/// [`Rule::RemoveRed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// Batched compute.
+    Compute,
+    /// Batched blue load.
+    Load,
+    /// Batched blue store.
+    Store,
+    /// Batched green load.
+    LoadGreen,
+    /// Batched green store.
+    StoreGreen,
+    /// Removal of a red pebble.
+    RemoveRed,
+    /// Removal of a green pebble.
+    RemoveGreen,
+    /// Removal of a blue pebble.
+    RemoveBlue,
+}
+
+/// What the rules read of an instance: `green_cap` is 0 outside the
+/// three-level game and `variant` the base game outside SPP.
+#[derive(Debug, Clone, Copy)]
+pub struct Game<'a> {
+    /// The computational DAG.
+    pub dag: &'a Dag,
+    /// Number of processors (1 in SPP).
+    pub k: usize,
+    /// Red capacity per processor.
+    pub r: usize,
+    /// Green capacity.
+    pub green_cap: usize,
+    /// SPP restrictions and boundary convention.
+    pub variant: SppVariant,
+}
+
+impl<'a> Game<'a> {
+    /// `k` processors of red capacity `r`: no green tier, base variant.
+    #[must_use]
+    pub fn new(dag: &'a Dag, k: usize, r: usize) -> Self {
+        let (green_cap, variant) = (0, SppVariant::base());
+        Game {
+            dag,
+            k,
+            r,
+            green_cap,
+            variant,
+        }
+    }
+
+    /// The two-level game of `instance`.
+    #[must_use]
+    pub fn mpp(instance: &MppInstance<'a>) -> Self {
+        Game::new(instance.dag, instance.k, instance.r)
+    }
+
+    /// The single-processor game of `instance`.
+    #[must_use]
+    pub fn spp(instance: &SppInstance<'a>) -> Self {
+        let variant = instance.variant;
+        Game {
+            variant,
+            ..Game::new(instance.dag, 1, instance.r)
+        }
+    }
+}
+
+/// A broken precondition; each game reports it as its own error kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Violation {
+    /// The selection is empty.
+    EmptySelection,
+    /// A processor index is `≥ k`.
+    BadProcessor(ProcId),
+    /// A processor appears twice in one selection.
+    DuplicateProcessor(ProcId),
+    /// A vertex appears twice in one load or store selection.
+    DuplicateVertex(NodeId),
+    /// `(rule, proc, node)`: a store (blue or green) without the
+    /// processor's red pebble.
+    StoreWithoutRed(Rule, ProcId, NodeId),
+    /// `(rule, node)`: a load (blue or green) of a node without a pebble
+    /// of that colour.
+    LoadWithoutSource(Rule, NodeId),
+    /// `(proc, node, missing)`: an input lacks a red pebble of the shade.
+    MissingInput(ProcId, NodeId, NodeId),
+    /// `(proc, node, r)`: the new red pebble would exceed capacity `r`.
+    MemoryExceeded(ProcId, NodeId, usize),
+    /// A green store would exceed the green capacity (the payload).
+    GreenCapacityExceeded(usize),
+    /// The node already holds the pebble being placed.
+    AlreadyPebbled(NodeId),
+    /// `(rule, proc, node)`: a removal of a pebble that is not there.
+    RemoveAbsent(Rule, ProcId, NodeId),
+    /// A removal in the no-deletion variant.
+    DeletionForbidden(NodeId),
+    /// A second compute of a node in the one-shot variant.
+    RecomputationForbidden(NodeId),
+    /// A compute of a source under the Hong–Kung convention.
+    SourceNotComputable(NodeId),
+    /// A sink ends the game without the pebble it needs.
+    NotTerminal(NodeId),
+}
+
+/// A node set the rules query and update: the dense [`NodeSet`], or the
+/// [`HybridNodeSet`] the streaming tier keeps red pebbles in.
+pub trait PebbleSet {
+    /// Whether `v` holds a pebble.
+    fn contains(&self, v: NodeId) -> bool;
+    /// Number of pebbles.
+    fn count(&self) -> usize;
+    /// Places a pebble on `v`; whether it was absent.
+    fn insert(&mut self, v: NodeId) -> bool;
+    /// Lifts the pebble off `v`; whether it was present.
+    fn remove(&mut self, v: NodeId) -> bool;
+}
+
+macro_rules! forward_pebble_set {
+    ($($set:ty),*) => {$(
+        impl PebbleSet for $set {
+            #[inline]
+            fn contains(&self, v: NodeId) -> bool {
+                <$set>::contains(self, v)
+            }
+            #[inline]
+            fn count(&self) -> usize {
+                self.len()
+            }
+            #[inline]
+            fn insert(&mut self, v: NodeId) -> bool {
+                <$set>::insert(self, v)
+            }
+            #[inline]
+            fn remove(&mut self, v: NodeId) -> bool {
+                <$set>::remove(self, v)
+            }
+        }
+    )*};
+}
+
+forward_pebble_set!(NodeSet, HybridNodeSet);
+
+/// The pebble sets of one configuration: `(reds, blue, green,
+/// computed)` — a red set per processor, the blue set, and the green
+/// and ever-computed sets where the configuration keeps them.
+pub type Sets<'a, R> = (
+    &'a mut [R],
+    &'a mut NodeSet,
+    Option<&'a mut NodeSet>,
+    Option<&'a mut NodeSet>,
+);
+
+/// A configuration the rules check and update.
+pub trait PebbleStore {
+    /// Red set type.
+    type Red: PebbleSet;
+    /// The configuration's sets.
+    fn sets(&mut self) -> Sets<'_, Self::Red>;
+}
+
+/// A game's move type: the rule it applies and its shaded selection.
+pub trait Move {
+    /// Calls `f` with the move's rule and selection; a removal passes one
+    /// entry, with processor 0 unless it removes a red pebble.
+    fn with_rule<T>(&self, f: impl FnOnce(Rule, &[(ProcId, NodeId)]) -> T) -> T;
+}
+
+/// Applies `rule` to the selection `sel` if every precondition holds in
+/// `game`; otherwise reports the first broken one and leaves `store` as
+/// it was. Allocation-free, and the only place the rules are checked.
+///
+/// Order: the selection (non-empty; for batched rules, processors below
+/// `k`, none twice, no vertex twice outside a compute), then per entry
+/// the source pebble, redundancy and capacity; a compute checks the
+/// one-shot and Hong–Kung restrictions before its inputs, a removal the
+/// no-deletion restriction first, and a green store its capacity last.
+///
+/// # Errors
+/// The first [`Violation`] in that order.
+// Inlined everywhere: the streaming simulator's per-rule methods pass a
+// constant `rule`, so the dispatch folds away as in a hand-specialized
+// checker, and the validators call it once per move.
+#[inline(always)]
+pub fn apply<S: PebbleStore>(
+    game: &Game,
+    store: &mut S,
+    rule: Rule,
+    sel: &[(ProcId, NodeId)],
+) -> Result<(), Violation> {
+    use Violation as V;
+    let (reds, blue, mut green, computed) = store.sets();
+    let shape = |distinct_vertices: bool| {
+        for (i, &(p, v)) in sel.iter().enumerate() {
+            if p >= game.k {
+                return Err(V::BadProcessor(p));
+            }
+            for &(p2, v2) in &sel[..i] {
+                if p2 == p {
+                    return Err(V::DuplicateProcessor(p));
+                }
+                if distinct_vertices && v2 == v {
+                    return Err(V::DuplicateVertex(v));
+                }
+            }
+        }
+        Ok(())
+    };
+    if sel.is_empty() {
+        return Err(V::EmptySelection);
+    }
+    match rule {
+        Rule::Compute => {
+            shape(false)?;
+            let once = computed.as_deref().filter(|_| game.variant.one_shot);
+            for &(p, v) in sel {
+                if reds[p].contains(v) {
+                    return Err(V::AlreadyPebbled(v));
+                }
+                if once.is_some_and(|c| c.contains(v)) {
+                    return Err(V::RecomputationForbidden(v));
+                }
+                if game.variant.sources_start_blue && game.dag.in_degree(v) == 0 {
+                    return Err(V::SourceNotComputable(v));
+                }
+                if let Some(&u) = game.dag.preds(v).iter().find(|&&u| !reds[p].contains(u)) {
+                    return Err(V::MissingInput(p, v, u));
+                }
+                if reds[p].count() >= game.r {
+                    return Err(V::MemoryExceeded(p, v, game.r));
+                }
+            }
+            for &(p, v) in sel {
+                reds[p].insert(v);
+            }
+            if let Some(done) = computed {
+                sel.iter().for_each(|&(_, v)| _ = done.insert(v));
+            }
+        }
+        Rule::Load | Rule::LoadGreen => {
+            shape(true)?;
+            let source = match rule {
+                Rule::Load => Some(&*blue),
+                _ => green.as_deref(),
+            };
+            for &(p, v) in sel {
+                if !source.is_some_and(|s| s.contains(v)) {
+                    return Err(V::LoadWithoutSource(rule, v));
+                }
+                if reds[p].contains(v) {
+                    return Err(V::AlreadyPebbled(v));
+                }
+                if reds[p].count() >= game.r {
+                    return Err(V::MemoryExceeded(p, v, game.r));
+                }
+            }
+            for &(p, v) in sel {
+                reds[p].insert(v);
+            }
+        }
+        Rule::Store | Rule::StoreGreen => {
+            shape(true)?;
+            let target = match rule {
+                Rule::Store => Some(blue),
+                _ => green,
+            };
+            for &(p, v) in sel {
+                if !reds[p].contains(v) {
+                    return Err(V::StoreWithoutRed(rule, p, v));
+                }
+                if target.as_deref().is_some_and(|t| t.contains(v)) {
+                    return Err(V::AlreadyPebbled(v));
+                }
+            }
+            // Batch vertices are distinct and none is green yet, so a
+            // green store adds `sel.len()` green pebbles. A configuration
+            // without a green set has no room at all.
+            let Some(target) = target else {
+                return Err(V::GreenCapacityExceeded(0));
+            };
+            if rule == Rule::StoreGreen && target.len() + sel.len() > game.green_cap {
+                return Err(V::GreenCapacityExceeded(game.green_cap));
+            }
+            for &(_, v) in sel {
+                target.insert(v);
+            }
+        }
+        Rule::RemoveRed | Rule::RemoveGreen | Rule::RemoveBlue => {
+            // Lifting a pebble reports whether it was there, so a lone
+            // entry (every move's case) needs no separate presence check.
+            let lone = sel.len() == 1;
+            for &(p, v) in sel {
+                if game.variant.no_delete {
+                    return Err(V::DeletionForbidden(v));
+                }
+                let present = match rule {
+                    Rule::RemoveRed if p >= game.k => return Err(V::BadProcessor(p)),
+                    _ if lone => true,
+                    Rule::RemoveRed => reds[p].contains(v),
+                    Rule::RemoveGreen => green.as_deref().is_some_and(|g| g.contains(v)),
+                    _ => blue.contains(v),
+                };
+                if !present {
+                    return Err(V::RemoveAbsent(rule, p, v));
+                }
+            }
+            for &(p, v) in sel {
+                let lifted = match rule {
+                    Rule::RemoveRed => reds[p].remove(v),
+                    Rule::RemoveGreen => green.as_deref_mut().is_some_and(|g| g.remove(v)),
+                    _ => blue.remove(v),
+                };
+                if lone && !lifted {
+                    return Err(V::RemoveAbsent(rule, p, v));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`apply`] for a game's move; returns the rule it applied.
+///
+/// # Errors
+/// As [`apply`].
+#[inline]
+pub fn apply_move<S: PebbleStore, M: Move>(
+    game: &Game,
+    store: &mut S,
+    mv: &M,
+) -> Result<Rule, Violation> {
+    mv.with_rule(|rule, sel| apply(game, store, rule, sel).map(|()| rule))
+}
+
+/// The first sink, in node order, without the pebble it needs at the end
+/// of the game: any pebble, or a blue one when the variant's sinks need
+/// blue. `None` means `store` is terminal. (The store lends its sets
+/// mutably; this only reads them.)
+#[must_use]
+pub fn bare_sink<S: PebbleStore>(game: &Game, store: &mut S) -> Option<NodeId> {
+    let (reds, blue, green, _) = store.sets();
+    let (dag, any_colour) = (game.dag, !game.variant.sinks_need_blue);
+    let holds = |v| {
+        blue.contains(v)
+            || any_colour
+                && (green.as_deref().is_some_and(|g| g.contains(v))
+                    || reds.iter().any(|r| r.contains(v)))
+    };
+    dag.nodes()
+        .filter(|&v| dag.out_degree(v) == 0)
+        .find(|&v| !holds(v))
+}
+
+/// Replays `moves` on `store`, passing each applied rule to `tally`,
+/// then checks terminality.
+///
+/// # Errors
+/// The first violation, with its move's index (`moves.len()` for a bare
+/// sink), in the game's own error kind.
+pub fn replay<S: PebbleStore, M: Move, K: From<Violation>>(
+    game: &Game,
+    store: &mut S,
+    moves: &[M],
+    mut tally: impl FnMut(Rule),
+) -> Result<(), StepError<K>> {
+    let fail = |step, v: Violation| StepError {
+        step,
+        kind: v.into(),
+    };
+    for (step, mv) in moves.iter().enumerate() {
+        tally(apply_move(game, store, mv).map_err(|v| fail(step, v))?);
+    }
+    bare_sink(game, store).map_or(Ok(()), |v| {
+        Err(fail(moves.len(), Violation::NotTerminal(v)))
+    })
+}
+
+/// A rule violation found while replaying a strategy: the offending
+/// move's index (`moves.len()` for terminal-state failures) and what
+/// went wrong, in the game's error kind `K`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StepError<K> {
+    /// Index of the offending move.
+    pub step: usize,
+    /// What went wrong.
+    pub kind: K,
+}
+
+impl<K: std::fmt::Debug> std::fmt::Display for StepError<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "step {}: {:?}", self.step, self.kind)
+    }
+}
+
+impl<K: std::fmt::Debug> std::error::Error for StepError<K> {}
+
+/// A pebbling strategy: the sequence of rule applications `(t_1, …,
+/// t_T)` of one game's move type `M`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Strategy<M> {
+    /// The moves, in execution order.
+    pub moves: Vec<M>,
+}
+
+impl<M> Default for Strategy<M> {
+    fn default() -> Self {
+        Strategy { moves: Vec::new() }
+    }
+}
+
+impl<M> Strategy<M> {
+    /// Empty strategy.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Strategy from a move list.
+    #[must_use]
+    pub fn from_moves(moves: Vec<M>) -> Self {
+        Strategy { moves }
+    }
+
+    /// Number of moves.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.moves.len()
+    }
+
+    /// Whether there are no moves.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.moves.is_empty()
+    }
+
+    /// Appends a move.
+    pub fn push(&mut self, m: M) {
+        self.moves.push(m);
+    }
+
+    /// Validates against `instance` and returns the cost tally.
+    ///
+    /// # Errors
+    /// The first rule violation.
+    pub fn validate<I: Validate<M>>(&self, instance: &I) -> Result<I::Cost, StepError<I::Kind>> {
+        instance.validate(&self.moves)
+    }
+}
+
+/// A finished simulator run: the strategy it executed and its cost
+/// tally `C`.
+#[derive(Debug, Clone)]
+pub struct Run<M, C> {
+    /// The strategy that was executed.
+    pub strategy: Strategy<M>,
+    /// Its rule-application tally.
+    pub cost: C,
+}
+
+/// An instance that validates strategies of moves `M`: the game's
+/// validator.
+pub trait Validate<M> {
+    /// The cost tally of a valid strategy.
+    type Cost;
+    /// The game's error kind.
+    type Kind;
+    /// Replays `moves`, enforcing every rule and terminality.
+    ///
+    /// # Errors
+    /// The first rule violation.
+    fn validate(&self, moves: &[M]) -> Result<Self::Cost, StepError<Self::Kind>>;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Configuration, SppState};
+    use rbp_dag::{dag_from_edges, generators};
+
+    fn v(i: u32) -> NodeId {
+        NodeId(i)
+    }
+
+    #[test]
+    fn shades_are_isolated_and_terminality_names_the_bare_sink() {
+        let dag = generators::chain(2);
+        let game = Game::mpp(&MppInstance::new(&dag, 2, 2, 1));
+        let mut config = Configuration::initial(&dag, 2);
+        apply(&game, &mut config, Rule::Compute, &[(0, v(0))]).unwrap();
+        let err = apply(&game, &mut config, Rule::Compute, &[(1, v(1))]);
+        assert_eq!(err, Err(Violation::MissingInput(1, v(1), v(0))));
+        assert_eq!(bare_sink(&game, &mut config), Some(v(1)));
+        assert!(config.computed.contains(v(0)));
+    }
+
+    #[test]
+    fn a_rejected_batch_changes_nothing() {
+        // The second entry overflows processor 1: the first must not land.
+        let dag = dag_from_edges(3, &[]);
+        let game = Game::mpp(&MppInstance::new(&dag, 2, 1, 1));
+        let mut config = Configuration::initial(&dag, 2);
+        apply(&game, &mut config, Rule::Compute, &[(1, v(2))]).unwrap();
+        let before = config.clone();
+        let err = apply(&game, &mut config, Rule::Compute, &[(0, v(0)), (1, v(1))]);
+        assert_eq!(err, Err(Violation::MemoryExceeded(1, v(1), 1)));
+        assert_eq!(config, before);
+    }
+
+    #[test]
+    fn a_removal_is_checked_whole_before_any_pebble_lifts() {
+        let dag = dag_from_edges(2, &[]);
+        let game = Game::mpp(&MppInstance::new(&dag, 1, 2, 1));
+        let mut config = Configuration::initial(&dag, 1);
+        apply(&game, &mut config, Rule::Compute, &[(0, v(0))]).unwrap();
+        let before = config.clone();
+        let err = apply(&game, &mut config, Rule::RemoveRed, &[(0, v(0)), (0, v(1))]);
+        assert_eq!(err, Err(Violation::RemoveAbsent(Rule::RemoveRed, 0, v(1))));
+        assert_eq!(config, before);
+        apply(&game, &mut config, Rule::RemoveRed, &[(0, v(0))]).unwrap();
+        let err = apply(&game, &mut config, Rule::RemoveRed, &[(0, v(0))]);
+        assert_eq!(err, Err(Violation::RemoveAbsent(Rule::RemoveRed, 0, v(0))));
+        assert!(config.reds[0].is_empty());
+    }
+
+    #[test]
+    fn green_rules_without_a_green_set_have_no_room() {
+        let dag = dag_from_edges(1, &[]);
+        let game = Game {
+            green_cap: 2,
+            ..Game::mpp(&MppInstance::new(&dag, 1, 1, 1))
+        };
+        let mut config = Configuration::initial(&dag, 1);
+        apply(&game, &mut config, Rule::Compute, &[(0, v(0))]).unwrap();
+        let err = apply(&game, &mut config, Rule::StoreGreen, &[(0, v(0))]);
+        assert_eq!(err, Err(Violation::GreenCapacityExceeded(0)));
+        let err = apply(&game, &mut config, Rule::RemoveGreen, &[(0, v(0))]);
+        assert_eq!(
+            err,
+            Err(Violation::RemoveAbsent(Rule::RemoveGreen, 0, v(0)))
+        );
+    }
+
+    #[test]
+    fn spp_restrictions_are_parameters() {
+        let dag = dag_from_edges(2, &[(0, 1)]);
+        let hk = SppInstance {
+            variant: SppVariant::hong_kung(),
+            ..SppInstance::io_only(&dag, 2, 1)
+        };
+        let mut state = SppState::initial_for(&dag, hk.variant);
+        let game = Game::spp(&hk);
+        let err = apply(&game, &mut state, Rule::Compute, &[(0, v(0))]);
+        assert_eq!(err, Err(Violation::SourceNotComputable(v(0))));
+        apply(&game, &mut state, Rule::Load, &[(0, v(0))]).unwrap();
+        apply(&game, &mut state, Rule::Compute, &[(0, v(1))]).unwrap();
+        // A red sink is not enough when sinks need blue.
+        assert_eq!(bare_sink(&game, &mut state), Some(v(1)));
+        apply(&game, &mut state, Rule::Store, &[(0, v(1))]).unwrap();
+        assert_eq!(bare_sink(&game, &mut state), None);
+
+        let game = Game {
+            variant: SppVariant::no_delete(),
+            ..game
+        };
+        let err = apply(&game, &mut state, Rule::RemoveBlue, &[(0, v(0))]);
+        assert_eq!(err, Err(Violation::DeletionForbidden(v(0))));
+    }
+}

@@ -466,10 +466,13 @@ pub fn min_io(dag: &rbp_dag::Dag, r: usize) -> Option<u64> {
 pub mod probe {
     //! Test hooks into the successor-generation kernel: raw naive vs
     //! dominance-pruned successor sets along deterministic
-    //! pseudo-random walks, for the successor-set equivalence property
-    //! tests. Not a public API.
+    //! pseudo-random walks, with the decoded move behind each naive
+    //! successor, for the successor-set equivalence property tests.
+    //! Not a public API.
 
     use super::*;
+    use crate::mpp::exact::probe::WalkStep;
+    use crate::rules::Move;
     use rbp_util::Rng;
 
     /// A raw successor snapshot: state masks plus edge cost.
@@ -485,17 +488,22 @@ pub mod probe {
         pub cost: u64,
     }
 
-    fn expand_into(domain: &SppDomain, key: &Key, scratch: &mut SppScratch) -> Vec<Succ> {
-        let mut out = Vec::new();
-        domain.expand(key, scratch, &mut |k2, c, _mv, _hv| {
+    fn expand_into(
+        domain: &SppDomain,
+        key: &Key,
+        scratch: &mut SppScratch,
+    ) -> (Vec<Succ>, Vec<PackedMove>) {
+        let (mut out, mut moves) = (Vec::new(), Vec::new());
+        domain.expand(key, scratch, &mut |k2, c, mv, _hv| {
             out.push(Succ {
                 red: k2.red,
                 blue: k2.blue,
                 computed: k2.computed,
                 cost: c,
-            })
+            });
+            moves.push(mv);
         });
-        out
+        (out, moves)
     }
 
     fn raw_config(dominance: bool) -> SearchConfig {
@@ -507,15 +515,11 @@ pub mod probe {
     }
 
     /// Walks `steps` states from the root along a seeded random path
-    /// (always stepping through a *naive* successor), returning the
-    /// `(naive, pruned)` successor sets of every visited state.
+    /// (always stepping through a *naive* successor), returning every
+    /// visited state with its naive and pruned successor sets.
     /// Panics on unsupported instances.
     #[must_use]
-    pub fn successor_walk(
-        instance: &SppInstance,
-        seed: u64,
-        steps: usize,
-    ) -> Vec<(Vec<Succ>, Vec<Succ>)> {
+    pub fn successor_walk(instance: &SppInstance, seed: u64, steps: usize) -> Vec<WalkStep<Succ>> {
         let naive = build_domain(instance, &raw_config(false)).expect("unsupported instance");
         let pruned = build_domain(instance, &raw_config(true)).expect("unsupported instance");
         let mut rng = Rng::new(seed);
@@ -523,19 +527,33 @@ pub mod probe {
         let mut key = naive.root();
         let mut out = Vec::with_capacity(steps);
         for _ in 0..steps {
-            let ns = expand_into(&naive, &key, &mut scratch);
-            let ps = expand_into(&pruned, &key, &mut scratch);
+            let (ns, packed) = expand_into(&naive, &key, &mut scratch);
+            let (ps, _) = expand_into(&pruned, &key, &mut scratch);
             if ns.is_empty() {
                 break;
             }
+            let moves = packed
+                .into_iter()
+                .map(|w| decode(w).with_rule(|rule, sel| (rule, sel.to_vec())))
+                .collect();
+            let parent = Succ {
+                red: key.red,
+                blue: key.blue,
+                computed: key.computed,
+                cost: 0,
+            };
             let pick = rng.index(ns.len());
-            let next = Key {
+            key = Key {
                 red: ns[pick].red,
                 blue: ns[pick].blue,
                 computed: ns[pick].computed,
             };
-            out.push((ns, ps));
-            key = next;
+            out.push(WalkStep {
+                parent,
+                naive: ns,
+                moves,
+                pruned: ps,
+            });
         }
         out
     }

@@ -2,6 +2,9 @@
 
 use rbp_dag::NodeId;
 
+use crate::rules::{Move, Rule};
+use crate::ProcId;
+
 /// One application of an SPP rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SppMove {
@@ -43,6 +46,20 @@ impl SppMove {
             | SppMove::RemoveRed(v)
             | SppMove::RemoveBlue(v) => v,
         }
+    }
+}
+
+impl Move for SppMove {
+    #[inline]
+    fn with_rule<T>(&self, f: impl FnOnce(Rule, &[(ProcId, NodeId)]) -> T) -> T {
+        let rule = match self {
+            SppMove::Load(_) => Rule::Load,
+            SppMove::Store(_) => Rule::Store,
+            SppMove::Compute(_) => Rule::Compute,
+            SppMove::RemoveRed(_) => Rule::RemoveRed,
+            SppMove::RemoveBlue(_) => Rule::RemoveBlue,
+        };
+        f(rule, &[(0, self.node())])
     }
 }
 

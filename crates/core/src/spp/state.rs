@@ -2,6 +2,8 @@
 
 use rbp_dag::{Dag, NodeId, NodeSet};
 
+use crate::rules::{PebbleStore, Sets};
+
 /// A single-processor pebbling state.
 ///
 /// `red` is the content of fast memory, `blue` of slow memory. `computed`
@@ -57,6 +59,16 @@ impl SppState {
     #[must_use]
     pub fn is_terminal(&self, dag: &Dag) -> bool {
         dag.sinks().into_iter().all(|s| self.has_pebble(s))
+    }
+}
+
+impl PebbleStore for SppState {
+    type Red = NodeSet;
+
+    #[inline]
+    fn sets(&mut self) -> Sets<'_, NodeSet> {
+        let (red, computed) = (&mut self.red, Some(&mut self.computed));
+        (std::slice::from_mut(red), &mut self.blue, None, computed)
     }
 }
 

@@ -2,60 +2,14 @@
 
 use rbp_dag::NodeId;
 
+use crate::rules::{self, Game, StepError, Strategy, Validate, Violation};
 use crate::{Cost, SppInstance, SppMove, SppState};
 
 /// A pebbling strategy: the sequence of rule applications.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SppStrategy {
-    /// The moves, in execution order.
-    pub moves: Vec<SppMove>,
-}
-
-impl SppStrategy {
-    /// Empty strategy.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Strategy from a move list.
-    #[must_use]
-    pub fn from_moves(moves: Vec<SppMove>) -> Self {
-        SppStrategy { moves }
-    }
-
-    /// Number of moves.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.moves.len()
-    }
-
-    /// Whether there are no moves.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
-
-    /// Appends a move.
-    pub fn push(&mut self, m: SppMove) {
-        self.moves.push(m);
-    }
-
-    /// Validates against `instance` and returns the cost tally.
-    pub fn validate(&self, instance: &SppInstance) -> Result<Cost, SppError> {
-        validate(instance, &self.moves)
-    }
-}
+pub type SppStrategy = Strategy<SppMove>;
 
 /// A rule violation found while replaying a strategy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SppError {
-    /// Index of the offending move (or `moves.len()` for terminal-state
-    /// failures).
-    pub step: usize,
-    /// What went wrong.
-    pub kind: SppErrorKind,
-}
+pub type SppError = StepError<SppErrorKind>;
 
 /// The kinds of rule violations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,116 +49,42 @@ pub enum SppErrorKind {
     NotTerminal(NodeId),
 }
 
-impl std::fmt::Display for SppError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "step {}: {:?}", self.step, self.kind)
+impl From<Violation> for SppErrorKind {
+    fn from(v: Violation) -> Self {
+        match v {
+            Violation::LoadWithoutSource(_, v) => Self::LoadWithoutBlue(v),
+            Violation::StoreWithoutRed(_, _, v) => Self::StoreWithoutRed(v),
+            Violation::MissingInput(_, node, missing) => Self::MissingInput { node, missing },
+            Violation::MemoryExceeded(_, node, r) => Self::MemoryExceeded { node, r },
+            Violation::RemoveAbsent(_, _, v) => Self::RemoveAbsent(v),
+            Violation::DeletionForbidden(v) => Self::DeletionForbidden(v),
+            Violation::RecomputationForbidden(v) => Self::RecomputationForbidden(v),
+            Violation::SourceNotComputable(v) => Self::SourceNotComputable(v),
+            Violation::AlreadyPebbled(v) => Self::AlreadyPebbled(v),
+            Violation::NotTerminal(v) => Self::NotTerminal(v),
+            other => unreachable!("{other:?} cannot arise in the single-processor game"),
+        }
     }
 }
-
-impl std::error::Error for SppError {}
 
 /// Replays `moves` on `instance`, enforcing every rule, the memory bound,
 /// the variant restrictions, and terminality. Returns the cost tally.
 pub fn validate(instance: &SppInstance, moves: &[SppMove]) -> Result<Cost, SppError> {
     let mut state = SppState::initial_for(instance.dag, instance.variant);
     let mut cost = Cost::zero();
-    for (step, &mv) in moves.iter().enumerate() {
-        apply_checked(instance, &mut state, mv).map_err(|kind| SppError { step, kind })?;
-        match mv {
-            SppMove::Load(_) => cost.loads += 1,
-            SppMove::Store(_) => cost.stores += 1,
-            SppMove::Compute(_) => cost.computes += 1,
-            SppMove::RemoveRed(_) | SppMove::RemoveBlue(_) => {}
-        }
-    }
-    let bad_sink = instance.dag.sinks().into_iter().find(|&s| {
-        if instance.variant.sinks_need_blue {
-            !state.blue.contains(s)
-        } else {
-            !state.has_pebble(s)
-        }
-    });
-    if let Some(sink) = bad_sink {
-        return Err(SppError {
-            step: moves.len(),
-            kind: SppErrorKind::NotTerminal(sink),
-        });
-    }
-    Ok(cost)
+    rules::replay(&Game::spp(instance), &mut state, moves, |rule| {
+        cost.tally(rule)
+    })
+    .map(|()| cost)
 }
 
-/// Applies one move to `state` if legal in `instance`.
-pub(crate) fn apply_checked(
-    instance: &SppInstance,
-    state: &mut SppState,
-    mv: SppMove,
-) -> Result<(), SppErrorKind> {
-    let dag = instance.dag;
-    match mv {
-        SppMove::Load(v) => {
-            if state.red.contains(v) {
-                return Err(SppErrorKind::AlreadyPebbled(v));
-            }
-            if !state.blue.contains(v) {
-                return Err(SppErrorKind::LoadWithoutBlue(v));
-            }
-            if state.red_count() + 1 > instance.r {
-                return Err(SppErrorKind::MemoryExceeded {
-                    node: v,
-                    r: instance.r,
-                });
-            }
-            state.red.insert(v);
-        }
-        SppMove::Store(v) => {
-            if state.blue.contains(v) {
-                return Err(SppErrorKind::AlreadyPebbled(v));
-            }
-            if !state.red.contains(v) {
-                return Err(SppErrorKind::StoreWithoutRed(v));
-            }
-            state.blue.insert(v);
-        }
-        SppMove::Compute(v) => {
-            if state.red.contains(v) {
-                return Err(SppErrorKind::AlreadyPebbled(v));
-            }
-            if instance.variant.one_shot && state.computed.contains(v) {
-                return Err(SppErrorKind::RecomputationForbidden(v));
-            }
-            if instance.variant.sources_start_blue && dag.in_degree(v) == 0 {
-                return Err(SppErrorKind::SourceNotComputable(v));
-            }
-            if let Some(&missing) = dag.preds(v).iter().find(|&&p| !state.red.contains(p)) {
-                return Err(SppErrorKind::MissingInput { node: v, missing });
-            }
-            if state.red_count() + 1 > instance.r {
-                return Err(SppErrorKind::MemoryExceeded {
-                    node: v,
-                    r: instance.r,
-                });
-            }
-            state.red.insert(v);
-            state.computed.insert(v);
-        }
-        SppMove::RemoveRed(v) => {
-            if instance.variant.no_delete {
-                return Err(SppErrorKind::DeletionForbidden(v));
-            }
-            if !state.red.remove(v) {
-                return Err(SppErrorKind::RemoveAbsent(v));
-            }
-        }
-        SppMove::RemoveBlue(v) => {
-            if instance.variant.no_delete {
-                return Err(SppErrorKind::DeletionForbidden(v));
-            }
-            if !state.blue.remove(v) {
-                return Err(SppErrorKind::RemoveAbsent(v));
-            }
-        }
+impl Validate<SppMove> for SppInstance<'_> {
+    type Cost = Cost;
+    type Kind = SppErrorKind;
+
+    fn validate(&self, moves: &[SppMove]) -> Result<Cost, SppError> {
+        validate(self, moves)
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -391,6 +271,27 @@ mod tests {
                 .unwrap_err()
                 .kind,
             SppErrorKind::AlreadyPebbled(v(0))
+        );
+    }
+
+    /// A move that breaks two rules at once reports the missing source
+    /// pebble, the order the shared rule checker uses for every game.
+    #[test]
+    fn double_violations_report_the_missing_source_first() {
+        let d = dag_from_edges(1, &[]);
+        let inst = SppInstance::io_only(&d, 2, 1);
+        // v0 is red and not blue: the load is redundant and sourceless.
+        assert_eq!(
+            validate(&inst, &[Compute(v(0)), Load(v(0))])
+                .unwrap_err()
+                .kind,
+            SppErrorKind::LoadWithoutBlue(v(0))
+        );
+        // v0 is blue and not red: the store is redundant and sourceless.
+        let moves = [Compute(v(0)), Store(v(0)), RemoveRed(v(0)), Store(v(0))];
+        assert_eq!(
+            validate(&inst, &moves).unwrap_err().kind,
+            SppErrorKind::StoreWithoutRed(v(0))
         );
     }
 

@@ -15,7 +15,8 @@
 //! randomized reduction-equivalence suite in this crate's tests pins
 //! that down against `rbp_core::solve_mpp_with`.
 
-use rbp_core::mpp::exact::{solve_tiered, Rule};
+use rbp_core::mpp::exact::solve_tiered;
+use rbp_core::rules::Rule;
 use rbp_core::{SearchConfig, SearchOutcome, SolveLimits};
 use rbp_util::Json;
 
@@ -76,6 +77,7 @@ pub fn solve_with(instance: &HierInstance, config: &SearchConfig) -> SearchOutco
             Rule::StoreGreen => HierMove::StoreGreen(batch),
             Rule::RemoveRed => HierMove::Remove(HierPebble::Red(batch[0].0, batch[0].1)),
             Rule::RemoveGreen => HierMove::Remove(HierPebble::Green(batch[0].1)),
+            Rule::RemoveBlue => HierMove::Remove(HierPebble::Blue(batch[0].1)),
         },
     )
     .map(|(total, moves)| {

@@ -1,5 +1,6 @@
 //! Hierarchical instances, the two-I/O-cost model, and configurations.
 
+use rbp_core::rules::{Game, PebbleStore, Rule, Sets};
 use rbp_core::{CostModel, GameMode, GreenTier, MppInstance};
 use rbp_dag::{Dag, NodeId, NodeSet};
 
@@ -87,6 +88,18 @@ impl HierCost {
         model.g * self.io_steps()
             + model.green * self.green_io_steps()
             + model.compute * self.computes
+    }
+
+    /// Counts one application of `rule` (removals are free).
+    pub fn tally(&mut self, rule: Rule) {
+        match rule {
+            Rule::Store => self.stores += 1,
+            Rule::Load => self.loads += 1,
+            Rule::StoreGreen => self.green_stores += 1,
+            Rule::LoadGreen => self.green_loads += 1,
+            Rule::Compute => self.computes += 1,
+            Rule::RemoveRed | Rule::RemoveGreen | Rule::RemoveBlue => {}
+        }
     }
 
     /// Adds another tally.
@@ -192,6 +205,15 @@ impl<'a> HierInstance<'a> {
         })
     }
 
+    /// What the shared rule kernel reads: the two-level game plus the
+    /// green capacity.
+    pub(crate) fn game(&self) -> Game<'a> {
+        Game {
+            green_cap: self.green_cap,
+            ..Game::mpp(&self.mpp_instance())
+        }
+    }
+
     /// Feasibility requires `r ≥ Δ_in + 1` and at least one processor,
     /// exactly as in the two-level game (the green tier only ever adds
     /// options).
@@ -247,6 +269,16 @@ impl HierConfiguration {
     #[must_use]
     pub fn is_terminal(&self, dag: &Dag) -> bool {
         dag.sinks().into_iter().all(|s| self.has_pebble(s))
+    }
+}
+
+impl PebbleStore for HierConfiguration {
+    type Red = NodeSet;
+
+    #[inline]
+    fn sets(&mut self) -> Sets<'_, NodeSet> {
+        let green = Some(&mut self.green);
+        (&mut self.reds, &mut self.blue, green, None)
     }
 }
 

@@ -8,6 +8,7 @@
 //! rules are retained verbatim, a zero-capacity green tier gives back
 //! the two-level game move-for-move.
 
+use rbp_core::rules::{Move, Rule};
 use rbp_core::ProcId;
 use rbp_dag::NodeId;
 
@@ -104,6 +105,31 @@ impl HierMove {
     #[must_use]
     pub fn compute1(proc: ProcId, v: NodeId) -> Self {
         HierMove::Compute(vec![(proc, v)])
+    }
+}
+
+impl Move for HierMove {
+    #[inline]
+    fn with_rule<T>(&self, f: impl FnOnce(Rule, &[(ProcId, NodeId)]) -> T) -> T {
+        // One call of `f`, so the kernel behind it is inlined once.
+        let one;
+        let (rule, sel): (Rule, &[_]) = match *self {
+            HierMove::Store(ref b) => (Rule::Store, b),
+            HierMove::Load(ref b) => (Rule::Load, b),
+            HierMove::StoreGreen(ref b) => (Rule::StoreGreen, b),
+            HierMove::LoadGreen(ref b) => (Rule::LoadGreen, b),
+            HierMove::Compute(ref b) => (Rule::Compute, b),
+            HierMove::Remove(pebble) => {
+                let (rule, entry) = match pebble {
+                    HierPebble::Red(p, v) => (Rule::RemoveRed, (p, v)),
+                    HierPebble::Green(v) => (Rule::RemoveGreen, (0, v)),
+                    HierPebble::Blue(v) => (Rule::RemoveBlue, (0, v)),
+                };
+                one = [entry];
+                (rule, &one)
+            }
+        };
+        f(rule, sel)
     }
 }
 

@@ -7,10 +7,10 @@
 //! terminality and returns the strategy plus its cost, which can be
 //! re-validated independently with [`crate::validate_hier`].
 
+use rbp_core::rules::{self, Run};
 use rbp_core::ProcId;
 use rbp_dag::NodeId;
 
-use crate::strategy::apply_checked;
 use crate::{
     HierConfiguration, HierCost, HierError, HierErrorKind, HierInstance, HierMove, HierPebble,
     HierStrategy,
@@ -26,13 +26,7 @@ pub struct HierSimulator<'a> {
 }
 
 /// A finished, validated hierarchical run.
-#[derive(Debug, Clone)]
-pub struct HierRun {
-    /// The strategy that was executed.
-    pub strategy: HierStrategy,
-    /// Its rule-application tally.
-    pub cost: HierCost,
-}
+pub type HierRun = Run<HierMove, HierCost>;
 
 impl<'a> HierSimulator<'a> {
     /// Starts a game in the initial (pebble-free) configuration.
@@ -74,18 +68,14 @@ impl<'a> HierSimulator<'a> {
     /// Applies one move, or reports the violation without changing
     /// state.
     pub fn apply(&mut self, mv: HierMove) -> Result<(), HierError> {
-        apply_checked(&self.instance, &mut self.config, &mv).map_err(|kind| HierError {
-            step: self.moves.len(),
-            kind,
-        })?;
-        match &mv {
-            HierMove::Store(_) => self.cost.stores += 1,
-            HierMove::Load(_) => self.cost.loads += 1,
-            HierMove::StoreGreen(_) => self.cost.green_stores += 1,
-            HierMove::LoadGreen(_) => self.cost.green_loads += 1,
-            HierMove::Compute(_) => self.cost.computes += 1,
-            HierMove::Remove(_) => {}
-        }
+        let rule =
+            rules::apply_move(&self.instance.game(), &mut self.config, &mv).map_err(|v| {
+                HierError {
+                    step: self.moves.len(),
+                    kind: v.into(),
+                }
+            })?;
+        self.cost.tally(rule);
         self.moves.push(mv);
         Ok(())
     }
@@ -150,14 +140,8 @@ impl<'a> HierSimulator<'a> {
     }
 
     /// Checks terminality and returns the finished run.
-    pub fn finish(self) -> Result<HierRun, HierError> {
-        if let Some(sink) = self
-            .instance
-            .dag
-            .sinks()
-            .into_iter()
-            .find(|&s| !self.config.has_pebble(s))
-        {
+    pub fn finish(mut self) -> Result<HierRun, HierError> {
+        if let Some(sink) = rules::bare_sink(&self.instance.game(), &mut self.config) {
             return Err(HierError {
                 step: self.moves.len(),
                 kind: HierErrorKind::NotTerminal(sink),

@@ -1,65 +1,22 @@
-//! Hierarchical strategy representation and the rule-enforcing
-//! validator, mirroring `rbp_core::mpp`'s `apply_checked` discipline:
-//! every rule precondition is checked before any mutation, so an
-//! illegal move never corrupts the configuration.
+//! Hierarchical strategy representation and the validator.
+//!
+//! Moves are checked by `rbp_core::rules`, the rule kernel every game
+//! shares, with the instance's green capacity as the only extra
+//! parameter: every precondition is checked before any mutation, so an
+//! illegal move never corrupts the configuration. This module maps the
+//! kernel's violations onto [`HierErrorKind`].
 
+use rbp_core::rules::{self, Rule, StepError, Strategy, Validate, Violation};
 use rbp_core::ProcId;
 use rbp_dag::NodeId;
 
 use crate::{HierConfiguration, HierCost, HierInstance, HierMove, HierPebble};
 
 /// A three-level pebbling strategy: the sequence of rule applications.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HierStrategy {
-    /// The moves, in execution order.
-    pub moves: Vec<HierMove>,
-}
-
-impl HierStrategy {
-    /// Empty strategy.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Strategy from a move list.
-    #[must_use]
-    pub fn from_moves(moves: Vec<HierMove>) -> Self {
-        HierStrategy { moves }
-    }
-
-    /// Number of moves.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.moves.len()
-    }
-
-    /// Whether there are no moves.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
-
-    /// Appends a move.
-    pub fn push(&mut self, m: HierMove) {
-        self.moves.push(m);
-    }
-
-    /// Validates against `instance` and returns the cost tally.
-    pub fn validate(&self, instance: &HierInstance) -> Result<HierCost, HierError> {
-        validate(instance, &self.moves)
-    }
-}
+pub type HierStrategy = Strategy<HierMove>;
 
 /// A rule violation found while replaying a hierarchical strategy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierError {
-    /// Index of the offending move (or `moves.len()` for terminal-state
-    /// failures).
-    pub step: usize,
-    /// What went wrong.
-    pub kind: HierErrorKind,
-}
+pub type HierError = StepError<HierErrorKind>;
 
 /// The kinds of three-level rule violations. The first eleven mirror
 /// the MPP kinds; the last three are new to the green tier.
@@ -121,42 +78,56 @@ pub enum HierErrorKind {
     },
 }
 
-impl std::fmt::Display for HierError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "step {}: {:?}", self.step, self.kind)
+impl From<Violation> for HierErrorKind {
+    fn from(v: Violation) -> Self {
+        match v {
+            Violation::EmptySelection => Self::EmptySelection,
+            Violation::BadProcessor(p) => Self::BadProcessor(p),
+            Violation::DuplicateProcessor(p) => Self::DuplicateProcessor(p),
+            Violation::DuplicateVertex(v) => Self::DuplicateVertex(v),
+            Violation::StoreWithoutRed(Rule::Store, proc, node) => {
+                Self::StoreWithoutRed { proc, node }
+            }
+            Violation::StoreWithoutRed(_, proc, node) => Self::GreenStoreWithoutRed { proc, node },
+            Violation::LoadWithoutSource(Rule::Load, v) => Self::LoadWithoutBlue(v),
+            Violation::LoadWithoutSource(_, v) => Self::LoadWithoutGreen(v),
+            Violation::MissingInput(proc, node, missing) => Self::MissingInput {
+                proc,
+                node,
+                missing,
+            },
+            Violation::MemoryExceeded(proc, _, r) => Self::MemoryExceeded { proc, r },
+            Violation::GreenCapacityExceeded(cap) => Self::GreenCapacityExceeded { cap },
+            Violation::AlreadyPebbled(v) => Self::AlreadyPebbled(v),
+            Violation::RemoveAbsent(rule, p, v) => Self::RemoveAbsent(match rule {
+                Rule::RemoveRed => HierPebble::Red(p, v),
+                Rule::RemoveGreen => HierPebble::Green(v),
+                _ => HierPebble::Blue(v),
+            }),
+            Violation::NotTerminal(v) => Self::NotTerminal(v),
+            other => unreachable!("{other:?} cannot arise in the three-level game"),
+        }
     }
 }
-
-impl std::error::Error for HierError {}
 
 /// Replays `moves` on `instance`, enforcing every rule, the red and
 /// green capacity bounds, and terminality. Returns the cost tally.
 pub fn validate(instance: &HierInstance, moves: &[HierMove]) -> Result<HierCost, HierError> {
     let mut config = HierConfiguration::initial(instance.dag, instance.k);
     let mut cost = HierCost::zero();
-    for (step, mv) in moves.iter().enumerate() {
-        apply_checked(instance, &mut config, mv).map_err(|kind| HierError { step, kind })?;
-        match mv {
-            HierMove::Store(_) => cost.stores += 1,
-            HierMove::Load(_) => cost.loads += 1,
-            HierMove::StoreGreen(_) => cost.green_stores += 1,
-            HierMove::LoadGreen(_) => cost.green_loads += 1,
-            HierMove::Compute(_) => cost.computes += 1,
-            HierMove::Remove(_) => {}
-        }
+    rules::replay(&instance.game(), &mut config, moves, |rule| {
+        cost.tally(rule)
+    })
+    .map(|()| cost)
+}
+
+impl Validate<HierMove> for HierInstance<'_> {
+    type Cost = HierCost;
+    type Kind = HierErrorKind;
+
+    fn validate(&self, moves: &[HierMove]) -> Result<HierCost, HierError> {
+        validate(self, moves)
     }
-    if let Some(sink) = instance
-        .dag
-        .sinks()
-        .into_iter()
-        .find(|&s| !config.has_pebble(s))
-    {
-        return Err(HierError {
-            step: moves.len(),
-            kind: HierErrorKind::NotTerminal(sink),
-        });
-    }
-    Ok(cost)
 }
 
 /// Applies one move to `config` if legal in `instance`, mutating
@@ -167,156 +138,9 @@ pub fn apply_move(
     config: &mut HierConfiguration,
     mv: &HierMove,
 ) -> Result<(), HierErrorKind> {
-    apply_checked(instance, config, mv)
-}
-
-/// Applies one move to `config` if legal in `instance`.
-pub(crate) fn apply_checked(
-    instance: &HierInstance,
-    config: &mut HierConfiguration,
-    mv: &HierMove,
-) -> Result<(), HierErrorKind> {
-    let dag = instance.dag;
-    let k = instance.k;
-    let r = instance.r;
-
-    let check_selection =
-        |batch: &[(ProcId, NodeId)], distinct_vertices: bool| -> Result<(), HierErrorKind> {
-            if batch.is_empty() {
-                return Err(HierErrorKind::EmptySelection);
-            }
-            for (i, &(p, v)) in batch.iter().enumerate() {
-                if p >= k {
-                    return Err(HierErrorKind::BadProcessor(p));
-                }
-                for &(p2, v2) in &batch[..i] {
-                    if p2 == p {
-                        return Err(HierErrorKind::DuplicateProcessor(p));
-                    }
-                    if distinct_vertices && v2 == v {
-                        return Err(HierErrorKind::DuplicateVertex(v));
-                    }
-                }
-            }
-            Ok(())
-        };
-
-    match mv {
-        HierMove::Store(batch) => {
-            check_selection(batch, true)?;
-            for &(p, v) in batch {
-                if !config.reds[p].contains(v) {
-                    return Err(HierErrorKind::StoreWithoutRed { proc: p, node: v });
-                }
-                if config.blue.contains(v) {
-                    return Err(HierErrorKind::AlreadyPebbled(v));
-                }
-            }
-            for &(_, v) in batch {
-                config.blue.insert(v);
-            }
-        }
-        HierMove::Load(batch) => {
-            check_selection(batch, true)?;
-            for &(p, v) in batch {
-                if !config.blue.contains(v) {
-                    return Err(HierErrorKind::LoadWithoutBlue(v));
-                }
-                if config.reds[p].contains(v) {
-                    return Err(HierErrorKind::AlreadyPebbled(v));
-                }
-                if config.reds[p].len() + 1 > r {
-                    return Err(HierErrorKind::MemoryExceeded { proc: p, r });
-                }
-            }
-            for &(p, v) in batch {
-                config.reds[p].insert(v);
-            }
-        }
-        HierMove::StoreGreen(batch) => {
-            check_selection(batch, true)?;
-            for &(p, v) in batch {
-                if !config.reds[p].contains(v) {
-                    return Err(HierErrorKind::GreenStoreWithoutRed { proc: p, node: v });
-                }
-                if config.green.contains(v) {
-                    return Err(HierErrorKind::AlreadyPebbled(v));
-                }
-            }
-            // Batch vertices are distinct and none is green yet, so the
-            // batch adds exactly `batch.len()` green pebbles.
-            if config.green.len() + batch.len() > instance.green_cap {
-                return Err(HierErrorKind::GreenCapacityExceeded {
-                    cap: instance.green_cap,
-                });
-            }
-            for &(_, v) in batch {
-                config.green.insert(v);
-            }
-        }
-        HierMove::LoadGreen(batch) => {
-            check_selection(batch, true)?;
-            for &(p, v) in batch {
-                if !config.green.contains(v) {
-                    return Err(HierErrorKind::LoadWithoutGreen(v));
-                }
-                if config.reds[p].contains(v) {
-                    return Err(HierErrorKind::AlreadyPebbled(v));
-                }
-                if config.reds[p].len() + 1 > r {
-                    return Err(HierErrorKind::MemoryExceeded { proc: p, r });
-                }
-            }
-            for &(p, v) in batch {
-                config.reds[p].insert(v);
-            }
-        }
-        HierMove::Compute(batch) => {
-            // Vertices may repeat across processors (two shades may
-            // compute the same node simultaneously), as in R3-M.
-            check_selection(batch, false)?;
-            for &(p, v) in batch {
-                if config.reds[p].contains(v) {
-                    return Err(HierErrorKind::AlreadyPebbled(v));
-                }
-                if let Some(&missing) = dag.preds(v).iter().find(|&&u| !config.reds[p].contains(u))
-                {
-                    return Err(HierErrorKind::MissingInput {
-                        proc: p,
-                        node: v,
-                        missing,
-                    });
-                }
-                if config.reds[p].len() + 1 > r {
-                    return Err(HierErrorKind::MemoryExceeded { proc: p, r });
-                }
-            }
-            for &(p, v) in batch {
-                config.reds[p].insert(v);
-            }
-        }
-        HierMove::Remove(pebble) => match *pebble {
-            HierPebble::Red(p, v) => {
-                if p >= k {
-                    return Err(HierErrorKind::BadProcessor(p));
-                }
-                if !config.reds[p].remove(v) {
-                    return Err(HierErrorKind::RemoveAbsent(*pebble));
-                }
-            }
-            HierPebble::Green(v) => {
-                if !config.green.remove(v) {
-                    return Err(HierErrorKind::RemoveAbsent(*pebble));
-                }
-            }
-            HierPebble::Blue(v) => {
-                if !config.blue.remove(v) {
-                    return Err(HierErrorKind::RemoveAbsent(*pebble));
-                }
-            }
-        },
-    }
-    Ok(())
+    rules::apply_move(&instance.game(), config, mv)
+        .map(drop)
+        .map_err(Into::into)
 }
 
 #[cfg(test)]

@@ -1,20 +1,22 @@
 //! The streaming rule-enforcing simulator.
 //!
-//! [`StreamSim`] plays the same role as `rbp_core::MppSimulator` — every
-//! move a scheduler proposes is checked against the MPP rules before it
-//! counts — but with two scalability differences:
+//! [`StreamSim`] plays the same role as `rbp_core::MppSimulator`: every
+//! move a scheduler proposes is checked by `rbp_core::rules`, the rule
+//! kernel every game shares, before it counts. It differs in two ways
+//! that let it scale:
 //!
 //! 1. moves are forwarded to a [`StrategySink`] instead of being
 //!    buffered in a strategy vector, so resident state is independent
 //!    of strategy length;
-//! 2. the per-processor red sets are [`HybridNodeSet`]s: red pebbles
-//!    are bounded by the memory parameter `r`, so on a million-node DAG
-//!    each set stays in its sparse representation at `O(r)` bytes
-//!    instead of `O(n/8)`.
+//! 2. its pebble store keeps the per-processor red sets as
+//!    [`HybridNodeSet`]s: red pebbles are bounded by the memory
+//!    parameter `r`, so on a million-node DAG each set stays in its
+//!    sparse representation at `O(r)` bytes instead of `O(n/8)`.
 //!
 //! The blue set remains one dense bitset (`n/8` bytes — at 10^6 nodes
 //! that is 125 KB, far below the size of the strategy being emitted).
 
+use rbp_core::rules::{self, Game, PebbleStore, Rule, Sets};
 use rbp_core::{Cost, MppError, MppErrorKind, MppMove, Pebble, ProcId};
 use rbp_dag::{Dag, HybridNodeSet, NodeId, NodeSet};
 
@@ -54,14 +56,27 @@ impl From<MppError> for StreamError {
     }
 }
 
+/// The streaming tier's pebble store: sparse-capable red sets, one
+/// dense blue set.
+struct Store {
+    reds: Vec<HybridNodeSet>,
+    blue: NodeSet,
+}
+
+impl PebbleStore for Store {
+    type Red = HybridNodeSet;
+
+    #[inline]
+    fn sets(&mut self) -> Sets<'_, HybridNodeSet> {
+        (&mut self.reds, &mut self.blue, None, None)
+    }
+}
+
 /// Streaming MPP simulator: rule-checks moves, tallies cost, forwards
 /// every accepted move to a sink.
 pub struct StreamSim<'d> {
-    dag: &'d Dag,
-    k: usize,
-    r: usize,
-    reds: Vec<HybridNodeSet>,
-    blue: NodeSet,
+    game: Game<'d>,
+    store: Store,
     cost: Cost,
     moves: u64,
     red_total: usize,
@@ -79,11 +94,11 @@ impl<'d> StreamSim<'d> {
         assert!(k >= 1, "need at least one processor");
         assert!(r >= 1, "need at least one red pebble of memory");
         StreamSim {
-            dag,
-            k,
-            r,
-            reds: (0..k).map(|_| HybridNodeSet::new(dag.n())).collect(),
-            blue: NodeSet::new(dag.n()),
+            game: Game::new(dag, k, r),
+            store: Store {
+                reds: (0..k).map(|_| HybridNodeSet::new(dag.n())).collect(),
+                blue: NodeSet::new(dag.n()),
+            },
             cost: Cost::zero(),
             moves: 0,
             red_total: 0,
@@ -113,19 +128,19 @@ impl<'d> StreamSim<'d> {
     /// Whether processor `p` holds a red pebble on `v`.
     #[must_use]
     pub fn is_red(&self, p: ProcId, v: NodeId) -> bool {
-        self.reds[p].contains(v)
+        self.store.reds[p].contains(v)
     }
 
     /// Whether `v` holds a blue pebble.
     #[must_use]
     pub fn is_blue(&self, v: NodeId) -> bool {
-        self.blue.contains(v)
+        self.store.blue.contains(v)
     }
 
     /// Number of red pebbles processor `p` currently holds.
     #[must_use]
     pub fn red_len(&self, p: ProcId) -> usize {
-        self.reds[p].len()
+        self.store.reds[p].len()
     }
 
     fn err(&self, kind: MppErrorKind) -> StreamError {
@@ -135,39 +150,29 @@ impl<'d> StreamSim<'d> {
         })
     }
 
-    fn check_selection(
-        &self,
-        batch: &[(ProcId, NodeId)],
-        distinct_vertices: bool,
+    /// Checks `rule` on `sel` through the rule kernel, tallies it, and
+    /// forwards the move `mv` builds.
+    #[inline]
+    fn play(
+        &mut self,
+        sink: &mut dyn StrategySink,
+        rule: Rule,
+        sel: &[(ProcId, NodeId)],
+        mv: impl FnOnce() -> MppMove,
     ) -> Result<(), StreamError> {
-        if batch.is_empty() {
-            return Err(self.err(MppErrorKind::EmptySelection));
-        }
-        for (i, &(p, v)) in batch.iter().enumerate() {
-            if p >= self.k {
-                return Err(self.err(MppErrorKind::BadProcessor(p)));
+        rules::apply(&self.game, &mut self.store, rule, sel).map_err(|v| self.err(v.into()))?;
+        match rule {
+            Rule::Load | Rule::Compute => {
+                self.red_total += sel.len();
+                self.peak_active = self.peak_active.max(self.red_total);
             }
-            for &(p2, v2) in &batch[..i] {
-                if p2 == p {
-                    return Err(self.err(MppErrorKind::DuplicateProcessor(p)));
-                }
-                if distinct_vertices && v2 == v {
-                    return Err(self.err(MppErrorKind::DuplicateVertex(v)));
-                }
-            }
+            Rule::RemoveRed => self.red_total -= 1,
+            _ => {}
         }
-        Ok(())
-    }
-
-    fn forward(&mut self, sink: &mut dyn StrategySink, mv: &MppMove) -> Result<(), StreamError> {
-        sink.emit(mv)?;
+        self.cost.tally(rule);
+        sink.emit(&mv())?;
         self.moves += 1;
         Ok(())
-    }
-
-    fn note_red_added(&mut self, count: usize) {
-        self.red_total += count;
-        self.peak_active = self.peak_active.max(self.red_total);
     }
 
     /// R2-M: batched load of blue values into red memory.
@@ -179,24 +184,7 @@ impl<'d> StreamSim<'d> {
         sink: &mut dyn StrategySink,
         batch: &[(ProcId, NodeId)],
     ) -> Result<(), StreamError> {
-        self.check_selection(batch, true)?;
-        for &(p, v) in batch {
-            if !self.blue.contains(v) {
-                return Err(self.err(MppErrorKind::LoadWithoutBlue(v)));
-            }
-            if self.reds[p].contains(v) {
-                return Err(self.err(MppErrorKind::AlreadyPebbled(v)));
-            }
-            if self.reds[p].len() + 1 > self.r {
-                return Err(self.err(MppErrorKind::MemoryExceeded { proc: p, r: self.r }));
-            }
-        }
-        for &(p, v) in batch {
-            self.reds[p].insert(v);
-        }
-        self.note_red_added(batch.len());
-        self.cost.loads += 1;
-        self.forward(sink, &MppMove::Load(batch.to_vec()))
+        self.play(sink, Rule::Load, batch, || MppMove::Load(batch.to_vec()))
     }
 
     /// R3-M: batched compute.
@@ -208,33 +196,9 @@ impl<'d> StreamSim<'d> {
         sink: &mut dyn StrategySink,
         batch: &[(ProcId, NodeId)],
     ) -> Result<(), StreamError> {
-        self.check_selection(batch, false)?;
-        for &(p, v) in batch {
-            if self.reds[p].contains(v) {
-                return Err(self.err(MppErrorKind::AlreadyPebbled(v)));
-            }
-            if let Some(&missing) = self
-                .dag
-                .preds(v)
-                .iter()
-                .find(|&&u| !self.reds[p].contains(u))
-            {
-                return Err(self.err(MppErrorKind::MissingInput {
-                    proc: p,
-                    node: v,
-                    missing,
-                }));
-            }
-            if self.reds[p].len() + 1 > self.r {
-                return Err(self.err(MppErrorKind::MemoryExceeded { proc: p, r: self.r }));
-            }
-        }
-        for &(p, v) in batch {
-            self.reds[p].insert(v);
-        }
-        self.note_red_added(batch.len());
-        self.cost.computes += 1;
-        self.forward(sink, &MppMove::Compute(batch.to_vec()))
+        self.play(sink, Rule::Compute, batch, || {
+            MppMove::Compute(batch.to_vec())
+        })
     }
 
     /// R1-M: batched store of red values to slow memory.
@@ -246,20 +210,7 @@ impl<'d> StreamSim<'d> {
         sink: &mut dyn StrategySink,
         batch: &[(ProcId, NodeId)],
     ) -> Result<(), StreamError> {
-        self.check_selection(batch, true)?;
-        for &(p, v) in batch {
-            if !self.reds[p].contains(v) {
-                return Err(self.err(MppErrorKind::StoreWithoutRed { proc: p, node: v }));
-            }
-            if self.blue.contains(v) {
-                return Err(self.err(MppErrorKind::AlreadyPebbled(v)));
-            }
-        }
-        for &(_, v) in batch {
-            self.blue.insert(v);
-        }
-        self.cost.stores += 1;
-        self.forward(sink, &MppMove::Store(batch.to_vec()))
+        self.play(sink, Rule::Store, batch, || MppMove::Store(batch.to_vec()))
     }
 
     /// R4-M: removes a red pebble (free).
@@ -272,14 +223,8 @@ impl<'d> StreamSim<'d> {
         p: ProcId,
         v: NodeId,
     ) -> Result<(), StreamError> {
-        if p >= self.k {
-            return Err(self.err(MppErrorKind::BadProcessor(p)));
-        }
-        if !self.reds[p].remove(v) {
-            return Err(self.err(MppErrorKind::RemoveAbsent(Pebble::Red(p, v))));
-        }
-        self.red_total -= 1;
-        self.forward(sink, &MppMove::Remove(Pebble::Red(p, v)))
+        let mv = || MppMove::Remove(Pebble::Red(p, v));
+        self.play(sink, Rule::RemoveRed, &[(p, v)], mv)
     }
 
     /// R4-M: removes a blue pebble (free).
@@ -291,10 +236,8 @@ impl<'d> StreamSim<'d> {
         sink: &mut dyn StrategySink,
         v: NodeId,
     ) -> Result<(), StreamError> {
-        if !self.blue.remove(v) {
-            return Err(self.err(MppErrorKind::RemoveAbsent(Pebble::Blue(v))));
-        }
-        self.forward(sink, &MppMove::Remove(Pebble::Blue(v)))
+        let mv = || MppMove::Remove(Pebble::Blue(v));
+        self.play(sink, Rule::RemoveBlue, &[(0, v)], mv)
     }
 
     /// Terminality check and sink flush: every sink node must hold a
@@ -303,17 +246,9 @@ impl<'d> StreamSim<'d> {
     /// # Errors
     /// [`MppErrorKind::NotTerminal`] when a DAG sink is unpebbled;
     /// sink flush failures.
-    pub fn finish(self, sink: &mut dyn StrategySink) -> Result<(), StreamError> {
-        for v in self.dag.nodes() {
-            if self.dag.out_degree(v) == 0
-                && !self.blue.contains(v)
-                && !self.reds.iter().any(|s| s.contains(v))
-            {
-                return Err(StreamError::Rule(MppError {
-                    step: self.moves as usize,
-                    kind: MppErrorKind::NotTerminal(v),
-                }));
-            }
+    pub fn finish(mut self, sink: &mut dyn StrategySink) -> Result<(), StreamError> {
+        if let Some(v) = rules::bare_sink(&self.game, &mut self.store) {
+            return Err(self.err(MppErrorKind::NotTerminal(v)));
         }
         sink.finish()?;
         Ok(())

@@ -52,9 +52,29 @@ pub fn parse(text: &str) -> Result<Trace, String> {
     Ok(Trace { manifest, events })
 }
 
+/// Sections that gather counters (summed) and gauges (last value) by
+/// name prefix, in render order, instead of leaving them in the generic
+/// tables; a metric lands in the first section it matches:
+///
+/// - `serve.store.*`: rbp-serve's persistent result store;
+/// - `stream.*`: the streaming scheduler tier, so a large-DAG run leads
+///   with throughput, peak active set, passes and emitted bytes;
+/// - `hier.*`, `bounds.hier.*`: the three-level game's exact solver and
+///   closed-form bounds, so green and blue traffic read as a unit;
+/// - `solver.phase.*`: the shared A* engine's hot path, per-phase
+///   counters and (under `RBP_PHASE_PROF=1`) nanosecond timings.
+const SECTIONS: [(&str, &[&str]); 4] = [
+    ("Serve store", &["serve.store."]),
+    ("Scale", &["stream."]),
+    ("Hierarchy", &["hier.", "bounds.hier."]),
+    ("Hot path", &["solver.phase."]),
+];
+
 /// Renders a full report: manifest summary, every emitted table as
-/// EXPERIMENTS.md-style markdown, then counters (summed per name),
-/// gauges (last value per name), and a span timing summary.
+/// EXPERIMENTS.md-style markdown, one section per subsystem (serve
+/// store, scale, hierarchy, hot path), then the remaining counters
+/// (summed per name) and gauges (last value per name), and a span
+/// timing summary.
 ///
 /// # Errors
 /// See [`parse`]; additionally, a trace that carries no renderable
@@ -87,7 +107,7 @@ pub fn render(text: &str) -> Result<String, String> {
 
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut gauges: Vec<(String, f64)> = Vec::new();
-    let mut spans: Vec<(String, u64, u64)> = Vec::new(); // name, count, total_us
+    let mut spans: Vec<(String, (u64, u64))> = Vec::new(); // name, (count, total_us)
     let mut tables = 0usize;
 
     for ev in &trace.events {
@@ -95,28 +115,16 @@ pub fn render(text: &str) -> Result<String, String> {
         let name = ev.get("name").and_then(Json::as_str).unwrap_or("?");
         match ty {
             "counter" => {
-                let v = ev.get("value").and_then(Json::as_u64).unwrap_or(0);
-                match counters.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, total)) => *total += v,
-                    None => counters.push((name.to_string(), v)),
-                }
+                *row(&mut counters, name) += ev.get("value").and_then(Json::as_u64).unwrap_or(0);
             }
             "gauge" => {
-                let v = ev.get("value").and_then(Json::as_f64).unwrap_or(f64::NAN);
-                match gauges.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, last)) => *last = v,
-                    None => gauges.push((name.to_string(), v)),
-                }
+                *row(&mut gauges, name) =
+                    ev.get("value").and_then(Json::as_f64).unwrap_or(f64::NAN);
             }
             "span_exit" => {
-                let us = ev.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
-                match spans.iter_mut().find(|(n, _, _)| n == name) {
-                    Some((_, c, total)) => {
-                        *c += 1;
-                        *total += us;
-                    }
-                    None => spans.push((name.to_string(), 1, us)),
-                }
+                let (count, total_us) = row(&mut spans, name);
+                *count += 1;
+                *total_us += ev.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
             }
             "table" => {
                 tables += 1;
@@ -127,136 +135,41 @@ pub fn render(text: &str) -> Result<String, String> {
         }
     }
 
-    // The persistent-store tier of rbp-serve reports under
-    // `serve.store.*`; gather those into one operational section
-    // (counters summed, gauges last-value) instead of scattering them
-    // through the generic tables.
-    let store_counters: Vec<(String, u64)> = counters
-        .iter()
-        .filter(|(n, _)| n.starts_with("serve.store."))
-        .cloned()
-        .collect();
-    let store_gauges: Vec<(String, f64)> = gauges
-        .iter()
-        .filter(|(n, _)| n.starts_with("serve.store."))
-        .cloned()
-        .collect();
-    let store_rows = store_counters.len() + store_gauges.len();
-    if store_rows > 0 {
-        counters.retain(|(n, _)| !n.starts_with("serve.store."));
-        gauges.retain(|(n, _)| !n.starts_with("serve.store."));
-        let _ = writeln!(out, "\n## Serve store\n");
-        let _ = writeln!(out, "| metric | value |");
-        let _ = writeln!(out, "|---|---|");
-        for (n, v) in &store_counters {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
-        for (n, v) in &store_gauges {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
-    }
-
-    // The streaming scheduler tier (rbp-stream) reports under
-    // `stream.*`; gather those into one "Scale" section so a report
-    // over a large-DAG run leads with throughput (nodes/sec), peak
-    // active-set, pass counts, and emitted strategy bytes.
-    let scale_counters: Vec<(String, u64)> = counters
-        .iter()
-        .filter(|(n, _)| n.starts_with("stream."))
-        .cloned()
-        .collect();
-    let scale_gauges: Vec<(String, f64)> = gauges
-        .iter()
-        .filter(|(n, _)| n.starts_with("stream."))
-        .cloned()
-        .collect();
-    let scale_rows = scale_counters.len() + scale_gauges.len();
-    if scale_rows > 0 {
-        counters.retain(|(n, _)| !n.starts_with("stream."));
-        gauges.retain(|(n, _)| !n.starts_with("stream."));
-        let _ = writeln!(out, "\n## Scale\n");
-        let _ = writeln!(out, "| metric | value |");
-        let _ = writeln!(out, "|---|---|");
-        for (n, v) in &scale_counters {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
-        for (n, v) in &scale_gauges {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
-    }
-
-    // The three-level game (rbp-hier) reports under `hier.*` (exact
-    // solver) and `bounds.hier.*` (closed-form bounds); gather those
-    // into one "Hierarchy" section so green-tier traffic and the
-    // green/blue split read as a unit.
-    let is_hier = |n: &str| n.starts_with("hier.") || n.starts_with("bounds.hier.");
-    let hier_counters: Vec<(String, u64)> = counters
-        .iter()
-        .filter(|(n, _)| is_hier(n))
-        .cloned()
-        .collect();
-    let hier_gauges: Vec<(String, f64)> =
-        gauges.iter().filter(|(n, _)| is_hier(n)).cloned().collect();
-    let hier_rows = hier_counters.len() + hier_gauges.len();
-    if hier_rows > 0 {
-        counters.retain(|(n, _)| !is_hier(n));
-        gauges.retain(|(n, _)| !is_hier(n));
-        let _ = writeln!(out, "\n## Hierarchy\n");
-        let _ = writeln!(out, "| metric | value |");
-        let _ = writeln!(out, "|---|---|");
-        for (n, v) in &hier_counters {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
-        for (n, v) in &hier_gauges {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
-    }
-
-    // The sequential hot path of the shared A* engine reports per-phase
-    // counters (and, under `RBP_PHASE_PROF=1`, nanosecond timings) under
-    // `solver.phase.*`; gather those into one "Hot path" section so
-    // canonicalization, heuristic, successor-generation, hash-intern and
-    // queue costs read as a unit.
-    let hot_counters: Vec<(String, u64)> = counters
-        .iter()
-        .filter(|(n, _)| n.starts_with("solver.phase."))
-        .cloned()
-        .collect();
-    let hot_gauges: Vec<(String, f64)> = gauges
-        .iter()
-        .filter(|(n, _)| n.starts_with("solver.phase."))
-        .cloned()
-        .collect();
-    let hot_rows = hot_counters.len() + hot_gauges.len();
-    if hot_rows > 0 {
-        counters.retain(|(n, _)| !n.starts_with("solver.phase."));
-        gauges.retain(|(n, _)| !n.starts_with("solver.phase."));
-        let _ = writeln!(out, "\n## Hot path\n");
-        let _ = writeln!(out, "| metric | value |");
-        let _ = writeln!(out, "|---|---|");
-        for (n, v) in &hot_counters {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
-        for (n, v) in &hot_gauges {
-            let _ = writeln!(out, "| {n} | {v} |");
+    let mut sectioned = false;
+    for (title, prefixes) in SECTIONS {
+        let ours = |n: &str| prefixes.iter().any(|p| n.starts_with(p));
+        let rows: Vec<(String, String)> = counters
+            .iter()
+            .filter(|(n, _)| ours(n))
+            .map(|(n, v)| (n.clone(), v.to_string()))
+            .chain(
+                gauges
+                    .iter()
+                    .filter(|(n, _)| ours(n))
+                    .map(|(n, v)| (n.clone(), v.to_string())),
+            )
+            .collect();
+        if !rows.is_empty() {
+            counters.retain(|(n, _)| !ours(n));
+            gauges.retain(|(n, _)| !ours(n));
+            two_column(&mut out, title, ["metric", "value"], &rows);
+            sectioned = true;
         }
     }
 
     if !counters.is_empty() {
-        let _ = writeln!(out, "\n## Counters\n");
-        let _ = writeln!(out, "| counter | total |");
-        let _ = writeln!(out, "|---|---|");
-        for (n, v) in &counters {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
+        let rows: Vec<_> = counters
+            .iter()
+            .map(|(n, v)| (n.clone(), v.to_string()))
+            .collect();
+        two_column(&mut out, "Counters", ["counter", "total"], &rows);
     }
     if !gauges.is_empty() {
-        let _ = writeln!(out, "\n## Gauges (last value)\n");
-        let _ = writeln!(out, "| gauge | value |");
-        let _ = writeln!(out, "|---|---|");
-        for (n, v) in &gauges {
-            let _ = writeln!(out, "| {n} | {v} |");
-        }
+        let rows: Vec<_> = gauges
+            .iter()
+            .map(|(n, v)| (n.clone(), v.to_string()))
+            .collect();
+        two_column(&mut out, "Gauges (last value)", ["gauge", "value"], &rows);
     }
     // Benchmarks that cannot measure what they claim flag themselves
     // with a `*sweep_valid` gauge of 0; surface that loudly so a report
@@ -281,25 +194,40 @@ pub fn render(text: &str) -> Result<String, String> {
         let _ = writeln!(out, "\n## Spans\n");
         let _ = writeln!(out, "| span | count | total ms |");
         let _ = writeln!(out, "|---|---|---|");
-        for (n, c, us) in &spans {
+        for (n, (c, us)) in &spans {
             let _ = writeln!(out, "| {n} | {c} | {:.2} |", *us as f64 / 1e3);
         }
     }
-    if tables == 0
-        && counters.is_empty()
-        && gauges.is_empty()
-        && spans.is_empty()
-        && store_rows == 0
-        && scale_rows == 0
-        && hier_rows == 0
-        && hot_rows == 0
-    {
+    if tables == 0 && counters.is_empty() && gauges.is_empty() && spans.is_empty() && !sectioned {
         return Err(format!(
             "trace has {} event(s) but none are renderable (no tables, counters, gauges, or spans)",
             trace.events.len()
         ));
     }
     Ok(out)
+}
+
+/// The value aggregated under `name`, added (at its default) on first
+/// sight so rows keep first-seen order.
+fn row<'a, T: Default>(rows: &'a mut Vec<(String, T)>, name: &str) -> &'a mut T {
+    let at = match rows.iter().position(|(n, _)| n == name) {
+        Some(at) => at,
+        None => {
+            rows.push((name.to_string(), T::default()));
+            rows.len() - 1
+        }
+    };
+    &mut rows[at].1
+}
+
+/// Appends a `## title` section holding a two-column markdown table.
+fn two_column(out: &mut String, title: &str, head: [&str; 2], rows: &[(String, String)]) {
+    let _ = writeln!(out, "\n## {title}\n");
+    let _ = writeln!(out, "| {} | {} |", head[0], head[1]);
+    let _ = writeln!(out, "|---|---|");
+    for (n, v) in rows {
+        let _ = writeln!(out, "| {n} | {v} |");
+    }
 }
 
 /// One table event as an EXPERIMENTS.md-style markdown table.

@@ -87,7 +87,8 @@ echo "== hot-path perf guard (state-count ceiling on a fixed fixture) =="
 # The 30,000 ceiling passes the default config with ~9% headroom and
 # fails if the heuristic or dominance stops pruning. The incumbent
 # probe finds no schedule on this fixture within its 20,000-state
-# budget, so losing it leaves the count unchanged.
+# budget, so this guard cannot see it; the incumbent-probe guard below
+# covers it.
 guard_trace=$(mktemp)
 trap 'rm -f "$guard_trace"' EXIT
 guard_opt=$(RBP_TRACE="$guard_trace" \
@@ -118,7 +119,8 @@ echo "== three-level perf guard (state-count ceiling on the separation gadget) =
 # dominance pruning, which saves this instance almost nothing (the
 # grid_3x3 guard above covers that), nor a lost incumbent probe: the
 # probe finds no schedule here within its 20,000-state budget, so the
-# count is 36,455 with or without it.
+# count is 36,455 with or without it (the incumbent-probe guard below
+# covers the probe).
 hier_guard_dag=$(mktemp)
 trap 'rm -f "$hier_guard_dag"' EXIT
 ./target/release/rbp gen hier_skip 4 > "$hier_guard_dag"
@@ -131,6 +133,32 @@ hier_guard_opt=$(./target/release/rbp solve "$hier_guard_dag" 2 3 2 \
 trap - EXIT
 rm -f "$hier_guard_dag"
 echo "three-level perf guard: OPT=9 within the 40000-state ceiling"
+
+echo "== incumbent-probe guard (state-count ceiling where the probe prunes) =="
+# The weighted-A* incumbent probe finds a schedule on fft 2 (k=2, r=3,
+# g=2), and branch-and-bound on its cost then prunes the search.
+# Measured, OPT = 12:
+#   default        : 41,453 settled (solver.phase.mpp.ub_pruned = 221,644)
+#   probe disabled : 73,733 settled
+# The 50,000 ceiling passes the default config with ~17% headroom and
+# fails if the probe stops finding its incumbent or stops pruning.
+probe_dag=$(mktemp)
+probe_trace=$(mktemp)
+trap 'rm -f "$probe_dag" "$probe_trace"' EXIT
+./target/release/rbp gen fft 2 > "$probe_dag"
+probe_opt=$(RBP_TRACE="$probe_trace" \
+    ./target/release/rbp solve "$probe_dag" 2 3 2 --max-states 50000 \
+    | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
+    || { echo "probe guard failed: settled-state count exceeded 50000 (incumbent probe lost)"; exit 1; }
+[ "$probe_opt" = "12" ] \
+    || { echo "probe guard failed: OPT=$probe_opt on fft 2, expected 12"; exit 1; }
+ub_pruned=$(./target/release/rbp report "$probe_trace" \
+    | sed -n 's/^| solver\.phase\.mpp\.ub_pruned | \([0-9]*\) |$/\1/p')
+[ -n "$ub_pruned" ] && [ "$ub_pruned" -gt 0 ] \
+    || { echo "probe guard failed: solver.phase.mpp.ub_pruned='$ub_pruned', expected > 0"; exit 1; }
+trap - EXIT
+rm -f "$probe_dag" "$probe_trace"
+echo "probe guard: OPT=12 within the 50000-state ceiling, ub_pruned=$ub_pruned"
 
 echo "== trace report smoke (fixture round trip) =="
 ./target/release/rbp report tests/fixtures/trace_small.jsonl | grep -q "| chain(4) | 2 | 2 |"
@@ -165,12 +193,10 @@ echo "$scale_report" | grep -q "stream.peak_active_set" \
 # `rbp improve --in` (validates the full strategy in-memory).
 ./target/release/rbp schedule "$scale_dag" 8 4 2 wavefront --stream --out "$scale_out" \
     || { echo "scale smoke: --out emission failed"; exit 1; }
-# Capture, don't pipe: `grep -q` would close the pipe at the first
-# match and (under pipefail) turn the CLI's broken-pipe panic into a
-# spurious failure.
-improve_out=$(./target/release/rbp improve "$scale_dag" 8 4 2 --in "$scale_out" --budget-ms 1) \
-    || { echo "scale smoke: improve reload failed"; exit 1; }
-echo "$improve_out" | grep -q "saved:" \
+# `grep -q` closes the pipe at the first match; the CLI then exits 0
+# quietly, so under pipefail a failure here is a real one.
+./target/release/rbp improve "$scale_dag" 8 4 2 --in "$scale_out" --budget-ms 1 \
+    | grep -q "saved:" \
     || { echo "scale smoke: streamed JSONL did not reload"; exit 1; }
 trap - EXIT
 rm -f "$scale_dag" "$scale_trace" "$scale_out"

@@ -63,6 +63,14 @@
 
 use std::process::ExitCode;
 
+/// `print!` and `println!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 use rbp::bounds::trivial;
 use rbp::core::rbp_dag::{dot, io, Dag, DagStats};
 use rbp::core::{
@@ -89,6 +97,22 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Writes CLI output to stdout. A reader that has gone away
+/// (`rbp … | head -1`) ends the process quietly with success, like any
+/// Unix filter; another write failure exits with an error.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    let Err(e) = std::io::stdout().lock().write_fmt(args) else {
+        return;
+    };
+    rbp::trace::uninstall();
+    if e.kind() != std::io::ErrorKind::BrokenPipe {
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+    std::process::exit(0);
 }
 
 /// Installs a JSONL trace sink when `RBP_TRACE` names a destination
@@ -120,8 +144,8 @@ fn run(args: &[String]) -> Result<(), String> {
     match cmd.as_str() {
         "stats" => {
             let dag = load(args.get(1))?;
-            println!("{}", dag.name());
-            println!("{}", DagStats::compute(&dag));
+            outln!("{}", dag.name());
+            outln!("{}", DagStats::compute(&dag));
             Ok(())
         }
         "schedule" => {
@@ -160,7 +184,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     .validate(&inst)
                     .map_err(|e| e.to_string())?
                     .total(inst.model);
-                println!(
+                outln!(
                     "{:<50} total={:<6} io_steps={:<5} surplus={:<6} comm={:<5} spill={:<5} recompute={:<4} async={:<6} batchified={}",
                     s.name(),
                     stats.total,
@@ -207,7 +231,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 let sol = out
                     .solution
                     .ok_or_else(|| solve_failure(&out.reason, &config))?;
-                println!(
+                outln!(
                     "OPT = {} ({}; mode={}; {} moves; {} settled, {} thread{})",
                     sol.total,
                     sol.cost,
@@ -218,7 +242,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     if out.stats.threads == 1 { "" } else { "s" }
                 );
                 for mv in &sol.strategy.moves {
-                    println!("  {mv}");
+                    outln!("  {mv}");
                 }
                 return Ok(());
             }
@@ -226,7 +250,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let sol = out
                 .solution
                 .ok_or_else(|| solve_failure(&out.reason, &config))?;
-            println!(
+            outln!(
                 "OPT = {} ({}; {} moves; {} settled, {} thread{})",
                 sol.total,
                 sol.cost,
@@ -236,7 +260,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 if out.stats.threads == 1 { "" } else { "s" }
             );
             for mv in &sol.strategy.moves {
-                println!("  {mv}");
+                outln!("  {mv}");
             }
             Ok(())
         }
@@ -308,10 +332,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 driver,
             };
             let out = rbp::refine::refine(&inst, &initial, &cfg).map_err(|e| e.to_string())?;
-            println!("initial  total={:<6} ({origin})", out.initial_total);
-            println!(
+            outln!("initial  total={:<6} ({origin})", out.initial_total);
+            outln!(
                 "refined  total={:<6} ({}; {} proposals, {} accepted)",
-                out.total, out.provenance, out.proposals, out.accepted
+                out.total,
+                out.provenance,
+                out.proposals,
+                out.accepted
             );
             if let Some(path) = flag_value(args, "--out")? {
                 let saved = persist::SavedStrategy {
@@ -324,7 +351,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 };
                 std::fs::write(path, persist::strategy_to_jsonl(&saved))
                     .map_err(|e| format!("{path}: {e}"))?;
-                println!("saved    {path}");
+                outln!("saved    {path}");
             }
             Ok(())
         }
@@ -356,8 +383,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let out = rbp::refine::race(&inst, &cfg).map_err(|e| e.to_string())?;
             for e in &out.entries {
                 match e.total {
-                    Some(t) => println!("{:<24} total={:<6} {:>6} ms", e.name, t, e.millis),
-                    None => println!("{:<24} total=-      {:>6} ms", e.name, e.millis),
+                    Some(t) => outln!("{:<24} total={:<6} {:>6} ms", e.name, t, e.millis),
+                    None => outln!("{:<24} total=-      {:>6} ms", e.name, e.millis),
                 }
             }
             let baseline = out
@@ -366,9 +393,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 .and_then(|e| e.total)
                 .expect("baseline scheduler always reports a cost");
             // Machine-parseable summary line (consumed by scripts/ci.sh).
-            println!(
+            outln!(
                 "PORTFOLIO winner={} total={} baseline={} optimal={}",
-                out.provenance, out.total, baseline, out.proven_optimal
+                out.provenance,
+                out.total,
+                baseline,
+                out.proven_optimal
             );
             Ok(())
         }
@@ -379,33 +409,33 @@ fn run(args: &[String]) -> Result<(), String> {
             let mode = game_mode(args)?;
             if let Some(hinst) = HierInstance::from_mode(&inst, mode) {
                 use rbp::bounds::hier;
-                println!("mode: {}", mode.token());
-                println!("feasible (r ≥ Δin+1): {}", hier::feasible(&dag, r));
-                println!("hier lower:      {}", hier::lower(&hinst));
-                println!("hier upper:      {}", hier::upper(&hinst));
+                outln!("mode: {}", mode.token());
+                outln!("feasible (r ≥ Δin+1): {}", hier::feasible(&dag, r));
+                outln!("hier lower:      {}", hier::lower(&hinst));
+                outln!("hier upper:      {}", hier::upper(&hinst));
                 match hier::green_upper(&hinst) {
-                    Some(b) => println!("green upper:     {b}"),
-                    None => println!("green upper:     - (green-cap < n)"),
+                    Some(b) => outln!("green upper:     {b}"),
+                    None => outln!("green upper:     - (green-cap < n)"),
                 }
-                println!("best upper:      {}", hier::best_upper(&hinst));
+                outln!("best upper:      {}", hier::best_upper(&hinst));
                 return Ok(());
             }
-            println!("feasible (r ≥ Δin+1): {}", inst.is_feasible());
-            println!("Lemma 1 lower:  {}", trivial::lower(&inst));
-            println!("Lemma 1 upper:  {}", trivial::upper(&inst));
-            println!("greedy factor:  {}", trivial::greedy_factor(&inst));
+            outln!("feasible (r ≥ Δin+1): {}", inst.is_feasible());
+            outln!("Lemma 1 lower:  {}", trivial::lower(&inst));
+            outln!("Lemma 1 upper:  {}", trivial::upper(&inst));
+            outln!("greedy factor:  {}", trivial::greedy_factor(&inst));
             Ok(())
         }
         "dot" => {
             let dag = load(args.get(1))?;
-            print!("{}", dot::to_dot(&dag, &dot::DotOptions::default()));
+            out!("{}", dot::to_dot(&dag, &dot::DotOptions::default()));
             Ok(())
         }
         "report" => {
             let path = args.get(1).ok_or("report: missing trace file")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let rendered = rbp::trace::report::render(&text)?;
-            print!("{rendered}");
+            out!("{rendered}");
             Ok(())
         }
         "gen" => {
@@ -415,7 +445,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map(|s| s.parse().map_err(|_| format!("bad number '{s}'")))
                 .collect::<Result<_, _>>()?;
             let dag = rbp::serve::build_dag(family, &nums)?;
-            print!("{}", io::to_text(&dag));
+            out!("{}", io::to_text(&dag));
             Ok(())
         }
         "serve" => {
@@ -448,9 +478,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map(|d| format!(" (store: {d})"))
                 .unwrap_or_default();
             let server = rbp::serve::Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
-            println!("rbp-serve listening on {}{store_note}", server.addr());
+            outln!("rbp-serve listening on {}{store_note}", server.addr());
             server.wait();
-            println!("rbp-serve drained, exiting");
+            outln!("rbp-serve drained, exiting");
             Ok(())
         }
         other => Err(format!("unknown subcommand '{other}'")),
@@ -510,7 +540,7 @@ fn schedule_stream(
             sink.into_inner()
                 .and_then(|f| f.sync_all())
                 .map_err(|e| format!("{path}: {e}"))?;
-            println!("saved {path} ({} bytes)", run.bytes_emitted);
+            outln!("saved {path} ({} bytes)", run.bytes_emitted);
             run
         } else {
             let mut sink = NullSink::new();
@@ -518,7 +548,7 @@ fn schedule_stream(
                 .map_err(|e| format!("{}: {e}", s.name()))?
         };
         rbp::stream::trace_stream_run(&s.name(), &run);
-        println!(
+        outln!(
             "{:<24} total={:<8} io_steps={:<7} moves={:<8} passes={:<2} peak_active={:<6} nodes/s={:.0}",
             s.name(),
             run.cost.total(model),
@@ -551,7 +581,7 @@ fn schedule_hier(inst: &HierInstance, want: Option<&str>) -> Result<(), String> 
         }
         any = true;
         let run = s.schedule(inst).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "{:<50} total={:<6} io_steps={:<5} green_io={:<5} green_stores={:<5} green_loads={:<5} computes={}",
             s.name(),
             run.cost.total(inst.model),

@@ -16,22 +16,78 @@
 //!    at no greater cost (the SPP recompute-vs-reload rule);
 //! 3. **OPT is preserved**: solving with dominance on and off yields
 //!    the same optimal total on every instance, so pruning never cuts
-//!    the only path to the optimum.
+//!    the only path to the optimum;
+//! 4. **The solvers' rule encodings match the rules**: every naive
+//!    successor's decoded move, applied to its parent through the
+//!    shared rule kernel (`rbp::core::rules`), is accepted and lands on
+//!    exactly the successor's masks.
 //!
 //! Every case is a deterministic function of its loop index (seeded
 //! in-tree RNG), so a failure message identifies the exact instance.
 
-use rbp::core::mpp::exact::probe as mpp_probe;
-use rbp::core::rbp_dag::generators;
+use rbp::core::mpp::exact::probe::{self as mpp_probe, Succ};
+use rbp::core::rbp_dag::{generators, NodeId, NodeSet};
+use rbp::core::rules::{self, Game, Rule};
 use rbp::core::spp::exact::probe as spp_probe;
 use rbp::core::{
-    solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SolveLimits, SppInstance,
-    SppVariant,
+    solve_mpp_with, solve_spp_with, Configuration, CostModel, MppInstance, SearchConfig,
+    SolveLimits, SppInstance, SppState, SppVariant,
 };
-use rbp::hier::{solve_hier_with, HierInstance};
+use rbp::hier::{solve_hier_with, HierConfiguration, HierInstance};
 use rbp::util::Rng;
 
 const WALK_STEPS: usize = 8;
+
+/// The nodes of an `n`-node mask.
+fn set(n: usize, mask: u64) -> NodeSet {
+    NodeSet::from_iter(n, (0..n).filter(|i| mask >> i & 1 == 1).map(NodeId::new))
+}
+
+/// The mask of a node set.
+fn mask(set: &NodeSet) -> u64 {
+    set.iter().fold(0, |m, v| m | 1 << v.index())
+}
+
+/// Applies every naive successor's decoded move to its parent through
+/// the rule kernel, on a three-level configuration under `game` (a
+/// two-level one when `green_cap = 0`), and checks it lands on the
+/// successor's red, green and blue masks.
+fn kernel_accepts_mpp_moves(
+    ctx: &str,
+    game: &Game,
+    parent: &Succ,
+    naive: &[Succ],
+    moves: &[(Rule, Vec<(usize, NodeId)>)],
+) {
+    let (n, k) = (game.dag.n(), game.k);
+    let reds = || (0..k).map(|j| set(n, parent.reds[j])).collect();
+    for (s, (rule, sel)) in naive.iter().zip(moves) {
+        let landed = if game.green_cap == 0 {
+            let mut c = Configuration {
+                reds: reds(),
+                blue: set(n, parent.blue),
+                computed: set(n, 0),
+            };
+            rules::apply(game, &mut c, *rule, sel).map(|()| (c.reds, 0, mask(&c.blue)))
+        } else {
+            let mut c = HierConfiguration {
+                reds: reds(),
+                green: set(n, parent.green),
+                blue: set(n, parent.blue),
+            };
+            let applied = rules::apply(game, &mut c, *rule, sel);
+            applied.map(|()| (c.reds, mask(&c.green), mask(&c.blue)))
+        };
+        let (r, g, b) =
+            landed.unwrap_or_else(|e| panic!("{ctx}: kernel rejects {rule:?} {sel:?}: {e:?}"));
+        let r: Vec<u64> = r.iter().map(mask).collect();
+        assert_eq!(
+            (r.as_slice(), g, b),
+            (&s.reds[..k], s.green, s.blue),
+            "{ctx}: {rule:?} {sel:?} lands elsewhere"
+        );
+    }
+}
 
 fn configs() -> (SearchConfig, SearchConfig) {
     let limits = SolveLimits::states(400_000);
@@ -62,17 +118,20 @@ fn mpp_pruned_successors_are_dominated_and_opt_preserved() {
         let inst = MppInstance::new(&dag, k, r, g);
         let ctx = format!("mpp case {case}: n={n} k={k} r={r} g={g}");
 
-        for (step, (naive, pruned)) in mpp_probe::successor_walk(&inst, None, case, WALK_STEPS)
+        for (step, walk) in mpp_probe::successor_walk(&inst, None, case, WALK_STEPS)
             .into_iter()
             .enumerate()
         {
-            for s in &pruned {
+            let (naive, pruned) = (&walk.naive, &walk.pruned);
+            let at = format!("{ctx} step {step}");
+            kernel_accepts_mpp_moves(&at, &Game::mpp(&inst), &walk.parent, naive, &walk.moves);
+            for s in pruned {
                 assert!(
                     naive.contains(s),
                     "{ctx} step {step}: pruned invented {s:?}"
                 );
             }
-            for s in &naive {
+            for s in naive {
                 if pruned.contains(s) {
                     continue;
                 }
@@ -134,17 +193,41 @@ fn spp_pruned_successors_are_dominated_and_opt_preserved() {
         };
         let ctx = format!("spp case {case} ({vname}): n={n} r={r} g={g}");
 
-        for (step, (naive, pruned)) in spp_probe::successor_walk(&inst, case, WALK_STEPS)
+        let game = Game::spp(&inst);
+        for (step, walk) in spp_probe::successor_walk(&inst, case, WALK_STEPS)
             .into_iter()
             .enumerate()
         {
-            for s in &pruned {
+            let (naive, pruned) = (&walk.naive, &walk.pruned);
+            let p = walk.parent;
+            for (s, (rule, sel)) in naive.iter().zip(&walk.moves) {
+                let mut state = SppState {
+                    red: set(n, p.red),
+                    blue: set(n, p.blue),
+                    computed: set(n, p.computed),
+                };
+                rules::apply(&game, &mut state, *rule, sel).unwrap_or_else(|e| {
+                    panic!("{ctx} step {step}: kernel rejects {rule:?} {sel:?}: {e:?}")
+                });
+                // The key tracks `computed` only in the one-shot variant.
+                let computed = if variant.one_shot {
+                    mask(&state.computed)
+                } else {
+                    0
+                };
+                assert_eq!(
+                    (mask(&state.red), mask(&state.blue), computed),
+                    (s.red, s.blue, s.computed),
+                    "{ctx} step {step}: {rule:?} {sel:?} lands elsewhere"
+                );
+            }
+            for s in pruned {
                 assert!(
                     naive.contains(s),
                     "{ctx} step {step}: pruned invented {s:?}"
                 );
             }
-            for s in &naive {
+            for s in naive {
                 if pruned.contains(s) {
                     continue;
                 }
@@ -203,16 +286,23 @@ fn hier_pruned_successors_are_dominated_and_opt_preserved() {
         let ctx =
             format!("hier case {case}: n={n} k={k} r={r} g={g} cap={green_cap} gc={green_cost}");
 
+        let game = Game {
+            green_cap,
+            ..Game::mpp(&inst.mpp_instance())
+        };
         let walk =
             mpp_probe::successor_walk(&inst.mpp_instance(), inst.green_tier(), case, WALK_STEPS);
-        for (step, (naive, pruned)) in walk.into_iter().enumerate() {
-            for s in &pruned {
+        for (step, walk) in walk.into_iter().enumerate() {
+            let (naive, pruned) = (&walk.naive, &walk.pruned);
+            let at = format!("{ctx} step {step}");
+            kernel_accepts_mpp_moves(&at, &game, &walk.parent, naive, &walk.moves);
+            for s in pruned {
                 assert!(
                     naive.contains(s),
                     "{ctx} step {step}: pruned invented {s:?}"
                 );
             }
-            for s in &naive {
+            for s in naive {
                 if pruned.contains(s) {
                     continue;
                 }
