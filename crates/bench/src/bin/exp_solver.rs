@@ -7,9 +7,8 @@
 //! bands, anchors}` sweep of the sharded parallel engine — checking all
 //! optima agree — and reports per-instance wall time, settled-state
 //! counts, packed-arena memory (peak bytes and bytes per interned
-//! state, against a measured reconstruction of the legacy
-//! `HashMap<Key, Entry>` closed-set layout), cross-shard traffic per
-//! partition mode, and aggregate speedups.
+//! state), cross-shard traffic per partition mode, and aggregate
+//! speedups.
 //! Results land in `BENCH_solver.json` for commit-to-commit comparison;
 //! the EXPERIMENTS speedup table is regenerated from this run. The
 //! host's `hardware_threads` is recorded alongside a `sweep_valid`
@@ -28,8 +27,8 @@ use std::time::Instant;
 use rbp_bench::{banner, par_sweep, Table};
 use rbp_core::rbp_dag::{generators, Dag};
 use rbp_core::{solve_mpp_with, MppInstance, PartitionMode, SearchConfig, SearchStats};
+use rbp_util::env_seed;
 use rbp_util::json::Json;
-use rbp_util::{env_seed, FxHashMap};
 
 struct Case {
     dag: Dag,
@@ -56,9 +55,6 @@ struct Outcome {
     base_stats: SearchStats,
     opt_ns: u64,
     opt_stats: SearchStats,
-    /// Measured allocation of the pre-arena closed set for the same
-    /// interned-state count (see [`legacy_closed_set_bytes`]).
-    legacy_bytes: u64,
     sweep: Vec<SweepPoint>,
 }
 
@@ -71,53 +67,6 @@ impl Outcome {
             .find(|p| p.threads == threads && p.partition == partition)
             .expect("full threads x partition sweep")
     }
-}
-
-/// The pre-arena closed-set layout, reconstructed so its footprint can
-/// be *measured* rather than modeled: `FxHashMap<Key, Entry<Key>>` with
-/// `Key = {reds: [u64; 4], blue: u64}` (40 bytes regardless of `k`) and
-/// `Entry = {dist, parent: Key, mv}` cloning the full key again as the
-/// parent link (56 bytes padded).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct LegacyKey {
-    reds: [u64; 4],
-    blue: u64,
-}
-
-/// Never read back — the struct exists only to size the allocation.
-#[allow(dead_code)]
-struct LegacyEntry {
-    dist: u64,
-    parent: LegacyKey,
-    mv: u32,
-}
-
-/// Allocated bytes of the pre-arena closed set for `states` stored
-/// entries, measured by replaying that many distinct insertions into
-/// the identical map type and reading back its real capacity. The
-/// SwissTable behind `std::HashMap` stores the `(Key, Entry)` pair
-/// inline per bucket plus one control byte, with power-of-two bucket
-/// counts grown at 7/8 load — so the *allocated* bytes per state vary
-/// with where the final size lands between doublings, exactly like the
-/// packed arena's capacity-based figure it is compared against.
-fn legacy_closed_set_bytes(states: u64) -> u64 {
-    let mut map: FxHashMap<LegacyKey, LegacyEntry> = FxHashMap::default();
-    for i in 0..states {
-        let key = LegacyKey {
-            reds: [i, 0, 0, 0],
-            blue: !i,
-        };
-        let entry = LegacyEntry {
-            dist: i,
-            parent: key,
-            mv: 0,
-        };
-        map.insert(key, entry);
-    }
-    // Usable capacity is 7/8 of the power-of-two bucket count.
-    let buckets = (map.capacity() * 8 / 7).next_power_of_two();
-    let pair = std::mem::size_of::<(LegacyKey, LegacyEntry)>();
-    (buckets * (pair + 1)) as u64
 }
 
 fn grid_cases(quick: bool) -> Vec<Case> {
@@ -215,7 +164,6 @@ fn run_case(case: &Case, do_sweep: bool) -> Outcome {
         base_ns,
         base_stats: base.stats,
         opt_ns,
-        legacy_bytes: legacy_closed_set_bytes(opt.stats.arena_states),
         opt_stats: opt.stats,
         sweep,
     }
@@ -247,7 +195,6 @@ fn main() {
         "settled x",
         "wall x",
         "bytes/st",
-        "mem x",
         "t2 ms",
         "t4 ms",
         "send redux",
@@ -256,7 +203,6 @@ fn main() {
     let (mut k2_settled_base, mut k2_settled_opt) = (0u64, 0u64);
     let (mut k2_ns_base, mut k2_ns_opt) = (0u64, 0u64);
     let (mut k2_arena_bytes, mut k2_arena_states) = (0u64, 0u64);
-    let mut k2_legacy_bytes = 0u64;
     let mut k2_thread_ns = [0u64; 2];
     // Per-partition t=4 traffic aggregates (indexed like PartitionMode::ALL).
     let mut k2_t4_sends = [0u64; 3];
@@ -296,10 +242,6 @@ fn main() {
             format!("{settled_x:.1}x"),
             format!("{wall_x:.1}x"),
             format!("{:.1}", o.opt_stats.bytes_per_state()),
-            format!(
-                "{:.1}x",
-                o.legacy_bytes as f64 / o.opt_stats.arena_peak_bytes.max(1) as f64
-            ),
             t2_ms,
             t4_ms,
             send_redux,
@@ -311,7 +253,6 @@ fn main() {
             k2_ns_opt += o.opt_ns;
             k2_arena_bytes += o.opt_stats.arena_peak_bytes;
             k2_arena_states += o.opt_stats.arena_states;
-            k2_legacy_bytes += o.legacy_bytes;
             if !o.sweep.is_empty() {
                 for (slot, threads) in k2_thread_ns.iter_mut().zip([2usize, 4]) {
                     *slot += o.point(threads, PartitionMode::Hash).wall_ns;
@@ -359,7 +300,6 @@ fn main() {
                 "opt_bytes_per_state",
                 Json::from(o.opt_stats.bytes_per_state()),
             ),
-            ("legacy_bytes", Json::from(o.legacy_bytes)),
             ("sweep", Json::Arr(sweep_json)),
         ]));
     }
@@ -367,21 +307,15 @@ fn main() {
 
     let settled_speedup = k2_settled_base as f64 / k2_settled_opt.max(1) as f64;
     let wall_speedup = k2_ns_base as f64 / k2_ns_opt.max(1) as f64;
-    // Per *interned* state on both sides (each layout stores every
-    // relaxed state, not just settled ones), allocation-measured on
-    // both sides — see `legacy_closed_set_bytes`.
+    // Per *interned* state (the arena stores every relaxed state, not
+    // just settled ones).
     let bytes_per_state = k2_arena_bytes as f64 / k2_arena_states.max(1) as f64;
-    let legacy_per_state = k2_legacy_bytes as f64 / k2_arena_states.max(1) as f64;
-    let bytes_reduction = k2_legacy_bytes as f64 / k2_arena_bytes.max(1) as f64;
     rbp_trace::gauge("exp_solver.sweep_valid", f64::from(u8::from(sweep_valid)));
     println!(
         "\naggregate over k>=2, n>=8: settled-state reduction {settled_speedup:.1}x, \
          wall-clock speedup {wall_speedup:.1}x"
     );
-    println!(
-        "memory: {bytes_per_state:.1} bytes/interned state packed vs \
-         {legacy_per_state:.1} measured pre-arena layout ({bytes_reduction:.1}x smaller)"
-    );
+    println!("memory: {bytes_per_state:.1} bytes/interned state packed");
     let sends_per_settled = |i: usize| k2_t4_sends[i] as f64 / k2_t4_settled[i].max(1) as f64;
     if sweep_valid {
         for (i, threads) in [2usize, 4].into_iter().enumerate() {
@@ -461,10 +395,7 @@ fn main() {
                 ("opt_wall_ns", Json::from(k2_ns_opt)),
                 ("arena_peak_bytes", Json::from(k2_arena_bytes)),
                 ("arena_states", Json::from(k2_arena_states)),
-                ("legacy_bytes", Json::from(k2_legacy_bytes)),
                 ("bytes_per_state", Json::from(bytes_per_state)),
-                ("legacy_bytes_per_state", Json::from(legacy_per_state)),
-                ("bytes_reduction", Json::from(bytes_reduction)),
                 ("threads", Json::Arr(thread_aggregate)),
                 ("partitions_t4", Json::Arr(partition_aggregate)),
             ]),

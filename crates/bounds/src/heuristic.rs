@@ -20,6 +20,7 @@
 //! - in sink-to-blue variants, unsaved sinks must be stored, `≤ k` per
 //!   store step. The three step classes are disjoint, so the terms add.
 
+use rbp_core::rules::Game;
 use rbp_core::{AdmissibleHeuristic, MppInstance, SppInstance};
 
 /// Lower bound on the total cost of `instance` obtained by evaluating
@@ -34,7 +35,7 @@ pub fn mpp_initial_lower(instance: &MppInstance) -> Option<u64> {
     if instance.dag.n() > 64 {
         return None;
     }
-    let h = AdmissibleHeuristic::for_mpp(instance);
+    let h = AdmissibleHeuristic::new(&Game::mpp(instance), instance.model, 0);
     // The empty start state is never "dead", so eval yields a bound.
     h.eval(0, 0, 0)
 }
@@ -46,7 +47,7 @@ pub fn spp_initial_lower(instance: &SppInstance) -> Option<u64> {
     if instance.dag.n() > 64 {
         return None;
     }
-    let h = AdmissibleHeuristic::for_spp(instance);
+    let h = AdmissibleHeuristic::new(&Game::spp(instance), instance.model, 0);
     let start_blue: u64 = if instance.variant.sources_start_blue {
         instance
             .dag

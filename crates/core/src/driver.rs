@@ -1,11 +1,12 @@
 //! Sequential and hash-sharded parallel A\* drivers over the [`Domain`]
 //! abstraction.
 //!
-//! Both exact solvers (MPP, with or without the three-level game's
-//! green tier, and SPP) describe their state space through
-//! [`Domain`] — packing/unpacking of bit-packed keys, goal test,
-//! admissible heuristic, successor enumeration — and the drivers here
-//! own the search loop, the packed interning arenas, and the frontier.
+//! The one exact search (every game: MPP, SPP as its one-processor
+//! case, and the three-level game's green tier) describes its state
+//! space through [`Domain`] — packing/unpacking of bit-packed keys,
+//! goal test, admissible heuristic, successor enumeration — and the
+//! drivers here own the search loop, the packed interning arenas, and
+//! the frontier.
 //!
 //! `threads = 1` runs [`sequential`]: the classic A\* loop, stopping at
 //! the first goal pop (optimal under the consistent heuristic), with
@@ -69,8 +70,9 @@ pub type EmitFn<'a, K> = &'a mut dyn FnMut(K, u64, PackedMove, HeurThunk<'_>);
 /// Implementations canonicalize inside [`Domain::expand`] (the driver
 /// never sees raw states) and must keep the emission order
 /// deterministic — the sequential engine's tie-breaking, and therefore
-/// its exact witness, depends on it. The MPP domain (with or without
-/// the three-level green tier) and the SPP domain implement it.
+/// its exact witness, depends on it. The search domain of
+/// `mpp/exact.rs` (every game) implements it, and the incumbent probe
+/// wraps it in `InflatedDomain`.
 pub trait Domain: Sync {
     /// Unpacked state (solver-native masks).
     type Key: Copy;
@@ -108,8 +110,8 @@ pub trait Domain: Sync {
     fn expand(&self, key: &Self::Key, scratch: &mut Self::Scratch, emit: EmitFn<'_, Self::Key>);
     /// Drains the phase counters [`Domain::expand`] accumulated into
     /// `scratch` since the last call. The default reports nothing;
-    /// domains that embed a [`crate::PhaseProf`] in their scratch
-    /// override it so the drivers can aggregate hot-path accounting.
+    /// domains whose scratch is a phase profiler override it so the
+    /// drivers can aggregate hot-path accounting.
     fn take_phases(&self, _scratch: &mut Self::Scratch) -> PhaseStats {
         PhaseStats::default()
     }
@@ -162,8 +164,10 @@ impl<K> DriverOutcome<K> {
 }
 
 /// Entry point: dispatches on `config.threads` (clamped to
-/// `1..=MAX_THREADS`).
+/// `1..=MAX_THREADS`). The deadline in `config.limits` counts from this
+/// call, across the incumbent probe and the exact search.
 pub fn search<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::Key> {
+    let start = Instant::now();
     let threads = config.threads.clamp(1, MAX_THREADS);
     // A weighted-A* probe for a feasible schedule seeds an incumbent:
     // the exact search then discards every successor whose f-value
@@ -175,14 +179,14 @@ pub fn search<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::
     // the heuristic exists to guide the probe and compute f — a
     // baseline run keeps the unpruned search it is meant to measure.
     let incumbent = if config.heuristic {
-        probe_upper_bound(domain, config)
+        probe_upper_bound(domain, config, start)
     } else {
         None
     };
     if threads == 1 {
-        sequential(domain, config, incumbent)
+        sequential(domain, config, incumbent, start)
     } else {
-        parallel(domain, config, threads, incumbent)
+        parallel(domain, config, threads, incumbent, start)
     }
 }
 
@@ -266,8 +270,13 @@ impl<D: Domain> Domain for InflatedDomain<'_, D> {
 /// [`Domain::expand`] edges from the root and `g` accumulates real
 /// edge costs, so the distance of any goal it settles is the cost of
 /// an actual schedule. The inflation only affects *which* goal greedy
-/// descent reaches first.
-fn probe_upper_bound<D: Domain>(domain: &D, config: &SearchConfig) -> Option<Incumbent<D::Key>> {
+/// descent reaches first. The probe shares the solve's deadline, counted
+/// from `start`.
+fn probe_upper_bound<D: Domain>(
+    domain: &D,
+    config: &SearchConfig,
+    start: Instant,
+) -> Option<Incumbent<D::Key>> {
     let probe_config = SearchConfig {
         threads: 1,
         limits: SolveLimits {
@@ -277,19 +286,20 @@ fn probe_upper_bound<D: Domain>(domain: &D, config: &SearchConfig) -> Option<Inc
         ..*config
     };
     let inflated = InflatedDomain { inner: domain };
-    sequential(&inflated, &probe_config, None).best
+    sequential(&inflated, &probe_config, None, start).best
 }
 
 // ---------------------------------------------------------------------
 // Sequential driver
 // ---------------------------------------------------------------------
 
+/// The classic A\* loop; the deadline counts from `start`.
 fn sequential<D: Domain>(
     domain: &D,
     config: &SearchConfig,
     incumbent: Option<Incumbent<D::Key>>,
+    start: Instant,
 ) -> DriverOutcome<D::Key> {
-    let start = Instant::now();
     let kw = domain.key_words();
     let root = domain.root();
     let mut stats = SearchStats {
@@ -983,13 +993,14 @@ impl<'a, D: Domain> Worker<'a, D> {
     }
 }
 
+/// The sharded engine; the deadline counts from `start`.
 fn parallel<D: Domain>(
     domain: &D,
     config: &SearchConfig,
     threads: usize,
     incumbent: Option<Incumbent<D::Key>>,
+    start: Instant,
 ) -> DriverOutcome<D::Key> {
-    let start = Instant::now();
     let kw = domain.key_words();
     let root = domain.root();
     let mut stats = SearchStats {

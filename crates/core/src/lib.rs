@@ -6,14 +6,16 @@
 //! - [`spp`]: the classical single-processor red-blue pebble game of
 //!   Hong & Kung, with the §3.1 variants (base, one-shot, no-deletion,
 //!   computation costs), a rule-enforcing strategy validator, an exact
-//!   optimal solver, and the Theorem 2 zero-I/O decision procedure;
+//!   optimal solver (the `k = 1` case of the one exact search), and the
+//!   Theorem 2 zero-I/O decision procedure;
 //! - [`mpp`]: the paper's multiprocessor game (§3.2) — shaded red
 //!   pebbles, batched parallel rules over shaded selections, the
 //!   `g`-weighted cost function, a validator, a step-simulation engine
 //!   for schedulers, run statistics (communication vs. spill I/O, work
-//!   balance, recomputation), and an exact solver for small instances —
-//!   optionally extended by the bounded green tier of `rbp-hier`'s
-//!   three-level game, so both games share one search;
+//!   balance, recomputation), and the one exact search for small
+//!   instances of every game: it reads the rule kernel's game — SPP
+//!   variants and `rbp-hier`'s bounded green tier included — plus the
+//!   rule costs;
 //! - [`rules`]: the one move checker every game shares — a transition
 //!   function over a small pebble-store abstraction, parameterised by
 //!   `k`, `r`, the green capacity and the SPP variant, plus the shared
@@ -58,8 +60,8 @@ pub use cost::{Cost, CostModel};
 pub use mode::GameMode;
 pub use mpp::{
     async_makespan, batchify, solve_mpp, solve_mpp_with, validate_mpp, AsyncTiming, Configuration,
-    GreenTier, IoClass, MppError, MppErrorKind, MppInstance, MppMove, MppRun, MppRunStats,
-    MppSimulator, MppSolution, MppStrategy, Pebble, ProcId,
+    IoClass, MppError, MppErrorKind, MppInstance, MppMove, MppRun, MppRunStats, MppSimulator,
+    MppSolution, MppStrategy, Pebble, ProcId,
 };
 pub use partition::PartitionMode;
 pub use search::{

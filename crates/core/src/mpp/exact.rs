@@ -1,43 +1,68 @@
-//! Exact optimal MPP solver for small instances, optionally with the
-//! green tier of the three-level game.
+//! Exact optimal search for every pebbling game on small instances.
 //!
-//! A\* search over configurations `(R^1..R^k, B)` packed into `u64`
-//! masks, built on the shared [`crate::search`] engine. Transitions are
-//! whole rule applications: all non-empty batched selections of a single
-//! rule type are enumerated (each processor independently acts or
-//! idles), so the solver exploits the paper's one-cost-per-parallel-step
-//! semantics exactly.
+//! One A\* search over configurations `(R^1..R^k, [G,] B[, C])` packed
+//! into `u64` masks, built on the shared [`crate::search`] engine,
+//! serves the paper's multiprocessor game, the single-processor game
+//! with its §3.1 variants as the `k = 1` case, and `rbp-hier`'s
+//! three-level game. [`solve_game`] reads the rule kernel's [`Game`] —
+//! `k`, `r`, the green capacity and the SPP variant — plus the rule
+//! costs, so the move checker and the search share one description of
+//! the game. Transitions are whole rule applications: all non-empty
+//! batched selections of a single rule type are enumerated (each
+//! processor independently acts or idles), so the solver exploits the
+//! paper's one-cost-per-parallel-step semantics exactly.
+//!
+//! The game's parameters shape the state space:
+//!
+//! - **Green tier** (`green_cap > 0`): a shared green set `G` of
+//!   bounded capacity between the red and blue memories, with one
+//!   batched store/load pair of its own cost. The green set is
+//!   invariant under shade relabeling, so symmetry and the permutation
+//!   trail carry over; green pebbles are evicted lazily when the tier is
+//!   full and stored at most into its free slots; and `G ∪ B` plays the
+//!   blue role in the goal test and the heuristic, whose reload cost
+//!   drops to `min(g, green)`.
+//! - **One-shot**: an ever-computed mask `C`, packed after blue, forbids
+//!   a second compute. A state whose needed nodes were computed and
+//!   dropped is dead — the heuristic returns `None` — and is pruned
+//!   exactly.
+//! - **Hong–Kung convention**: the root's blue set holds the sources,
+//!   which are never computed, and the goal requires blue sinks.
+//! - **No deletion**: no eviction is generated.
+//!
+//! Without a tier or the one-shot variant the key packs the `k + 1`
+//! two-level fields, and the green and ever-computed masks share one
+//! slot of the unpacked key (no game has both). The key's red array is
+//! sized by `k` (a const generic, dispatched once per solve), so the
+//! per-expansion cost scales with the processor count.
 //!
 //! State-space reductions, all correctness-preserving:
 //!
 //! - **Processor symmetry.** Processors are interchangeable (equal
-//!   capacity `r`, shared blue memory), so configurations differing only
-//!   by a relabeling of shades are equivalent. Keys are canonicalized by
-//!   sorting the per-processor red masks, collapsing up to `k!`
-//!   states into one; witness reconstruction re-applies the permutation
-//!   trail so the returned strategy uses consistent concrete labels.
-//! - **Admissible heuristic.** `ceil(|needed| / k) · compute`, where
-//!   `needed` is the set of nodes that provably must still be computed
-//!   (see [`crate::search::AdmissibleHeuristic`]). With the heuristic
+//!   capacity `r`, shared green and blue memory), so configurations
+//!   differing only by a relabeling of shades are equivalent. Keys are
+//!   canonicalized by sorting the per-processor red masks, collapsing up
+//!   to `k!` states into one; witness reconstruction re-applies the
+//!   permutation trail so the returned strategy uses consistent concrete
+//!   labels. Vacuous with one processor, where it is skipped.
+//! - **Admissible heuristic.** `ceil(|needed| / k) · compute` plus
+//!   re-entry and forced-I/O terms, where `needed` is the set of nodes
+//!   that provably must still be computed (see
+//!   [`crate::search::AdmissibleHeuristic`]). With the heuristic
 //!   disabled the solver degenerates to the original uniform-cost
 //!   search.
 //! - The two classic normalizations: blue pebbles are never deleted,
 //!   and red deletions are generated lazily, only on a processor at
 //!   capacity (`≥ r`, so a capacity-1 processor still makes progress).
-//!
-//! **Green tier.** `rbp-hier`'s three-level game adds a shared green
-//! set `G` of bounded capacity between the red and blue memories, with
-//! one batched store/load pair of its own cost ([`GreenTier`]).
-//! [`solve_tiered`] searches `(R^1..R^k, G, B)` with the same kernel:
-//! the green set is invariant under shade relabeling, so symmetry and
-//! the permutation trail carry over; green pebbles are evicted lazily
-//! when the tier is full and stored at most into its free slots; and
-//! `G ∪ B` plays the blue role in the goal test and the heuristic,
-//! whose reload cost drops to `min(g, green)`. Without a tier the green
-//! mask stays empty and the key packs the `k + 1` two-level fields.
+//! - **Dominance.** Only inclusion-maximal batches are generated (see
+//!   `Batches`). With one processor a compute batch is one node, so
+//!   recomputing a stored node is dominated by reloading it when
+//!   `g ≤ compute` outside the one-shot variant: the load reaches the
+//!   identical successor at no greater cost.
 //!
 //! Complexity is brutal by design (the problem is NP-hard even for
-//! 2-layer DAGs, Lemma 2): intended for `n ≤ ~10`, `k ≤ 4`.
+//! 2-layer DAGs, Lemma 2): intended for `n ≤ ~10` at `k ≤ 4`, and
+//! `n ≤ ~14` for one processor.
 
 use rbp_dag::NodeId;
 use rbp_util::Json;
@@ -45,16 +70,44 @@ use rbp_util::Json;
 use crate::arena::{pack_fields, unpack_fields, words_for};
 use crate::driver::{self, Domain, EmitFn};
 use crate::partition::Partition;
-use crate::rules::Rule;
+use crate::rules::{Game, Rule};
 use crate::search::{
-    trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchOutcome,
-    StopReason, MAX_THREADS,
+    game_masks, trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig,
+    SearchOutcome, StopReason, MAX_THREADS,
 };
 use crate::{
-    AdmissibleHeuristic, Cost, MppInstance, MppMove, MppStrategy, Pebble, ProcId, SolveLimits,
+    AdmissibleHeuristic, Cost, CostModel, MppInstance, MppMove, MppStrategy, Pebble, ProcId,
+    SolveLimits,
 };
 
 const MAX_K: usize = 4;
+
+/// Evaluates `$body` with the constant `$K` bound to the processor
+/// count `$k` when the search supports it (`1..=MAX_K`), `$other`
+/// otherwise.
+macro_rules! with_k {
+    ($k:expr, $K:ident => $body:expr, _ => $other:expr) => {
+        match $k {
+            1 => {
+                const $K: usize = 1;
+                $body
+            }
+            2 => {
+                const $K: usize = 2;
+                $body
+            }
+            3 => {
+                const $K: usize = 3;
+                $body
+            }
+            4 => {
+                const $K: usize = 4;
+                $body
+            }
+            _ => $other,
+        }
+    };
+}
 
 /// An optimal solution found by [`solve`].
 #[derive(Debug, Clone)]
@@ -65,17 +118,6 @@ pub struct MppSolution {
     pub cost: Cost,
     /// A witness strategy achieving `total`.
     pub strategy: MppStrategy,
-}
-
-/// The shared, bounded mid-level (green) memory of the three-level
-/// game: at most `cap` green pebbles, and `cost` per batched green
-/// store or load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GreenTier {
-    /// Green capacity (the search supports at most 64).
-    pub cap: usize,
-    /// Cost of one batched green store or load.
-    pub cost: u64,
 }
 
 /// Rules by packed-move tag (`Rule as u32`). The search never deletes
@@ -90,24 +132,22 @@ const RULES: [Rule; 7] = [
     Rule::RemoveGreen,
 ];
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct Key {
-    reds: [u64; MAX_K],
-    green: u64,
+/// A search state: one red mask per processor, the shared blue mask,
+/// and one variant mask `extra` — the green set with a tier, the
+/// ever-computed set under one-shot, empty otherwise (so states
+/// collapse). No game needs both (the search rejects one that would),
+/// which keeps the one-processor key at three words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key<const K: usize> {
+    reds: [u64; K],
     blue: u64,
+    extra: u64,
 }
 
-impl Key {
+impl<const K: usize> Key<K> {
     #[inline]
     fn red_all(&self) -> u64 {
         self.reds.iter().fold(0, |a, &b| a | b)
-    }
-
-    /// The pebbles outside fast memory: green joins blue as "available
-    /// without recomputing" for the goal test and the heuristic.
-    #[inline]
-    fn outer(&self) -> u64 {
-        self.green | self.blue
     }
 }
 
@@ -117,12 +157,8 @@ impl Key {
 // the node in bits 0..=5 and, for red removals, the processor in bits
 // 6..=7.
 #[inline]
-fn encode_batch(rule: Rule, batch: &[(usize, u32)]) -> PackedMove {
-    let mut w = (rule as u32) << 28;
-    for &(j, i) in batch {
-        w |= (0x40 | i) << (7 * j as u32);
-    }
-    w
+fn batch_slot(proc: usize, node: u32) -> PackedMove {
+    (0x40 | node) << (7 * proc as u32)
 }
 
 #[inline]
@@ -143,21 +179,6 @@ fn decode(w: PackedMove, k: usize) -> (Rule, Vec<(usize, u32)>) {
         }
     }
     (rule, pairs)
-}
-
-#[inline]
-fn apply(key: &mut Key, rule: Rule, pairs: &[(usize, u32)]) {
-    for &(j, i) in pairs {
-        let bit = 1u64 << i;
-        match rule {
-            Rule::Compute | Rule::Load | Rule::LoadGreen => key.reds[j] |= bit,
-            Rule::Store => key.blue |= bit,
-            Rule::StoreGreen => key.green |= bit,
-            Rule::RemoveRed => key.reds[j] &= !bit,
-            Rule::RemoveGreen => key.green &= !bit,
-            Rule::RemoveBlue => key.blue &= !bit,
-        }
-    }
 }
 
 /// Sorts the first `len` masks descending (insertion sort; `len ≤ 4`).
@@ -183,16 +204,16 @@ fn is_sorted_desc(xs: &[u64]) -> bool {
 }
 
 /// Canonicalizes `raw` and returns the gather permutation `pi` such that
-/// `canonical.reds[q] == raw.reds[pi[q]]`. The shared green and blue
-/// sets are invariant under shade relabeling.
-fn canon_with_perm(raw: Key, k: usize, symmetry: bool) -> (Key, [usize; MAX_K]) {
-    let mut idx = [0usize, 1, 2, 3];
+/// `canonical.reds[q] == raw.reds[pi[q]]`. The shared blue and variant
+/// masks are invariant under shade relabeling.
+fn canon_with_perm<const K: usize>(raw: Key<K>, symmetry: bool) -> (Key<K>, [usize; K]) {
+    let mut idx: [usize; K] = std::array::from_fn(|j| j);
     if !symmetry {
         return (raw, idx);
     }
-    idx[..k].sort_by(|&a, &b| raw.reds[b].cmp(&raw.reds[a]));
+    idx.sort_by(|&a, &b| raw.reds[b].cmp(&raw.reds[a]));
     let mut out = raw;
-    for (q, &i) in idx[..k].iter().enumerate() {
+    for (q, &i) in idx.iter().enumerate() {
         out.reds[q] = raw.reds[i];
     }
     (out, idx)
@@ -226,16 +247,24 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
             ("partition", Json::from(config.partition.as_str())),
         ],
     );
-    solve_tiered(instance, None, config, "mpp", |rule, batch| match rule {
-        Rule::Compute => MppMove::Compute(batch),
-        Rule::Load => MppMove::Load(batch),
-        Rule::Store => MppMove::Store(batch),
-        Rule::RemoveRed => MppMove::Remove(Pebble::Red(batch[0].0, batch[0].1)),
-        Rule::RemoveBlue => MppMove::Remove(Pebble::Blue(batch[0].1)),
-        Rule::LoadGreen | Rule::StoreGreen | Rule::RemoveGreen => {
-            unreachable!("green rule without a green tier")
-        }
-    })
+    let game = Game::mpp(instance);
+    solve_game(
+        &game,
+        instance.model,
+        0,
+        config,
+        "mpp",
+        |rule, batch| match rule {
+            Rule::Compute => MppMove::Compute(batch),
+            Rule::Load => MppMove::Load(batch),
+            Rule::Store => MppMove::Store(batch),
+            Rule::RemoveRed => MppMove::Remove(Pebble::Red(batch[0].0, batch[0].1)),
+            Rule::RemoveBlue => MppMove::Remove(Pebble::Blue(batch[0].1)),
+            Rule::LoadGreen | Rule::StoreGreen | Rule::RemoveGreen => {
+                unreachable!("green rule without a green tier")
+            }
+        },
+    )
     .map(|(total, moves)| {
         let strategy = MppStrategy::from_moves(moves);
         let cost = strategy
@@ -250,44 +279,29 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
     })
 }
 
-/// The search behind [`solve_with`] and `rbp-hier`'s three-level
-/// solver: solves `instance`, extended by the green `tier` when given,
-/// and reports the search counters under `solver.<which>.*` trace
-/// names. The solution is the optimal total plus the witness, one
-/// `step(rule, selection)` per move with the shaded selection under
-/// concrete processor labels; the caller builds its own move type from
-/// those steps and validates the strategy.
+/// The search behind every exact solver: solves `game` under the
+/// `model` costs — plus `green_cost` per green store or load, read only
+/// when the game has a green tier — and reports the search counters
+/// under `solver.<which>.*` trace names. The solution is the optimal
+/// total plus the witness, one `step(rule, selection)` per move with the
+/// shaded selection under concrete processor labels; the caller builds
+/// its own move type from those steps and validates the strategy.
 ///
-/// Unsupported (`None` with [`StopReason::Unsupported`]) when the
-/// instance is infeasible (`r ≤ Δ_in`), too large (`n > 64` or
-/// `k > 4`), or the tier holds more than 64 pebbles.
+/// Unsupported (`None` with [`StopReason::Unsupported`]) when the game
+/// is infeasible (`r ≤ Δ_in`), too large for the packed key (`n > 64`,
+/// `k > 4` or a green capacity above 64), or both three-level and
+/// one-shot.
 #[must_use]
-pub fn solve_tiered<M>(
-    instance: &MppInstance,
-    tier: Option<GreenTier>,
+pub fn solve_game<M>(
+    game: &Game,
+    model: CostModel,
+    green_cost: u64,
     config: &SearchConfig,
     which: &str,
     step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
 ) -> SearchOutcome<(u64, Vec<M>)> {
-    let out = if instance.dag.n() == 0 && supported(instance.k, tier) {
-        SearchOutcome {
-            solution: Some((0, Vec::new())),
-            ..SearchOutcome::stopped(StopReason::Solved)
-        }
-    } else if let Some(domain) = build_domain(instance, tier, config) {
-        let out = driver::search(&domain, config);
-        SearchOutcome {
-            solution: out
-                .best
-                .map(|(total, path)| (total, reconstruct(instance.k, path, config.symmetry, step))),
-            stats: out.stats,
-            reason: out.reason,
-            shards: out.shards,
-            phases: out.phases,
-        }
-    } else {
-        SearchOutcome::stopped(StopReason::Unsupported)
-    };
+    let out = with_k!(game.k, K => solve_k::<K, M>(game, model, green_cost, config, step),
+        _ => SearchOutcome::stopped(StopReason::Unsupported));
     out.stats
         .trace(which, out.solution.as_ref().map(|&(total, _)| total));
     trace_shards(which, &out.shards);
@@ -295,97 +309,297 @@ pub fn solve_tiered<M>(
     out
 }
 
-/// The MPP state space described for the shared search drivers: keys
-/// are `(R^1..R^k, [G,] B)` masks bit-packed to `(k+1) * n` bits, plus
-/// `n` for the green field when a tier exists; successors are whole
-/// batched rule applications (canonicalized under processor symmetry
-/// before emission).
-struct MppDomain {
+fn solve_k<const K: usize, M>(
+    game: &Game,
+    model: CostModel,
+    green_cost: u64,
+    config: &SearchConfig,
+    step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
+) -> SearchOutcome<(u64, Vec<M>)> {
+    if game.dag.n() == 0 && game.green_cap <= 64 {
+        return SearchOutcome {
+            solution: Some((0, Vec::new())),
+            ..SearchOutcome::stopped(StopReason::Solved)
+        };
+    }
+    let Some(domain) = MppDomain::<K>::build(game, model, green_cost, config) else {
+        return SearchOutcome::stopped(StopReason::Unsupported);
+    };
+    // A dead root (one-shot variants) is caught by the driver through
+    // the heuristic's `None` and reported as `Exhausted`.
+    let out = driver::search(&domain, config);
+    SearchOutcome {
+        solution: out
+            .best
+            .map(|(total, path)| (total, domain.reconstruct(path, step))),
+        stats: out.stats,
+        reason: out.reason,
+        shards: out.shards,
+        phases: out.phases,
+    }
+}
+
+/// A game's state space described for the shared search drivers: keys
+/// are `(R^1..R^k, [G,] B[, C])` masks bit-packed to `n` bits a field —
+/// the green field with a tier, the ever-computed field under one-shot;
+/// successors are whole batched rule applications (canonicalized under
+/// processor symmetry before emission).
+struct MppDomain<const K: usize> {
     n: usize,
-    k: usize,
+    /// Packed fields: the red masks, the green mask if a tier exists,
+    /// the blue mask, and the ever-computed mask under one-shot.
+    fields: usize,
     r: usize,
-    tier: Option<GreenTier>,
+    green_cap: usize,
+    green_cost: u64,
     compute: u64,
     g: u64,
+    /// All ones where the key's `extra` mask is the green set (a
+    /// tier exists), zero otherwise.
+    green_bits: u64,
+    /// All ones where the key's `extra` mask is the ever-computed set
+    /// (one-shot), zero otherwise.
+    computed_bits: u64,
+    no_delete: bool,
+    sinks_need_blue: bool,
+    /// Nodes rule R3 never fires on: the sources under the Hong–Kung
+    /// convention, where they also start blue.
+    sources_blue: u64,
     preds_mask: Vec<u64>,
     sinks_mask: u64,
     heur: AdmissibleHeuristic,
     use_heuristic: bool,
     symmetry: bool,
     dominance: bool,
+    /// Recomputing a blue node is dominated by reloading it: the
+    /// successors coincide and `g ≤ compute`. Sound only where a compute
+    /// batch is one node (`k = 1`) and outside the one-shot variant,
+    /// whose successors differ in the ever-computed mask.
+    reload_dominates: bool,
     max_priority: u64,
     partition: Partition,
 }
 
-impl MppDomain {
-    /// Packed fields: the red masks, the green mask if a tier exists,
-    /// and the blue mask.
-    fn fields(&self) -> usize {
-        self.k + 1 + usize::from(self.tier.is_some())
+impl<const K: usize> MppDomain<K> {
+    /// Builds the search domain for a supported, non-empty, feasible
+    /// game; `None` otherwise (the caller distinguishes the trivial
+    /// `n == 0` case itself).
+    fn build(
+        game: &Game,
+        model: CostModel,
+        green_cost: u64,
+        config: &SearchConfig,
+    ) -> Option<Self> {
+        debug_assert_eq!(game.k, K);
+        let dag = game.dag;
+        let n = dag.n();
+        let variant = game.variant;
+        let fields = K + 1 + usize::from(game.green_cap > 0 || variant.one_shot);
+        if n == 0
+            || n > 64
+            || game.green_cap > 64
+            || (game.green_cap > 0 && variant.one_shot)
+            || game.r <= dag.max_in_degree()
+        {
+            return None;
+        }
+        let (preds_mask, sinks_mask, sources_blue) = game_masks(game);
+
+        // Priority ceiling for the bucket representation: twice a
+        // trivial upper bound — Lemma 1's, plus a load of every source
+        // and a store of every sink for the Hong–Kung convention; the
+        // game can always ignore the green tier — covers every f-value
+        // the search can push.
+        let ub = (model.g * (dag.max_in_degree() as u64 + 1))
+            .saturating_add(model.compute)
+            .saturating_mul(n as u64)
+            .saturating_add(model.g.saturating_mul(2 * n as u64));
+        let tier_cost = if game.green_cap > 0 { green_cost } else { 0 };
+        let max_priority = ub.saturating_mul(2).saturating_add(
+            model
+                .g
+                .saturating_add(model.compute)
+                .saturating_add(tier_cost),
+        );
+
+        Some(MppDomain {
+            n,
+            fields,
+            r: game.r,
+            green_cap: game.green_cap,
+            green_cost,
+            compute: model.compute,
+            g: model.g,
+            green_bits: if game.green_cap > 0 { u64::MAX } else { 0 },
+            computed_bits: if variant.one_shot { u64::MAX } else { 0 },
+            no_delete: variant.no_delete,
+            sinks_need_blue: variant.sinks_need_blue,
+            sources_blue,
+            preds_mask,
+            sinks_mask,
+            heur: AdmissibleHeuristic::new(game, model, green_cost),
+            use_heuristic: config.heuristic,
+            symmetry: config.symmetry,
+            dominance: config.dominance,
+            reload_dominates: config.dominance
+                && K == 1
+                && !variant.one_shot
+                && model.g <= model.compute,
+            max_priority,
+            partition: Partition::build(
+                config.partition,
+                dag,
+                config.threads.clamp(1, MAX_THREADS),
+            ),
+        })
     }
-}
 
-/// Reused per-worker expansion buffers (allocation-free inner loop) and
-/// the embedded phase profiler the driver drains via `take_phases`.
-struct MppScratch {
-    batch: Vec<(usize, u32)>,
-    prof: PhaseProf,
-}
+    /// The green set of `key` (empty without a tier).
+    #[inline]
+    fn green(&self, key: &Key<K>) -> u64 {
+        key.extra & self.green_bits
+    }
 
-impl Default for MppScratch {
-    fn default() -> Self {
-        MppScratch {
-            batch: Vec::with_capacity(MAX_K),
-            prof: PhaseProf::default(),
+    /// The ever-computed set of `key` (empty outside one-shot).
+    #[inline]
+    fn computed(&self, key: &Key<K>) -> u64 {
+        key.extra & self.computed_bits
+    }
+
+    /// The pebbles outside fast memory: green joins blue as "available
+    /// without recomputing" for the goal test and the heuristic.
+    #[inline]
+    fn outer(&self, key: &Key<K>) -> u64 {
+        key.blue | self.green(key)
+    }
+
+    /// Applies one entry `(j, bit)` of a `rule` selection to `key`.
+    #[inline]
+    fn apply(&self, key: &mut Key<K>, rule: Rule, j: usize, bit: u64) {
+        match rule {
+            Rule::Compute => {
+                key.reds[j] |= bit;
+                key.extra |= bit & self.computed_bits;
+            }
+            Rule::Load | Rule::LoadGreen => key.reds[j] |= bit,
+            Rule::Store => key.blue |= bit,
+            Rule::StoreGreen => key.extra |= bit,
+            Rule::RemoveRed => key.reds[j] &= !bit,
+            Rule::RemoveGreen => key.extra &= !bit,
+            Rule::RemoveBlue => key.blue &= !bit,
         }
     }
+
+    /// Rebuilds the witness from the canonical-state parent chain.
+    ///
+    /// With symmetry reduction each stored move is expressed in the
+    /// frame of its parent's canonical representative, while the
+    /// canonical successor is a *sorted* relabeling of the raw
+    /// successor. Replaying forward, we maintain the composed
+    /// permutation `perm` (canonical index → concrete processor id) and
+    /// hand every step to `step` under concrete labels, so the strategy
+    /// validates against the ordinary rules.
+    fn reconstruct<M>(
+        &self,
+        path: Vec<(Key<K>, PackedMove)>,
+        mut step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
+    ) -> Vec<M> {
+        let mut perm: [usize; K] = std::array::from_fn(|j| j);
+        let mut cur = path.first().map_or(self.root(), |&(p, _)| p);
+        let mut moves = Vec::with_capacity(path.len());
+        for (parent, mv) in path {
+            debug_assert_eq!(parent, cur);
+            let (rule, pairs) = decode(mv, K);
+            let concrete = pairs
+                .iter()
+                .map(|&(j, i)| (perm[j], NodeId::new(i as usize)))
+                .collect();
+            moves.push(step(rule, concrete));
+            let mut raw = parent;
+            for &(j, i) in &pairs {
+                self.apply(&mut raw, rule, j, 1u64 << i);
+            }
+            let (next, pi) = canon_with_perm(raw, self.symmetry && K > 1);
+            let prev_perm = perm;
+            for q in 0..K {
+                perm[q] = prev_perm[pi[q]];
+            }
+            cur = next;
+        }
+        moves
+    }
 }
 
-/// Per-processor option masks: `f(j)` for the `k` live processors.
-#[inline]
-fn per_proc(k: usize, f: impl Fn(usize) -> u64) -> [u64; MAX_K] {
-    std::array::from_fn(|j| if j < k { f(j) } else { 0 })
-}
-
-impl Domain for MppDomain {
-    type Key = Key;
-    type Scratch = MppScratch;
+impl<const K: usize> Domain for MppDomain<K> {
+    type Key = Key<K>;
+    /// Per-worker scratch is just the phase profiler the driver drains
+    /// via `take_phases`: keys and moves live on the stack.
+    type Scratch = PhaseProf;
 
     fn key_words(&self) -> usize {
-        words_for(self.fields(), self.n)
+        words_for(self.fields, self.n)
     }
 
-    fn pack(&self, key: &Key, out: &mut [u64]) {
+    // Pack and unpack index the field array with constants only, one
+    // branch per layout (`extra` goes before blue with a tier, after it
+    // under one-shot): that keeps a one-processor solve as fast as the
+    // single-processor key this layout replaced, where runtime indices
+    // and lengths measured ~3% slower.
+    fn pack(&self, key: &Key<K>, out: &mut [u64]) {
         let mut fields = [0u64; MAX_K + 2];
-        fields[..self.k].copy_from_slice(&key.reds[..self.k]);
-        fields[self.k] = key.green;
-        fields[self.fields() - 1] = key.blue;
-        pack_fields(&fields[..self.fields()], self.n, out);
-    }
-
-    fn unpack(&self, words: &[u64]) -> Key {
-        let mut fields = [0u64; MAX_K + 2];
-        unpack_fields(words, self.n, &mut fields[..self.fields()]);
-        let mut key = Key::default();
-        key.reds[..self.k].copy_from_slice(&fields[..self.k]);
-        if self.tier.is_some() {
-            key.green = fields[self.k];
+        fields[..K].copy_from_slice(&key.reds);
+        (fields[K], fields[K + 1]) = if self.green_cap > 0 {
+            (key.extra, key.blue)
+        } else {
+            (key.blue, key.extra)
+        };
+        if self.fields == K + 1 {
+            pack_fields(&fields[..K + 1], self.n, out);
+        } else {
+            pack_fields(&fields[..K + 2], self.n, out);
         }
-        key.blue = fields[self.fields() - 1];
-        key
     }
 
-    fn root(&self) -> Key {
-        Key::default()
+    fn unpack(&self, words: &[u64]) -> Key<K> {
+        let mut fields = [0u64; MAX_K + 2];
+        if self.fields == K + 1 {
+            unpack_fields(words, self.n, &mut fields[..K + 1]);
+        } else {
+            unpack_fields(words, self.n, &mut fields[..K + 2]);
+        }
+        let (blue, extra) = if self.green_cap > 0 {
+            (fields[K + 1], fields[K])
+        } else {
+            (fields[K], fields[K + 1])
+        };
+        Key {
+            reds: std::array::from_fn(|j| fields[j]),
+            blue,
+            extra,
+        }
     }
 
-    fn is_goal(&self, key: &Key) -> bool {
-        self.sinks_mask & !(key.red_all() | key.outer()) == 0
+    fn root(&self) -> Key<K> {
+        Key {
+            reds: [0; K],
+            blue: self.sources_blue,
+            extra: 0,
+        }
     }
 
-    fn heuristic(&self, key: &Key) -> Option<u64> {
+    fn is_goal(&self, key: &Key<K>) -> bool {
+        let done = if self.sinks_need_blue {
+            key.blue
+        } else {
+            key.red_all() | self.outer(key)
+        };
+        self.sinks_mask & !done == 0
+    }
+
+    fn heuristic(&self, key: &Key<K>) -> Option<u64> {
         if self.use_heuristic {
-            self.heur.eval(key.red_all(), key.outer(), 0)
+            self.heur
+                .eval(key.red_all(), self.outer(key), self.computed(key))
         } else {
             Some(0)
         }
@@ -395,40 +609,43 @@ impl Domain for MppDomain {
         self.max_priority
     }
 
-    fn owner(&self, key: &Key, hash: u64, shards: usize) -> usize {
+    fn owner(&self, key: &Key<K>, hash: u64, shards: usize) -> usize {
         // Green pebbles are fast-memory-adjacent for locality purposes:
         // fold them into the red side of the partition signature.
         self.partition
-            .owner(key.red_all() | key.green, key.blue, hash, shards)
+            .owner(key.red_all() | self.green(key), key.blue, hash, shards)
     }
 
-    fn expand(&self, key: &Key, scratch: &mut MppScratch, emit: EmitFn<'_, Key>) {
-        let (k, r, n) = (self.k, self.r, self.n);
+    fn expand(&self, key: &Key<K>, prof: &mut PhaseProf, emit: EmitFn<'_, Key<K>>) {
+        let r = self.r;
         let key = *key;
-        let full = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let MppScratch { batch, prof } = scratch;
+        let green = self.green(&key);
 
         // Per-parent heuristic context: one from-scratch closure walk
         // whose needed set answers most successors in O(1) via
-        // `eval_delta`.
+        // `eval_delta`. `prepare` returns `None` only on dead states
+        // (one-shot variants), which the driver never expands; fall
+        // back to per-successor `eval` regardless.
         let hctx: Option<HeurCtx> = if self.use_heuristic {
             let t0 = prof.start();
             prof.stats.heur_full_evals += 1;
-            let ctx = self.heur.prepare(key.red_all(), key.outer(), 0);
+            let ctx = self
+                .heur
+                .prepare(key.red_all(), self.outer(&key), self.computed(&key));
             prof.stop_heur(t0);
-            debug_assert!(ctx.is_some(), "MPP states are never dead");
             ctx
         } else {
             None
         };
 
-        let mut emit_raw = |mut raw: Key, cost: u64, mv: PackedMove| {
-            if self.symmetry {
+        let mut emit_raw = |mut raw: Key<K>, cost: u64, mv: PackedMove| {
+            // Canonicalization is vacuous with one processor.
+            if K > 1 && self.symmetry {
                 let t0 = prof.start();
-                if is_sorted_desc(&raw.reds[..k]) {
+                if is_sorted_desc(&raw.reds) {
                     prof.stats.canon_memo_hits += 1;
                 } else {
-                    sort_desc(&mut raw.reds[..k]);
+                    sort_desc(&mut raw.reds);
                     prof.stats.canon_sorts += 1;
                 }
                 prof.stop_canon(t0);
@@ -438,92 +655,103 @@ impl Domain for MppDomain {
                     return Some(0);
                 }
                 let t0 = prof.start();
+                let (red_all, outer) = (raw.red_all(), self.outer(&raw));
+                let computed = self.computed(&raw);
                 let hv = match &hctx {
                     Some(ctx) => {
                         self.heur
-                            .eval_delta(ctx, raw.red_all(), raw.outer(), 0, &mut prof.stats)
+                            .eval_delta(ctx, red_all, outer, computed, &mut prof.stats)
                     }
-                    None => self.heur.eval(raw.red_all(), raw.outer(), 0),
+                    None => self.heur.eval(red_all, outer, computed),
                 };
                 prof.stop_heur(t0);
                 hv
             });
         };
 
-        // --- R4-M: lazy red eviction on full processors (cost 0). ---
-        for j in 0..k {
-            if key.reds[j].count_ones() as usize >= r {
-                for i in iter_bits(key.reds[j]) {
-                    let mut nk = key;
-                    nk.reds[j] &= !(1u64 << i);
-                    emit_raw(nk, 0, encode_remove(Rule::RemoveRed, j, i));
+        if !self.no_delete {
+            // --- R4-M: lazy red eviction on full processors (cost 0). ---
+            for j in 0..K {
+                if key.reds[j].count_ones() as usize >= r {
+                    for i in iter_bits(key.reds[j]) {
+                        let mut nk = key;
+                        nk.reds[j] &= !(1u64 << i);
+                        emit_raw(nk, 0, encode_remove(Rule::RemoveRed, j, i));
+                    }
                 }
             }
-        }
 
-        // --- R4-H: lazy green eviction when the tier is full (cost 0). ---
-        if let Some(tier) = self.tier {
-            if key.green.count_ones() as usize >= tier.cap {
-                for i in iter_bits(key.green) {
+            // --- R4-H: lazy green eviction when the tier is full. ---
+            if self.green_cap > 0 && green.count_ones() as usize >= self.green_cap {
+                for i in iter_bits(green) {
                     let mut nk = key;
-                    nk.green &= !(1u64 << i);
+                    nk.extra &= !(1u64 << i);
                     emit_raw(nk, 0, encode_remove(Rule::RemoveGreen, 0, i));
                 }
             }
         }
 
-        let mut suppressed = 0u64;
-        // Emits every batch over the per-processor option masks as one
-        // application of `rule` (see `for_each_batch`).
-        let mut batched =
-            |rule: Rule, opts: [u64; MAX_K], distinct: bool, budget: usize, cost: u64| {
-                for_each_batch(
-                    &opts[..k],
-                    distinct,
-                    self.dominance,
-                    budget,
-                    batch,
-                    &mut suppressed,
-                    &mut |batch| {
-                        let mut nk = key;
-                        apply(&mut nk, rule, batch);
-                        emit_raw(nk, cost, encode_batch(rule, batch));
-                    },
-                );
-            };
         let has_room = |j: usize| (key.reds[j].count_ones() as usize) < r;
+        let mut suppressed = 0u64;
 
         // --- R3-M: batched computes. ---
         // Option masks per processor: eligible nodes (not yet red here,
-        // all predecessors red here), empty at capacity.
-        let computable = per_proc(k, |j| {
+        // all predecessors red here, computable in this variant), empty
+        // at capacity.
+        let fresh = !(self.sources_blue | self.computed(&key));
+        let mut computable: [u64; K] = std::array::from_fn(|j| {
             if !has_room(j) {
                 return 0;
             }
-            iter_bits(full & !key.reds[j])
-                .filter(|&i| self.preds_mask[i as usize] & !key.reds[j] == 0)
-                .fold(0, |m, i| m | (1u64 << i))
+            let red = key.reds[j];
+            let mut ready = 0u64;
+            for (i, &pm) in self.preds_mask.iter().enumerate() {
+                if pm & !red == 0 {
+                    ready |= 1u64 << i;
+                }
+            }
+            ready & fresh & !red
         });
+        if self.reload_dominates {
+            for opts in &mut computable {
+                suppressed += u64::from((*opts & key.blue).count_ones());
+                *opts &= !key.blue;
+            }
+        }
+        // Emits every batch over the per-processor option masks as one
+        // application of `rule` (see `Batches`).
+        let mut batched = |rule: Rule, options: [u64; K], distinct: bool, budget: usize, cost| {
+            let batches = Batches {
+                domain: self,
+                rule,
+                options,
+                distinct,
+                budget,
+            };
+            batches.each(key, &mut suppressed, &mut |nk, mv| emit_raw(nk, cost, mv));
+        };
         batched(Rule::Compute, computable, false, usize::MAX, self.compute);
 
         // --- R2-M: batched blue loads (distinct vertices). ---
-        let loadable = |src: u64| per_proc(k, |j| if has_room(j) { src & !key.reds[j] } else { 0 });
+        let loadable =
+            |src: u64| std::array::from_fn(|j| if has_room(j) { src & !key.reds[j] } else { 0 });
         batched(Rule::Load, loadable(key.blue), true, usize::MAX, self.g);
 
         // --- R1-M: batched blue stores (distinct vertices). ---
         // Storing an already-blue node is structurally excluded by the
         // option mask — the other half of the dominance story.
-        let blue_stores = per_proc(k, |j| key.reds[j] & !key.blue);
+        let blue_stores = std::array::from_fn(|j| key.reds[j] & !key.blue);
         batched(Rule::Store, blue_stores, true, usize::MAX, self.g);
 
-        if let Some(tier) = self.tier {
+        if self.green_cap > 0 {
             // --- R6-H: batched green loads (distinct vertices). ---
+            let green_loads = loadable(green);
             batched(
                 Rule::LoadGreen,
-                loadable(key.green),
+                green_loads,
                 true,
                 usize::MAX,
-                tier.cost,
+                self.green_cost,
             );
 
             // --- R5-H: batched green stores (distinct vertices, bounded
@@ -531,255 +759,159 @@ impl Domain for MppDomain {
             // the free-slot cap, and maximality is judged against it, so
             // a batch filling every free slot is maximal even when idle
             // processors still hold storable values). ---
-            let free = tier.cap.saturating_sub(key.green.count_ones() as usize);
+            let free = self.green_cap.saturating_sub(green.count_ones() as usize);
             if free > 0 {
-                let green_stores = per_proc(k, |j| key.reds[j] & !key.green);
-                batched(Rule::StoreGreen, green_stores, true, free, tier.cost);
+                let green_stores = std::array::from_fn(|j| key.reds[j] & !green);
+                batched(Rule::StoreGreen, green_stores, true, free, self.green_cost);
             }
         }
 
         prof.stats.idle_suppressed += suppressed;
     }
 
-    fn take_phases(&self, scratch: &mut MppScratch) -> PhaseStats {
-        scratch.prof.take()
+    fn take_phases(&self, prof: &mut PhaseProf) -> PhaseStats {
+        prof.take()
     }
 }
 
-/// Whether the search handles `k` processors and the green tier.
-fn supported(k: usize, tier: Option<GreenTier>) -> bool {
-    (1..=MAX_K).contains(&k) && tier.is_none_or(|t| t.cap <= 64)
-}
-
-/// Builds the search domain for a supported, non-empty, feasible
-/// instance; `None` otherwise (the caller distinguishes the trivial
-/// `n == 0` case itself).
-fn build_domain(
-    instance: &MppInstance,
-    tier: Option<GreenTier>,
-    config: &SearchConfig,
-) -> Option<MppDomain> {
-    let dag = instance.dag;
-    let n = dag.n();
-    if n == 0 || n > 64 || !supported(instance.k, tier) || !instance.is_feasible() {
-        return None;
-    }
-    let model = instance.model;
-
-    let preds_mask: Vec<u64> = dag
-        .nodes()
-        .map(|v| {
-            dag.preds(v)
-                .iter()
-                .fold(0u64, |m, p| m | (1u64 << p.index()))
-        })
-        .collect();
-    let sinks_mask: u64 = dag
-        .sinks()
-        .iter()
-        .fold(0u64, |m, s| m | (1u64 << s.index()));
-
-    // Priority ceiling for the bucket representation: the game can
-    // always ignore the green tier, so twice the Lemma 1 trivial upper
-    // bound covers every f-value the search can push.
-    let ub = (model.g * (dag.max_in_degree() as u64 + 1))
-        .saturating_add(model.compute)
-        .saturating_mul(n as u64);
-    let max_priority = ub.saturating_mul(2).saturating_add(
-        model
-            .g
-            .saturating_add(model.compute)
-            .saturating_add(tier.map_or(0, |t| t.cost)),
-    );
-
-    // The heuristic's re-entry term assumes the cheapest way to
-    // re-redden an evicted value; the green tier may undercut a blue
-    // reload.
-    let mut heur = AdmissibleHeuristic::for_mpp(instance);
-    if let Some(tier) = tier {
-        heur = heur.with_load_cost(model.g.min(tier.cost));
-    }
-
-    Some(MppDomain {
-        n,
-        k: instance.k,
-        r: instance.r,
-        tier,
-        compute: model.compute,
-        g: model.g,
-        preds_mask,
-        sinks_mask,
-        heur,
-        use_heuristic: config.heuristic,
-        symmetry: config.symmetry,
-        dominance: config.dominance,
-        max_priority,
-        partition: Partition::build(config.partition, dag, config.threads.clamp(1, MAX_THREADS)),
-    })
-}
-
-/// Enumerates non-empty batches over per-processor option bitmasks:
+/// The non-empty batches of one rule over per-processor option masks:
 /// each processor picks one set bit of its mask or idles. With
-/// `distinct_vertices`, no vertex may repeat across the batch
-/// (R1-M/R2-M set semantics; for stores a repeated vertex would be a
-/// redundant double-write anyway). `budget` caps the total number of
-/// acting processors (the hierarchical green-store slot budget;
-/// `usize::MAX` otherwise). The caller provides the scratch `batch`
-/// buffer so the enumeration allocates nothing.
+/// `distinct`, no vertex may repeat across the batch (R1-M/R2-M set
+/// semantics; for stores a repeated vertex would be a redundant
+/// double-write anyway). `budget` caps the number of acting processors
+/// (the green-store slot budget; `usize::MAX` otherwise). Each batch
+/// reaches its successor key and packed move incrementally, so the
+/// enumeration allocates nothing.
 ///
-/// With `maximal` (dominance pruning), only **inclusion-maximal**
-/// batches survive: a batch where some idle processor could still be
-/// assigned an option (unused, under the budget) is rejected, because
-/// the extended batch keeps the same flat batch cost and reaches a
-/// configuration that is a pointwise superset — any completion from the
-/// partial state is simulated from the extended one (free lazy
-/// evictions shed the extra red pebble whenever a slot is needed; extra
-/// blue never hurts; the goal test is monotone coverage). Maximality is
-/// checked at the leaf against the *final* used-vertex set, never
-/// greedily per processor: with distinct vertices, forcing an early
-/// processor to take a contended vertex would wrongly prune the batch
-/// that gives it to a later processor, which no emitted batch
-/// dominates. Pruned branches/leaves are counted into `suppressed`.
-fn for_each_batch(
-    options: &[u64],
-    distinct_vertices: bool,
-    maximal: bool,
+/// With dominance pruning, only **inclusion-maximal** batches survive:
+/// a batch where some idle processor could still be assigned an option
+/// (unused, under the budget) is rejected, because the extended batch
+/// keeps the same flat batch cost and reaches a configuration that is a
+/// pointwise superset — any completion from the partial state is
+/// simulated from the extended one (free lazy evictions shed the extra
+/// red pebble whenever a slot is needed; extra blue never hurts; the
+/// goal test is monotone coverage). Maximality is checked at the leaf
+/// against the *final* used-vertex set, never greedily per processor:
+/// with distinct vertices, forcing an early processor to take a
+/// contended vertex would wrongly prune the batch that gives it to a
+/// later processor, which no emitted batch dominates. Pruned
+/// branches/leaves are counted into `suppressed`.
+struct Batches<'a, const K: usize> {
+    domain: &'a MppDomain<K>,
+    rule: Rule,
+    options: [u64; K],
+    distinct: bool,
     budget: usize,
-    batch: &mut Vec<(usize, u32)>,
-    suppressed: &mut u64,
-    f: &mut impl FnMut(&[(usize, u32)]),
-) {
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        options: &[u64],
-        j: usize,
-        distinct: bool,
-        maximal: bool,
-        budget: usize,
-        used: u64,
-        batch: &mut Vec<(usize, u32)>,
-        suppressed: &mut u64,
-        f: &mut impl FnMut(&[(usize, u32)]),
-    ) {
-        if j == options.len() {
-            if batch.is_empty() {
-                return;
-            }
-            if maximal && batch.len() < budget {
-                for (jj, &opt) in options.iter().enumerate() {
-                    if batch.iter().any(|&(b, _)| b == jj) {
-                        continue;
-                    }
-                    let ext = if distinct { opt & !used } else { opt };
-                    if ext != 0 {
-                        // Idle processor jj could still act: this batch
-                        // is dominated by the one that also assigns it.
-                        *suppressed += 1;
-                        return;
-                    }
-                }
-            }
-            f(batch);
-            return;
-        }
-        let avail = if distinct {
-            options[j] & !used
+}
+
+impl<const K: usize> Batches<'_, K> {
+    /// Calls `f(successor, packed_move)` for every batch applied to
+    /// `key`, in processor-major, ascending-vertex order.
+    #[inline]
+    fn each(&self, key: Key<K>, suppressed: &mut u64, f: &mut impl FnMut(Key<K>, PackedMove)) {
+        self.choose(0, 0, 0, key, (self.rule as u32) << 28, suppressed, f);
+    }
+
+    /// The options of processor `j` still free after `used`.
+    #[inline]
+    fn avail(&self, j: usize, used: u64) -> u64 {
+        if self.distinct {
+            self.options[j] & !used
         } else {
-            options[j]
-        };
-        let can_act = avail != 0 && batch.len() < budget;
+            self.options[j]
+        }
+    }
+
+    /// The recursion point of [`Batches::choose`], kept out of line so
+    /// that the first processor's choices inline into [`Batches::each`]
+    /// — with one processor, the whole enumeration is a plain bit loop.
+    #[allow(clippy::too_many_arguments)]
+    fn extend(
+        &self,
+        j: usize,
+        acted: usize,
+        used: u64,
+        nk: Key<K>,
+        mv: PackedMove,
+        suppressed: &mut u64,
+        f: &mut impl FnMut(Key<K>, PackedMove),
+    ) {
+        self.choose(j, acted, used, nk, mv, suppressed, f);
+    }
+
+    /// Extends the partial batch `mv` — `acted` processors below `j`
+    /// acting on the vertices `used`, reaching `nk` — by processor `j`
+    /// idling or acting.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn choose(
+        &self,
+        j: usize,
+        acted: usize,
+        used: u64,
+        nk: Key<K>,
+        mv: PackedMove,
+        suppressed: &mut u64,
+        f: &mut impl FnMut(Key<K>, PackedMove),
+    ) {
+        let avail = self.avail(j, used);
+        let can_act = avail != 0 && acted < self.budget;
+        let last = j + 1 == K;
         // Idle branch. Without distinct vertices an option can never be
         // consumed by another processor, so an idling processor that
         // could act now could still act at the leaf — cut the whole
         // subtree early instead of rejecting every leaf. Only valid
         // when the budget can never bind (a leaf that hits the budget
         // without this processor is maximal and must survive).
-        if maximal && !distinct && can_act && budget >= options.len() {
+        if self.domain.dominance && !self.distinct && can_act && self.budget >= K {
             *suppressed += 1;
+        } else if last {
+            self.leaf(acted, used, nk, mv, suppressed, f);
         } else {
-            rec(
-                options,
-                j + 1,
-                distinct,
-                maximal,
-                budget,
-                used,
-                batch,
-                suppressed,
-                f,
-            );
+            self.extend(j + 1, acted, used, nk, mv, suppressed, f);
         }
         if !can_act {
             return;
         }
-        let mut m = avail;
-        while m != 0 {
-            let i = m.trailing_zeros();
-            m &= m - 1;
-            batch.push((j, i));
-            rec(
-                options,
-                j + 1,
-                distinct,
-                maximal,
-                budget,
-                used | (1u64 << i),
-                batch,
-                suppressed,
-                f,
-            );
-            batch.pop();
+        for i in iter_bits(avail) {
+            let bit = 1u64 << i;
+            let mut next = nk;
+            self.domain.apply(&mut next, self.rule, j, bit);
+            let mv = mv | batch_slot(j, i);
+            if last {
+                self.leaf(acted + 1, used | bit, next, mv, suppressed, f);
+            } else {
+                self.extend(j + 1, acted + 1, used | bit, next, mv, suppressed, f);
+            }
         }
     }
-    batch.clear();
-    rec(
-        options,
-        0,
-        distinct_vertices,
-        maximal,
-        budget,
-        0,
-        batch,
-        suppressed,
-        f,
-    );
-}
 
-/// Rebuilds the witness from the canonical-state parent chain.
-///
-/// With symmetry reduction each stored move is expressed in the frame of
-/// its parent's canonical representative, while the canonical successor
-/// is a *sorted* relabeling of the raw successor. Replaying forward, we
-/// maintain the composed permutation `perm` (canonical index → concrete
-/// processor id) and hand every step to `step` under concrete labels,
-/// so the strategy validates against the ordinary rules.
-fn reconstruct<M>(
-    k: usize,
-    path: Vec<(Key, PackedMove)>,
-    symmetry: bool,
-    mut step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
-) -> Vec<M> {
-    let mut perm = [0usize, 1, 2, 3];
-    let mut cur = path.first().map_or(Key::default(), |&(p, _)| p);
-    let mut moves = Vec::with_capacity(path.len());
-    for (parent, mv) in path {
-        debug_assert_eq!(parent, cur);
-        let (rule, pairs) = decode(mv, k);
-        let concrete = pairs
-            .iter()
-            .map(|&(j, i)| (perm[j], NodeId::new(i as usize)))
-            .collect();
-        moves.push(step(rule, concrete));
-        let mut raw = parent;
-        apply(&mut raw, rule, &pairs);
-        let (next, pi) = canon_with_perm(raw, k, symmetry);
-        let prev_perm = perm;
-        for q in 0..k {
-            perm[q] = prev_perm[pi[q]];
+    /// Emits a complete batch unless it is empty or, under dominance
+    /// pruning, not maximal.
+    #[inline]
+    fn leaf(
+        &self,
+        acted: usize,
+        used: u64,
+        nk: Key<K>,
+        mv: PackedMove,
+        suppressed: &mut u64,
+        f: &mut impl FnMut(Key<K>, PackedMove),
+    ) {
+        if acted == 0 {
+            return;
         }
-        cur = next;
+        if self.domain.dominance && acted < self.budget {
+            let idle = |j: usize| mv & batch_slot(j, 0) == 0;
+            if (0..K).any(|j| idle(j) && self.avail(j, used) != 0) {
+                // An idle processor could still act: this batch is
+                // dominated by the one that also assigns it.
+                *suppressed += 1;
+                return;
+            }
+        }
+        f(nk, mv);
     }
-    moves
 }
 
 fn iter_bits(mut mask: u64) -> impl Iterator<Item = u32> {
@@ -801,19 +933,18 @@ pub mod probe {
     //! Exposes the raw (symmetry-off) naive vs dominance-pruned
     //! successor sets along deterministic pseudo-random walks, with the
     //! decoded move behind each naive successor — the substrate of the
-    //! successor-set equivalence property tests, with or without the
-    //! green tier — and the micro-kernels
-    //! (`canonicalize`, heuristic delta vs from-scratch, per-expansion
-    //! successor generation) timed by the `solver_kernel` bench group.
-    //! Not a public API.
+    //! successor-set equivalence property tests for every game — and
+    //! the micro-kernels (`canonicalize`, heuristic delta vs
+    //! from-scratch, per-expansion successor generation) timed by the
+    //! `solver_kernel` bench group. Not a public API.
 
     use super::*;
     use rbp_util::Rng;
 
     /// A raw successor snapshot: per-processor red masks, the shared
-    /// green and blue masks, and edge cost. Produced with symmetry
-    /// canonicalization off so set comparisons see concrete processor
-    /// labels.
+    /// green and blue masks, the ever-computed mask, and edge cost.
+    /// Produced with symmetry canonicalization off so set comparisons
+    /// see concrete processor labels.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub struct Succ {
         /// Per-processor red masks (entries `k..` are zero).
@@ -822,38 +953,41 @@ pub mod probe {
         pub green: u64,
         /// Blue mask.
         pub blue: u64,
+        /// Ever-computed mask (zero outside the one-shot variant).
+        pub computed: u64,
         /// Edge cost of the generating move.
         pub cost: u64,
     }
 
     impl Succ {
-        fn of(key: &Key, cost: u64) -> Self {
+        fn of<const K: usize>(domain: &MppDomain<K>, key: &Key<K>, cost: u64) -> Self {
             Succ {
-                reds: key.reds,
-                green: key.green,
+                reds: std::array::from_fn(|j| if j < K { key.reds[j] } else { 0 }),
+                green: domain.green(key),
                 blue: key.blue,
+                computed: domain.computed(key),
                 cost,
             }
         }
 
-        fn key(&self) -> Key {
+        fn key<const K: usize>(&self) -> Key<K> {
             Key {
-                reds: self.reds,
-                green: self.green,
+                reds: std::array::from_fn(|j| self.reds[j]),
                 blue: self.blue,
+                extra: self.green | self.computed,
             }
         }
     }
 
     /// Every successor of `key` with the packed move generating it.
-    fn expand_into(
-        domain: &MppDomain,
-        key: &Key,
-        scratch: &mut MppScratch,
+    fn expand_into<const K: usize>(
+        domain: &MppDomain<K>,
+        key: &Key<K>,
+        scratch: &mut PhaseProf,
     ) -> Vec<(Succ, PackedMove)> {
         let mut out = Vec::new();
         domain.expand(key, scratch, &mut |k2, c, mv, _hv| {
-            out.push((Succ::of(&k2, c), mv));
+            out.push((Succ::of(domain, &k2, c), mv));
         });
         out
     }
@@ -867,8 +1001,14 @@ pub mod probe {
         }
     }
 
-    /// One visited state of a successor walk (here and in the SPP
-    /// probe), with successor snapshots of type `S`.
+    /// The search domain of an MPP instance.
+    fn mpp_domain<const K: usize>(instance: &MppInstance, config: &SearchConfig) -> MppDomain<K> {
+        MppDomain::build(&Game::mpp(instance), instance.model, 0, config)
+            .expect("unsupported instance")
+    }
+
+    /// One visited state of a successor walk, with successor snapshots
+    /// of type `S`.
     #[derive(Debug, Clone)]
     pub struct WalkStep<S> {
         /// The expanded state (its `cost` is 0).
@@ -882,21 +1022,36 @@ pub mod probe {
         pub pruned: Vec<S>,
     }
 
-    /// Walks `steps` states from the root along a seeded random path
-    /// (always stepping through a *naive* successor), returning every
-    /// visited state with its naive and pruned successor sets.
-    /// Panics on unsupported instances.
+    /// Walks `steps` states of `game` (costs as in [`solve_game`]) from
+    /// the root along a seeded random path (always stepping through a
+    /// *naive* successor), returning every visited state with its naive
+    /// and pruned successor sets. Panics on unsupported games.
     #[must_use]
     pub fn successor_walk(
-        instance: &MppInstance,
-        tier: Option<GreenTier>,
+        game: &Game,
+        model: CostModel,
+        green_cost: u64,
         seed: u64,
         steps: usize,
     ) -> Vec<WalkStep<Succ>> {
-        let naive = build_domain(instance, tier, &raw_config(false)).expect("unsupported instance");
-        let pruned = build_domain(instance, tier, &raw_config(true)).expect("unsupported instance");
+        with_k!(game.k, K => walk::<K>(game, model, green_cost, seed, steps),
+            _ => panic!("unsupported instance"))
+    }
+
+    fn walk<const K: usize>(
+        game: &Game,
+        model: CostModel,
+        green_cost: u64,
+        seed: u64,
+        steps: usize,
+    ) -> Vec<WalkStep<Succ>> {
+        let build = |dominance| {
+            MppDomain::<K>::build(game, model, green_cost, &raw_config(dominance))
+                .expect("unsupported instance")
+        };
+        let (naive, pruned) = (build(false), build(true));
         let mut rng = Rng::new(seed);
-        let mut scratch = MppScratch::default();
+        let mut scratch = PhaseProf::default();
         let mut key = naive.root();
         let mut out = Vec::with_capacity(steps);
         for _ in 0..steps {
@@ -906,14 +1061,14 @@ pub mod probe {
                 break;
             }
             let decoded = |w| {
-                let (rule, pairs) = decode(w, instance.k);
+                let (rule, pairs) = decode(w, K);
                 let sel = pairs.into_iter().map(|(j, i)| (j, NodeId::new(i as usize)));
                 (rule, sel.collect())
             };
             let pruned = expand_into(&pruned, &key, &mut scratch);
             let next = ns[rng.index(ns.len())].key();
             out.push(WalkStep {
-                parent: Succ::of(&key, 0),
+                parent: Succ::of(&naive, &key, 0),
                 naive: ns,
                 moves: packed.into_iter().map(decoded).collect(),
                 pruned: pruned.into_iter().map(|(s, _)| s).collect(),
@@ -951,9 +1106,19 @@ pub mod probe {
     /// evaluations have run. Returns a checksum of the bounds.
     #[must_use]
     pub fn heur_kernel(instance: &MppInstance, iters: u64, delta: bool, seed: u64) -> u64 {
-        let domain = build_domain(instance, None, &raw_config(true)).expect("unsupported instance");
+        with_k!(instance.k, K => heur_walk::<K>(instance, iters, delta, seed),
+            _ => panic!("unsupported instance"))
+    }
+
+    fn heur_walk<const K: usize>(
+        instance: &MppInstance,
+        iters: u64,
+        delta: bool,
+        seed: u64,
+    ) -> u64 {
+        let domain = mpp_domain::<K>(instance, &raw_config(true));
         let mut rng = Rng::new(seed);
-        let mut scratch = MppScratch::default();
+        let mut scratch = PhaseProf::default();
         let mut stats = PhaseStats::default();
         let mut key = domain.root();
         let mut acc = 0u64;
@@ -966,10 +1131,11 @@ pub mod probe {
             }
             let ctx = domain
                 .heur
-                .prepare(key.red_all(), key.outer(), 0)
+                .prepare(key.red_all(), domain.outer(&key), 0)
                 .expect("MPP states are never dead");
             for (s, _) in &succs {
-                let (red_all, outer) = (s.key().red_all(), s.key().outer());
+                let next = s.key::<K>();
+                let (red_all, outer) = (next.red_all(), domain.outer(&next));
                 let hv = if delta {
                     domain.heur.eval_delta(&ctx, red_all, outer, 0, &mut stats)
                 } else {
@@ -992,13 +1158,23 @@ pub mod probe {
     /// total number of emitted successors.
     #[must_use]
     pub fn expand_kernel(instance: &MppInstance, iters: u64, dominance: bool, seed: u64) -> u64 {
+        with_k!(instance.k, K => expand_walk::<K>(instance, iters, dominance, seed),
+            _ => panic!("unsupported instance"))
+    }
+
+    fn expand_walk<const K: usize>(
+        instance: &MppInstance,
+        iters: u64,
+        dominance: bool,
+        seed: u64,
+    ) -> u64 {
         let config = SearchConfig {
             dominance,
             ..SearchConfig::default()
         };
-        let domain = build_domain(instance, None, &config).expect("unsupported instance");
+        let domain = mpp_domain::<K>(instance, &config);
         let mut rng = Rng::new(seed);
-        let mut scratch = MppScratch::default();
+        let mut scratch = PhaseProf::default();
         let mut key = domain.root();
         let mut emitted = 0u64;
         for _ in 0..iters {
@@ -1055,13 +1231,21 @@ mod tests {
 
     #[test]
     fn k1_matches_spp_with_compute_costs() {
-        use crate::{solve_spp, SppInstance};
+        // One search serves both games: at k = 1 the MPP and SPP facades
+        // walk the same state space in the same order.
+        use crate::{solve_spp_with, SppInstance};
         let d = generators::binary_in_tree(4);
         for r in 3..=4 {
-            let mpp = solve(&MppInstance::new(&d, 1, r, 2), limits()).unwrap();
-            let spp =
-                solve_spp(&SppInstance::with_compute(&d, r, 2), SolveLimits::default()).unwrap();
-            assert_eq!(mpp.total, spp.total, "r={r}");
+            let config = SearchConfig::default().with_limits(limits());
+            let mpp = solve_with(&MppInstance::new(&d, 1, r, 2), &config);
+            let spp = solve_spp_with(&SppInstance::with_compute(&d, r, 2), &config);
+            let (m, s) = (mpp.solution.unwrap(), spp.solution.unwrap());
+            assert_eq!(m.total, s.total, "r={r}");
+            assert_eq!(
+                (mpp.stats.settled, mpp.stats.pushed),
+                (spp.stats.settled, spp.stats.pushed),
+                "r={r}"
+            );
         }
     }
 

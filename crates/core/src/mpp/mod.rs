@@ -19,7 +19,7 @@ pub use async_cost::{async_makespan, AsyncTiming};
 pub use optimize::batchify;
 
 pub use config::{Configuration, MppInstance};
-pub use exact::{solve as solve_mpp, solve_with as solve_mpp_with, GreenTier, MppSolution};
+pub use exact::{solve as solve_mpp, solve_with as solve_mpp_with, MppSolution};
 pub use moves::{MppMove, Pebble, ProcId};
 pub use sim::{MppRun, MppSimulator};
 pub use stats::{IoClass, MppRunStats};

@@ -1,9 +1,10 @@
-//! Shared A\* search engine for the exact SPP and MPP solvers.
+//! Shared A\* search engine behind the exact solvers.
 //!
-//! Both solvers explore the same kind of space — packed `u64` pebbling
-//! configurations connected by small-integer-cost rule applications
-//! (`0` for deletions, `compute` for R3, `g` for R1/R2) — so the
-//! machinery lives here once:
+//! Every game's state space is the same kind of space — packed `u64`
+//! pebbling configurations connected by small-integer-cost rule
+//! applications (`0` for deletions, `compute` for R3, `g` for R1/R2) —
+//! searched by the one domain in `mpp/exact.rs`, so the machinery lives
+//! here once:
 //!
 //! - `Frontier`: a monotone **bucket queue** indexed by `f = d + h`.
 //!   Edge costs are tiny integers, so the full priority range is at most
@@ -11,17 +12,18 @@
 //!   `push` a `Vec` append, with zero per-operation heap rebalancing.
 //!   Instances whose cost range would make buckets wasteful (huge `g`)
 //!   fall back to a binary heap transparently.
-//! - [`SearchStats`] / [`ShardStats`]: counters for the benchmark
-//!   harness and trace gauges, including the packed-arena memory axis.
+//! - [`AdmissibleHeuristic`]: the lower bound guiding A\*. See the
+//!   admissibility argument on the type; it is also *consistent*, so
+//!   the first settling of a state is final and the bucket cursor never
+//!   moves backwards.
+//! - [`SearchStats`] / [`ShardStats`] / [`PhaseStats`]: counters for
+//!   the benchmark harness and trace gauges, including the packed-arena
+//!   memory axis and the hot-path phase profile.
 //!
 //! The search loop itself lives in `driver.rs` (sequential and
 //! hash-sharded parallel engines over the `Domain` trait), with state
 //! storage in `arena.rs` (packed interning) and cross-shard messaging
 //! in `spsc.rs`.
-//! - [`AdmissibleHeuristic`]: the lower bound guiding A\*. See the
-//!   admissibility argument on the type; it is also *consistent*, so
-//!   the first settling of a state is final and the bucket cursor never
-//!   moves backwards.
 //!
 //! A\* degenerates to the old uniform-cost search when the heuristic is
 //! disabled via [`SearchConfig`], which is exactly how the equivalence
@@ -31,7 +33,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
 
-use crate::{MppInstance, PartitionMode, SppInstance};
+use crate::rules::Game;
+use crate::{CostModel, PartitionMode};
 
 /// Resource limits for the exact solvers.
 ///
@@ -100,7 +103,8 @@ impl SolveLimits {
 pub struct SearchConfig {
     /// Guide the search with the admissible heuristic (A\*).
     pub heuristic: bool,
-    /// Canonicalize processor-symmetric MPP states (ignored by SPP).
+    /// Canonicalize processor-symmetric states (vacuous with one
+    /// processor).
     pub symmetry: bool,
     /// Suppress provably dominated successors at generation time (e.g.
     /// partial rule batches that an equal-cost, pointwise-larger batch
@@ -776,7 +780,7 @@ impl<K: Copy + Ord> Frontier<K> {
 }
 
 /// An admissible, consistent lower bound on the remaining cost of a
-/// pebbling search state, shared by both exact solvers and exported to
+/// pebbling search state, guiding the exact search and exported to
 /// `rbp-bounds`.
 ///
 /// Let `pebbled = red_all ∪ blue` and let the **needed set** `A` be the
@@ -838,56 +842,29 @@ pub struct AdmissibleHeuristic {
 }
 
 impl AdmissibleHeuristic {
-    /// The heuristic for an MPP instance (base game: everything is
-    /// computable, sinks may end red or blue).
+    /// The heuristic for `game` under the `model` costs, honoring its
+    /// SPP variant flags. `green_cost` prices a green store or load and
+    /// is read only when the game has a green tier, whose reloads may
+    /// undercut the blue `g`.
     #[must_use]
-    pub fn for_mpp(instance: &MppInstance) -> Self {
-        let (preds, sinks) = masks(instance.dag);
-        AdmissibleHeuristic {
-            preds,
-            sinks,
-            k: instance.k as u64,
-            compute_cost: instance.model.compute,
-            g: instance.model.g,
-            load_cost: instance.model.g,
-            no_compute: 0,
-            one_shot: false,
-            store_sinks: false,
-        }
-    }
-
-    /// Caps the re-entry (load) cost used by the bound — the
-    /// three-level game reloads green-held values at `green_cost`,
-    /// which may undercut the blue `g`.
-    #[must_use]
-    pub(crate) fn with_load_cost(mut self, load_cost: u64) -> Self {
-        self.load_cost = load_cost;
-        self
-    }
-
-    /// The heuristic for an SPP instance, honoring its variant flags.
-    #[must_use]
-    pub fn for_spp(instance: &SppInstance) -> Self {
-        let (preds, sinks) = masks(instance.dag);
-        let no_compute = if instance.variant.sources_start_blue {
-            instance
-                .dag
-                .sources()
-                .iter()
-                .fold(0u64, |m, s| m | (1u64 << s.index()))
+    pub fn new(game: &Game, model: CostModel, green_cost: u64) -> Self {
+        let (preds, sinks, no_compute) = game_masks(game);
+        let variant = game.variant;
+        let load_cost = if game.green_cap > 0 {
+            model.g.min(green_cost)
         } else {
-            0
+            model.g
         };
         AdmissibleHeuristic {
             preds,
             sinks,
-            k: 1,
-            compute_cost: instance.model.compute,
-            g: instance.model.g,
-            load_cost: instance.model.g,
+            k: game.k as u64,
+            compute_cost: model.compute,
+            g: model.g,
+            load_cost,
             no_compute,
-            one_shot: instance.variant.one_shot,
-            store_sinks: instance.variant.sinks_need_blue,
+            one_shot: variant.one_shot,
+            store_sinks: variant.sinks_need_blue,
         }
     }
 
@@ -1083,26 +1060,34 @@ pub(crate) struct HeurCtx {
     computed: u64,
 }
 
-fn masks(dag: &rbp_dag::Dag) -> (Vec<u64>, u64) {
-    let preds = dag
-        .nodes()
-        .map(|v| {
-            dag.preds(v)
-                .iter()
-                .fold(0u64, |m, p| m | (1u64 << p.index()))
-        })
-        .collect();
-    let sinks = dag
-        .sinks()
-        .iter()
-        .fold(0u64, |m, s| m | (1u64 << s.index()));
-    (preds, sinks)
+/// The masks of a game on at most 64 nodes: each node's predecessors,
+/// the sinks, and the nodes that start blue and are never computed
+/// (the sources under the Hong–Kung convention, none otherwise).
+pub(crate) fn game_masks(game: &Game) -> (Vec<u64>, u64, u64) {
+    let dag = game.dag;
+    let mask = |vs: &[rbp_dag::NodeId]| vs.iter().fold(0u64, |m, v| m | (1u64 << v.index()));
+    let preds = dag.nodes().map(|v| mask(dag.preds(v))).collect();
+    let sources = if game.variant.sources_start_blue {
+        mask(&dag.sources())
+    } else {
+        0
+    };
+    (preds, mask(&dag.sinks()), sources)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MppInstance, SppInstance};
     use rbp_dag::generators;
+
+    fn mpp_heuristic(inst: &MppInstance) -> AdmissibleHeuristic {
+        AdmissibleHeuristic::new(&Game::mpp(inst), inst.model, 0)
+    }
+
+    fn spp_heuristic(inst: &SppInstance) -> AdmissibleHeuristic {
+        AdmissibleHeuristic::new(&Game::spp(inst), inst.model, 0)
+    }
 
     #[test]
     fn frontier_bucket_orders_by_priority() {
@@ -1149,7 +1134,7 @@ mod tests {
     fn heuristic_counts_remaining_computes() {
         let dag = generators::chain(4);
         let inst = MppInstance::new(&dag, 1, 2, 3);
-        let h = AdmissibleHeuristic::for_mpp(&inst);
+        let h = mpp_heuristic(&inst);
         // Nothing pebbled: all 4 nodes must be computed.
         assert_eq!(h.eval(0, 0, 0), Some(4));
         // Node 2 red: the closure from sink 3 stops there; 3 remains.
@@ -1163,7 +1148,7 @@ mod tests {
     fn heuristic_divides_by_k() {
         let dag = generators::independent_chains(2, 3); // 6 nodes
         let inst = MppInstance::new(&dag, 2, 2, 1);
-        let h = AdmissibleHeuristic::for_mpp(&inst);
+        let h = mpp_heuristic(&inst);
         assert_eq!(h.eval(0, 0, 0), Some(3));
     }
 
@@ -1177,7 +1162,7 @@ mod tests {
             model: CostModel::spp_io_only(2),
             variant: SppVariant::hong_kung(),
         };
-        let h = AdmissibleHeuristic::for_spp(&inst);
+        let h = spp_heuristic(&inst);
         // Source (node 0) starts blue; sink (node 2) must end blue.
         // Needed = {1, 2}; node 0 is a forced load; sink store missing:
         // h = 0 computes + g(load 0) + g(store 2) = 4.
@@ -1195,7 +1180,7 @@ mod tests {
         let n = dag.n();
         assert!(n <= 10, "exhaustive test wants a small dag");
         let inst = MppInstance::new(&dag, 2, 3, 2);
-        let h = AdmissibleHeuristic::for_mpp(&inst);
+        let h = mpp_heuristic(&inst);
         let mut stats = PhaseStats::default();
         for m in 0u64..(1 << n) {
             let ctx = h.prepare(m, 0, 0).expect("MPP states are never dead");
@@ -1236,7 +1221,7 @@ mod tests {
             model: CostModel::spp_io_only(2),
             variant: SppVariant::hong_kung(),
         };
-        let h = AdmissibleHeuristic::for_spp(&inst);
+        let h = spp_heuristic(&inst);
         let ctx = h.prepare(0, 1 << 0, 0).expect("state is live");
         let parent = h.eval_delta(&ctx, 0, 1 << 0, 0, &mut PhaseStats::default());
         assert_eq!(parent, Some(4));
@@ -1268,7 +1253,7 @@ mod tests {
             model: crate::CostModel::spp_io_only(1),
             variant: crate::SppVariant::one_shot(),
         };
-        let h = AdmissibleHeuristic::for_spp(&inst);
+        let h = spp_heuristic(&inst);
         // Node 0 computed then deleted without a store, sink unpebbled:
         // node 0 must be re-acquired but cannot be. Dead.
         assert_eq!(h.eval(0, 0, 1 << 0), None);

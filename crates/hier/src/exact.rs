@@ -1,21 +1,21 @@
 //! Exact optimal solver for the three-level game on small instances.
 //!
-//! A thin facade over `rbp_core`'s exact MPP search, which takes the
+//! A thin facade over `rbp_core`'s one exact search, which takes the
 //! green tier as an optional part of its state space
-//! ([`rbp_core::mpp::exact::solve_tiered`]): one A\* kernel, with
-//! processor-symmetry canonicalization, the Lemma 1 admissible
-//! heuristic (`G ∪ B` in the role of the blue set, reload cost
-//! `min(g, green)`), lazy eviction and maximal-batch dominance pruning,
-//! serves both games. This module maps the decoded witness steps to
+//! ([`rbp_core::mpp::exact::solve_game`] on the instance's rule-kernel
+//! [`rbp_core::rules::Game`]): one A\* kernel, with processor-symmetry
+//! canonicalization, the Lemma 1 admissible heuristic (`G ∪ B` in the
+//! role of the blue set, reload cost `min(g, green)`), lazy eviction
+//! and maximal-batch dominance pruning, serves every game. This module maps the decoded witness steps to
 //! [`HierMove`]s, validates them with [`crate::validate_hier`], and
 //! reports the `solve.hier` span and the `hier.*` trace counters.
 //!
-//! With `green_cap = 0` the facade passes no tier, so the three-level
-//! solve *is* the vanilla solve — same states, same witness. The
+//! With `green_cap = 0` the game has no tier, so the three-level solve
+//! *is* the vanilla solve — same states, same witness. The
 //! randomized reduction-equivalence suite in this crate's tests pins
 //! that down against `rbp_core::solve_mpp_with`.
 
-use rbp_core::mpp::exact::solve_tiered;
+use rbp_core::mpp::exact::solve_game;
 use rbp_core::rules::Rule;
 use rbp_core::{SearchConfig, SearchOutcome, SolveLimits};
 use rbp_util::Json;
@@ -64,9 +64,10 @@ pub fn solve_with(instance: &HierInstance, config: &SearchConfig) -> SearchOutco
             ("partition", Json::from(config.partition.as_str())),
         ],
     );
-    let out = solve_tiered(
-        &instance.mpp_instance(),
-        instance.green_tier(),
+    let out = solve_game(
+        &instance.game(),
+        instance.model.as_mpp(),
+        instance.model.green,
         config,
         "hier",
         |rule, batch| match rule {

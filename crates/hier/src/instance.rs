@@ -1,7 +1,7 @@
 //! Hierarchical instances, the two-I/O-cost model, and configurations.
 
 use rbp_core::rules::{Game, PebbleStore, Rule, Sets};
-use rbp_core::{CostModel, GameMode, GreenTier, MppInstance};
+use rbp_core::{CostModel, GameMode, MppInstance};
 use rbp_dag::{Dag, NodeId, NodeSet};
 
 /// Per-rule costs of the three-level game.
@@ -195,19 +195,10 @@ impl<'a> HierInstance<'a> {
         }
     }
 
-    /// The green tier as the exact search sees it: `None` at
-    /// `green_cap = 0`, where the game is vanilla MPP.
+    /// What the shared rule kernel and the exact search read: the
+    /// two-level game plus the green capacity.
     #[must_use]
-    pub fn green_tier(&self) -> Option<GreenTier> {
-        (self.green_cap > 0).then_some(GreenTier {
-            cap: self.green_cap,
-            cost: self.model.green,
-        })
-    }
-
-    /// What the shared rule kernel reads: the two-level game plus the
-    /// green capacity.
-    pub(crate) fn game(&self) -> Game<'a> {
+    pub fn game(&self) -> Game<'a> {
         Game {
             green_cap: self.green_cap,
             ..Game::mpp(&self.mpp_instance())

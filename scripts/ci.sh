@@ -134,6 +134,27 @@ trap - EXIT
 rm -f "$hier_guard_dag"
 echo "three-level perf guard: OPT=9 within the 40000-state ceiling"
 
+echo "== single-processor perf guard (state-count ceiling at k = 1) =="
+# The same load-independent gate for the one-processor path of the one
+# exact search (SPP is its k = 1 case). Measured counts on pyramid 4
+# (k=1, r=3, g=2), OPT = 37:
+#   default        : 340,279 settled
+#   dominance off  : 340,279 (it prunes nothing here at k = 1)
+#   heuristic off  : 1,027,170
+# The 360,000 ceiling passes the default config with ~6% headroom and
+# fails if the heuristic stops pruning.
+k1_guard_dag=$(mktemp)
+trap 'rm -f "$k1_guard_dag"' EXIT
+./target/release/rbp gen pyramid 4 > "$k1_guard_dag"
+k1_guard_opt=$(./target/release/rbp solve "$k1_guard_dag" 1 3 2 --max-states 360000 \
+    | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
+    || { echo "single-processor perf guard failed: settled-state count exceeded 360000"; exit 1; }
+[ "$k1_guard_opt" = "37" ] \
+    || { echo "single-processor perf guard failed: OPT=$k1_guard_opt on pyramid 4, expected 37"; exit 1; }
+trap - EXIT
+rm -f "$k1_guard_dag"
+echo "single-processor perf guard: OPT=37 within the 360000-state ceiling"
+
 echo "== incumbent-probe guard (state-count ceiling where the probe prunes) =="
 # The weighted-A* incumbent probe finds a schedule on fft 2 (k=2, r=3,
 # g=2), and branch-and-bound on its cost then prunes the search.

@@ -14,13 +14,15 @@
 //! Every case is a deterministic function of its loop index (seeded
 //! in-tree RNG), so a failure message identifies the exact instance.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rbp::core::rbp_dag::generators;
 use rbp::core::{
     solve_mpp_with, solve_spp_with, CostModel, MppInstance, PartitionMode, SearchConfig,
     SolveLimits, SppInstance, SppVariant, StopReason,
 };
+use rbp::gadgets::HierSkip;
+use rbp::hier::{solve_hier_with, HierInstance};
 use rbp::util::Rng;
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
@@ -251,4 +253,28 @@ fn parallel_stop_reasons_distinguish_limit_from_deadline() {
     let out = solve_mpp_with(&inst, &expired);
     assert!(out.solution.is_none(), "expired deadline cannot solve");
     assert_eq!(out.reason, StopReason::Deadline);
+}
+
+/// The deadline counts from the start of the solve, the incumbent probe
+/// included: on hier_skip 5 (three-level, k = 3) the probe alone runs
+/// past a 100 ms deadline, and both engines must then stop at the
+/// deadline rather than restart its clock for the exact search.
+#[test]
+fn deadline_covers_the_incumbent_probe() {
+    let dag = HierSkip::build(5).dag;
+    let inst = HierInstance::new(&dag, 3, 3, 2, 2, 1);
+    let deadline = Duration::from_millis(100);
+    for threads in [1, 2] {
+        let config = SearchConfig::default()
+            .with_limits(SolveLimits::default().with_deadline(deadline))
+            .with_threads(threads);
+        let started = Instant::now();
+        let out = solve_hier_with(&inst, &config);
+        let took = started.elapsed();
+        assert_eq!(out.reason, StopReason::Deadline, "threads={threads}");
+        assert!(
+            took < deadline * 3 / 2,
+            "threads={threads}: stopped after {took:?} under a {deadline:?} deadline"
+        );
+    }
 }

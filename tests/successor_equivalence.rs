@@ -3,21 +3,22 @@
 //!
 //! Dominance pruning must only ever drop successors that a surviving
 //! successor provably dominates. On 110 seeded random instances across
-//! the three domains (MPP, SPP variants, three-level hier), this
-//! harness walks each state space and checks, state by state:
+//! the games (MPP, the SPP variants as its one-processor case,
+//! three-level hier), all walked through the one search's successor
+//! probe, this harness checks, state by state:
 //!
 //! 1. **Soundness of the set**: the pruned generator's successor set is
 //!    a subset of the naive generator's (same states, same edge costs —
 //!    pruning never invents anything);
 //! 2. **Every pruned move is dominated**: each successor the naive
 //!    generator emits and the pruned one drops is dominated by some
-//!    emitted successor — equal batch cost and a pointwise-superset
-//!    configuration (MPP/hier maximal batches), or the identical state
-//!    at no greater cost (the SPP recompute-vs-reload rule);
+//!    emitted successor — the same ever-computed set, a pointwise
+//!    superset of every pebble colour, and no greater cost (maximal
+//!    batches, and the one-processor recompute-vs-reload rule);
 //! 3. **OPT is preserved**: solving with dominance on and off yields
 //!    the same optimal total on every instance, so pruning never cuts
 //!    the only path to the optimum;
-//! 4. **The solvers' rule encodings match the rules**: every naive
+//! 4. **The solver's rule encodings match the rules**: every naive
 //!    successor's decoded move, applied to its parent through the
 //!    shared rule kernel (`rbp::core::rules`), is accepted and lands on
 //!    exactly the successor's masks.
@@ -25,13 +26,12 @@
 //! Every case is a deterministic function of its loop index (seeded
 //! in-tree RNG), so a failure message identifies the exact instance.
 
-use rbp::core::mpp::exact::probe::{self as mpp_probe, Succ};
+use rbp::core::mpp::exact::probe::{successor_walk, Succ};
 use rbp::core::rbp_dag::{generators, NodeId, NodeSet};
 use rbp::core::rules::{self, Game, Rule};
-use rbp::core::spp::exact::probe as spp_probe;
 use rbp::core::{
     solve_mpp_with, solve_spp_with, Configuration, CostModel, MppInstance, SearchConfig,
-    SolveLimits, SppInstance, SppState, SppVariant,
+    SolveLimits, SppInstance, SppVariant,
 };
 use rbp::hier::{solve_hier_with, HierConfiguration, HierInstance};
 use rbp::util::Rng;
@@ -49,10 +49,10 @@ fn mask(set: &NodeSet) -> u64 {
 }
 
 /// Applies every naive successor's decoded move to its parent through
-/// the rule kernel, on a three-level configuration under `game` (a
-/// two-level one when `green_cap = 0`), and checks it lands on the
-/// successor's red, green and blue masks.
-fn kernel_accepts_mpp_moves(
+/// the rule kernel under `game` — on a three-level configuration with a
+/// green tier, a two-level one otherwise — and checks it lands on the
+/// successor's red, green, blue and ever-computed masks.
+fn kernel_accepts_moves(
     ctx: &str,
     game: &Game,
     parent: &Succ,
@@ -66,9 +66,17 @@ fn kernel_accepts_mpp_moves(
             let mut c = Configuration {
                 reds: reds(),
                 blue: set(n, parent.blue),
-                computed: set(n, 0),
+                computed: set(n, parent.computed),
             };
-            rules::apply(game, &mut c, *rule, sel).map(|()| (c.reds, 0, mask(&c.blue)))
+            rules::apply(game, &mut c, *rule, sel).map(|()| {
+                // The search tracks `computed` only in the one-shot variant.
+                let computed = if game.variant.one_shot {
+                    mask(&c.computed)
+                } else {
+                    0
+                };
+                (c.reds, 0, mask(&c.blue), computed)
+            })
         } else {
             let mut c = HierConfiguration {
                 reds: reds(),
@@ -76,16 +84,48 @@ fn kernel_accepts_mpp_moves(
                 blue: set(n, parent.blue),
             };
             let applied = rules::apply(game, &mut c, *rule, sel);
-            applied.map(|()| (c.reds, mask(&c.green), mask(&c.blue)))
+            applied.map(|()| (c.reds, mask(&c.green), mask(&c.blue), 0))
         };
-        let (r, g, b) =
+        let (r, g, b, c) =
             landed.unwrap_or_else(|e| panic!("{ctx}: kernel rejects {rule:?} {sel:?}: {e:?}"));
         let r: Vec<u64> = r.iter().map(mask).collect();
         assert_eq!(
-            (r.as_slice(), g, b),
-            (&s.reds[..k], s.green, s.blue),
+            (r.as_slice(), g, b, c),
+            (&s.reds[..k], s.green, s.blue, s.computed),
             "{ctx}: {rule:?} {sel:?} lands elsewhere"
         );
+    }
+}
+
+/// Whether `e` dominates `s`: the same ever-computed set, a pointwise
+/// superset of every pebble colour, and no greater cost.
+fn dominates(e: &Succ, s: &Succ) -> bool {
+    e.computed == s.computed
+        && e.cost <= s.cost
+        && e.blue & s.blue == s.blue
+        && e.green & s.green == s.green
+        && e.reds.iter().zip(&s.reds).all(|(er, sr)| er & sr == *sr)
+}
+
+/// Walks `game` (costs as in `solve_game`) along a seeded path and
+/// checks every visited state: the kernel accepts each naive move
+/// (property 4), pruned ⊆ naive (1), and every dropped successor is
+/// dominated by an emitted one (2).
+fn check_walk(ctx: &str, game: &Game, model: CostModel, green_cost: u64, seed: u64) {
+    let walk = successor_walk(game, model, green_cost, seed, WALK_STEPS);
+    for (step, walk) in walk.into_iter().enumerate() {
+        let (naive, pruned) = (&walk.naive, &walk.pruned);
+        let at = format!("{ctx} step {step}");
+        kernel_accepts_moves(&at, game, &walk.parent, naive, &walk.moves);
+        for s in pruned {
+            assert!(naive.contains(s), "{at}: pruned invented {s:?}");
+        }
+        for s in naive {
+            if !pruned.contains(s) {
+                let dominated = pruned.iter().any(|e| dominates(e, s));
+                assert!(dominated, "{at}: {s:?} pruned but not dominated");
+            }
+        }
     }
 }
 
@@ -102,8 +142,8 @@ fn configs() -> (SearchConfig, SearchConfig) {
 }
 
 /// 40 random MPP instances: pruned ⊆ naive, every dropped successor is
-/// dominated by an emitted one (equal cost, pointwise-superset masks),
-/// and the proven optimum is identical with dominance on and off.
+/// dominated by an emitted one, and the proven optimum is identical
+/// with dominance on and off.
 #[test]
 fn mpp_pruned_successors_are_dominated_and_opt_preserved() {
     let (plain_cfg, dom_cfg) = configs();
@@ -118,37 +158,7 @@ fn mpp_pruned_successors_are_dominated_and_opt_preserved() {
         let inst = MppInstance::new(&dag, k, r, g);
         let ctx = format!("mpp case {case}: n={n} k={k} r={r} g={g}");
 
-        for (step, walk) in mpp_probe::successor_walk(&inst, None, case, WALK_STEPS)
-            .into_iter()
-            .enumerate()
-        {
-            let (naive, pruned) = (&walk.naive, &walk.pruned);
-            let at = format!("{ctx} step {step}");
-            kernel_accepts_mpp_moves(&at, &Game::mpp(&inst), &walk.parent, naive, &walk.moves);
-            for s in pruned {
-                assert!(
-                    naive.contains(s),
-                    "{ctx} step {step}: pruned invented {s:?}"
-                );
-            }
-            for s in naive {
-                if pruned.contains(s) {
-                    continue;
-                }
-                let dominated = pruned.iter().any(|e| {
-                    e.cost == s.cost
-                        && e.blue & s.blue == s.blue
-                        && e.reds
-                            .iter()
-                            .zip(s.reds.iter())
-                            .all(|(er, sr)| er & sr == *sr)
-                });
-                assert!(
-                    dominated,
-                    "{ctx} step {step}: {s:?} pruned but not dominated"
-                );
-            }
-        }
+        check_walk(&ctx, &Game::mpp(&inst), inst.model, 0, case);
 
         let plain = solve_mpp_with(&inst, &plain_cfg).solution;
         let dom = solve_mpp_with(&inst, &dom_cfg).solution;
@@ -161,9 +171,10 @@ fn mpp_pruned_successors_are_dominated_and_opt_preserved() {
     }
 }
 
-/// 40 random SPP instances across the variant zoo: the only pruned
-/// moves are recomputes of already-stored nodes, each dominated by the
-/// reload reaching the identical state at no greater cost; OPT agrees.
+/// 40 random SPP instances across the variant zoo, walked as the
+/// one-processor case of the same search: the only pruned moves are
+/// recomputes of already-stored nodes, each dominated by the reload
+/// reaching the identical state at no greater cost; OPT agrees.
 #[test]
 fn spp_pruned_successors_are_dominated_and_opt_preserved() {
     let (plain_cfg, dom_cfg) = configs();
@@ -193,56 +204,7 @@ fn spp_pruned_successors_are_dominated_and_opt_preserved() {
         };
         let ctx = format!("spp case {case} ({vname}): n={n} r={r} g={g}");
 
-        let game = Game::spp(&inst);
-        for (step, walk) in spp_probe::successor_walk(&inst, case, WALK_STEPS)
-            .into_iter()
-            .enumerate()
-        {
-            let (naive, pruned) = (&walk.naive, &walk.pruned);
-            let p = walk.parent;
-            for (s, (rule, sel)) in naive.iter().zip(&walk.moves) {
-                let mut state = SppState {
-                    red: set(n, p.red),
-                    blue: set(n, p.blue),
-                    computed: set(n, p.computed),
-                };
-                rules::apply(&game, &mut state, *rule, sel).unwrap_or_else(|e| {
-                    panic!("{ctx} step {step}: kernel rejects {rule:?} {sel:?}: {e:?}")
-                });
-                // The key tracks `computed` only in the one-shot variant.
-                let computed = if variant.one_shot {
-                    mask(&state.computed)
-                } else {
-                    0
-                };
-                assert_eq!(
-                    (mask(&state.red), mask(&state.blue), computed),
-                    (s.red, s.blue, s.computed),
-                    "{ctx} step {step}: {rule:?} {sel:?} lands elsewhere"
-                );
-            }
-            for s in pruned {
-                assert!(
-                    naive.contains(s),
-                    "{ctx} step {step}: pruned invented {s:?}"
-                );
-            }
-            for s in naive {
-                if pruned.contains(s) {
-                    continue;
-                }
-                let dominated = pruned.iter().any(|e| {
-                    e.red == s.red
-                        && e.blue == s.blue
-                        && e.computed == s.computed
-                        && e.cost <= s.cost
-                });
-                assert!(
-                    dominated,
-                    "{ctx} step {step}: {s:?} pruned but not dominated"
-                );
-            }
-        }
+        check_walk(&ctx, &Game::spp(&inst), inst.model, 0, case);
 
         let plain = solve_spp_with(&inst, &plain_cfg).solution;
         let dom = solve_spp_with(&inst, &dom_cfg).solution;
@@ -265,7 +227,7 @@ fn spp_pruned_successors_are_dominated_and_opt_preserved() {
     }
 }
 
-/// 30 random three-level instances, walked through the MPP kernel with
+/// 30 random three-level instances, walked through the same search with
 /// the instance's green tier (none at `green_cap = 0`): maximal-batch
 /// pruning on all five batched rules (including budget-capped green
 /// stores) only drops pointwise-dominated successors, and OPT agrees.
@@ -286,41 +248,13 @@ fn hier_pruned_successors_are_dominated_and_opt_preserved() {
         let ctx =
             format!("hier case {case}: n={n} k={k} r={r} g={g} cap={green_cap} gc={green_cost}");
 
-        let game = Game {
-            green_cap,
-            ..Game::mpp(&inst.mpp_instance())
-        };
-        let walk =
-            mpp_probe::successor_walk(&inst.mpp_instance(), inst.green_tier(), case, WALK_STEPS);
-        for (step, walk) in walk.into_iter().enumerate() {
-            let (naive, pruned) = (&walk.naive, &walk.pruned);
-            let at = format!("{ctx} step {step}");
-            kernel_accepts_mpp_moves(&at, &game, &walk.parent, naive, &walk.moves);
-            for s in pruned {
-                assert!(
-                    naive.contains(s),
-                    "{ctx} step {step}: pruned invented {s:?}"
-                );
-            }
-            for s in naive {
-                if pruned.contains(s) {
-                    continue;
-                }
-                let dominated = pruned.iter().any(|e| {
-                    e.cost == s.cost
-                        && e.blue & s.blue == s.blue
-                        && e.green & s.green == s.green
-                        && e.reds
-                            .iter()
-                            .zip(s.reds.iter())
-                            .all(|(er, sr)| er & sr == *sr)
-                });
-                assert!(
-                    dominated,
-                    "{ctx} step {step}: {s:?} pruned but not dominated"
-                );
-            }
-        }
+        check_walk(
+            &ctx,
+            &inst.game(),
+            inst.model.as_mpp(),
+            inst.model.green,
+            case,
+        );
 
         let plain = solve_hier_with(&inst, &plain_cfg).solution;
         let dom = solve_hier_with(&inst, &dom_cfg).solution;
