@@ -10,27 +10,29 @@
 //!
 //! `threads = 1` runs [`sequential`]: the classic A\* loop, stopping at
 //! the first goal pop (optimal under the consistent heuristic), with
-//! identical expansion order to the pre-refactor engine.
+//! identical expansion order to the pre-refactor engine. The same loop
+//! runs the incumbent probe: its priority is `f = g + h·num/den`, with
+//! the weight 1/1 for the exact search and 3/2 for the probe.
 //!
 //! `threads ≥ 2` runs [`parallel`], an HDA\*-style search (Kishimoto et
 //! al.): every canonical state is **owned** by a shard chosen through
-//! [`Domain::owner`] — by default the hash partition ([`shard_of`]),
-//! or a structure-aware projection when the solver installs a
-//! [`crate::partition::Partition`]; each worker keeps a private arena +
-//! frontier for its shard and forwards successors it does not own over
-//! bounded SPSC rings, packed into fixed-capacity [`MsgBlock`]s that
-//! flush on fill or on local-frontier exhaustion. A shared atomic
-//! **incumbent** (best goal distance so far) prunes pushes and pops;
-//! goals are not expanded but recorded, and the search continues until
-//! global quiescence — at which point every frontier's minimum `f` is
-//! at least the incumbent, which (with the admissible heuristic) proves
-//! the incumbent optimal. Quiescence is detected with monotone
-//! sent/received **block** counters plus an idle bitmask, double-read
-//! so a racing message cannot be missed: `sent` is incremented *before*
-//! a ring push and `received` *after* the block is fully processed, and
-//! a worker flushes every out-buffer before advertising idle, so "all
-//! workers idle and `sent == received`" observed twice with no send in
-//! between implies no work exists anywhere.
+//! [`Domain::owner`] — the hash partition or a structure-aware
+//! projection ([`crate::partition::Partition`]); each worker keeps a
+//! private arena + frontier for its shard and forwards successors it
+//! does not own over bounded SPSC rings, packed into fixed-capacity
+//! [`MsgBlock`]s that flush on fill or on local-frontier exhaustion. A
+//! shared atomic **incumbent** (best goal distance so far) prunes
+//! pushes and pops; goals are not expanded but recorded, and the search
+//! continues until global quiescence — at which point every frontier's
+//! minimum `f` is at least the incumbent, which (with the admissible
+//! heuristic) proves the incumbent optimal. Quiescence is detected with
+//! monotone sent/received **block** counters plus an idle bitmask,
+//! double-read so a racing message cannot be missed: `sent` is
+//! incremented *before* a ring push and `received` *after* the block is
+//! fully processed, and a worker flushes every out-buffer before
+//! advertising idle, so "all workers idle and `sent == received`"
+//! observed twice with no send in between implies no work exists
+//! anywhere.
 //!
 //! When a worker's frontier is empty but quiescence has not been
 //! reached, it **speculatively expands** the best foreign successor it
@@ -50,10 +52,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::arena::{gid, gid_idx, gid_shard, hash_words, shard_of, StateArena, MAX_KEY_WORDS};
+use crate::arena::{gid, gid_idx, gid_shard, hash_words, StateArena, MAX_KEY_WORDS};
 use crate::search::{
-    phase_timing_enabled, Frontier, PackedMove, PhaseStats, SearchConfig, SearchStats, ShardStats,
-    SolveLimits, StopReason, MAX_THREADS,
+    phase_timing_enabled, Frontier, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchStats,
+    ShardStats, SolveLimits, StopReason, MAX_THREADS,
 };
 use crate::spsc::Spsc;
 
@@ -71,13 +73,10 @@ pub type EmitFn<'a, K> = &'a mut dyn FnMut(K, u64, PackedMove, HeurThunk<'_>);
 /// never sees raw states) and must keep the emission order
 /// deterministic — the sequential engine's tie-breaking, and therefore
 /// its exact witness, depends on it. The search domain of
-/// `mpp/exact.rs` (every game) implements it, and the incumbent probe
-/// wraps it in `InflatedDomain`.
+/// `mpp/exact.rs` (every game) is the one implementation.
 pub trait Domain: Sync {
     /// Unpacked state (solver-native masks).
     type Key: Copy;
-    /// Reusable per-worker expansion scratch.
-    type Scratch: Default;
 
     /// Packed-key width in 64-bit words (at most [`MAX_KEY_WORDS`]).
     fn key_words(&self) -> usize;
@@ -106,28 +105,20 @@ pub trait Domain: Sync {
     /// recompute it from scratch. The thunk is only invoked when the
     /// relax actually improved a locally owned distance: most emitted
     /// successors are duplicates (or ship to a foreign shard, which
-    /// re-evaluates on arrival), and their bound is never needed.
-    fn expand(&self, key: &Self::Key, scratch: &mut Self::Scratch, emit: EmitFn<'_, Self::Key>);
-    /// Drains the phase counters [`Domain::expand`] accumulated into
-    /// `scratch` since the last call. The default reports nothing;
-    /// domains whose scratch is a phase profiler override it so the
-    /// drivers can aggregate hot-path accounting.
-    fn take_phases(&self, _scratch: &mut Self::Scratch) -> PhaseStats {
-        PhaseStats::default()
-    }
-    /// Upper bound on every `f` value (selects the frontier
-    /// representation).
+    /// re-evaluates on arrival), and their bound is never needed. Phase
+    /// counters accumulate into the worker's `prof`, which the drivers
+    /// drain once per run.
+    fn expand(&self, key: &Self::Key, prof: &mut PhaseProf, emit: EmitFn<'_, Self::Key>);
+    /// Upper bound on every `f` value under weight 1/1 (selects the
+    /// frontier representation).
     fn max_priority(&self) -> u64;
     /// Owning shard of the canonical `key` whose packed-key hash is
-    /// `hash`. Must be a pure, total function of the canonical state
-    /// (same key → same shard on every call and every worker) — the
-    /// distributed termination proof and duplicate detection rely on
-    /// it. Defaults to the hash partition; solvers override it to
-    /// route through a [`crate::partition::Partition`].
-    #[inline]
-    fn owner(&self, _key: &Self::Key, hash: u64, shards: usize) -> usize {
-        shard_of(hash, shards)
-    }
+    /// `hash`, under a [`crate::partition::Partition`] (the hash
+    /// partition among them). Must be a pure, total function of the
+    /// canonical state (same key → same shard on every call and every
+    /// worker) — the distributed termination proof and duplicate
+    /// detection rely on it.
+    fn owner(&self, key: &Self::Key, hash: u64, shards: usize) -> usize;
 }
 
 /// What a driver run produced: the optimal cost plus the root-to-goal
@@ -184,7 +175,7 @@ pub fn search<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::
         None
     };
     if threads == 1 {
-        sequential(domain, config, incumbent, start)
+        sequential(domain, config, incumbent, start, (1, 1))
     } else {
         parallel(domain, config, threads, incumbent, start)
     }
@@ -195,83 +186,28 @@ pub fn search<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::
 /// witness when it proves no strictly better schedule exists.
 type Incumbent<K> = (u64, Vec<(K, PackedMove)>);
 
-/// Heuristic inflation of the upper-bound probe, as a ratio:
+/// Heuristic weight of the upper-bound probe, as a ratio `(num, den)`:
 /// `f = g + h·3/2`. Weighted A* with an admissible `h` returns a goal
 /// within `3/2` of optimal while settling a small fraction of the
 /// exact search's states.
-const PROBE_WEIGHT_NUM: u64 = 3;
-const PROBE_WEIGHT_DEN: u64 = 2;
+const PROBE_WEIGHT: (u64, u64) = (3, 2);
 /// Settled-state budget of the probe. The probe is a bet: if greedy
 /// descent does not reach a goal quickly, give up and run the exact
 /// search unpruned rather than burn a meaningful slice of its budget.
 const PROBE_MAX_STATES: usize = 20_000;
 
-/// [`Domain`] wrapper inflating the heuristic for the upper-bound
-/// probe. Everything else delegates, so the probe reuses the exact
-/// engine — same canonicalization, dominance pruning, and arena.
-struct InflatedDomain<'a, D: Domain> {
-    inner: &'a D,
-}
-
-impl<D: Domain> InflatedDomain<'_, D> {
-    #[inline]
-    fn inflate(h: u64) -> u64 {
-        (h.saturating_mul(PROBE_WEIGHT_NUM)) / PROBE_WEIGHT_DEN
-    }
-}
-
-impl<D: Domain> Domain for InflatedDomain<'_, D> {
-    type Key = D::Key;
-    type Scratch = D::Scratch;
-
-    fn key_words(&self) -> usize {
-        self.inner.key_words()
-    }
-    fn pack(&self, key: &Self::Key, out: &mut [u64]) {
-        self.inner.pack(key, out);
-    }
-    fn unpack(&self, words: &[u64]) -> Self::Key {
-        self.inner.unpack(words)
-    }
-    fn root(&self) -> Self::Key {
-        self.inner.root()
-    }
-    fn is_goal(&self, key: &Self::Key) -> bool {
-        self.inner.is_goal(key)
-    }
-    fn heuristic(&self, key: &Self::Key) -> Option<u64> {
-        self.inner.heuristic(key).map(Self::inflate)
-    }
-    fn expand(&self, key: &Self::Key, scratch: &mut Self::Scratch, emit: EmitFn<'_, Self::Key>) {
-        self.inner.expand(key, scratch, &mut |k2, c, mv, hv| {
-            emit(k2, c, mv, &mut || hv().map(Self::inflate));
-        });
-    }
-    fn take_phases(&self, scratch: &mut Self::Scratch) -> PhaseStats {
-        self.inner.take_phases(scratch)
-    }
-    fn max_priority(&self) -> u64 {
-        self.inner
-            .max_priority()
-            .saturating_mul(PROBE_WEIGHT_NUM)
-            .saturating_add(PROBE_WEIGHT_DEN)
-    }
-    fn owner(&self, key: &Self::Key, hash: u64, shards: usize) -> usize {
-        self.inner.owner(key, hash, shards)
-    }
-}
-
-/// Runs weighted A* (the sequential engine over [`InflatedDomain`])
-/// for *any* goal state and returns its cost and move path — a
-/// feasible, not necessarily optimal, schedule. `None` when the probe
-/// gives up (state budget, deadline, or an unsolvable instance).
+/// Runs weighted A* (the sequential engine at [`PROBE_WEIGHT`]) for
+/// *any* goal state and returns its cost and move path — a feasible,
+/// not necessarily optimal, schedule. `None` when the probe gives up
+/// (state budget, deadline, or an unsolvable instance).
 ///
 /// The bound is correct by construction: the probe only follows real
 /// [`Domain::expand`] edges from the root and `g` accumulates real
 /// edge costs, so the distance of any goal it settles is the cost of
-/// an actual schedule. The inflation only affects *which* goal greedy
-/// descent reaches first. The probe shares the solve's deadline, counted
-/// from `start`.
+/// an actual schedule. The weight only affects *which* goal greedy
+/// descent reaches first; the probe reuses the exact engine — same
+/// canonicalization, dominance pruning, and arena. It shares the
+/// solve's deadline, counted from `start`.
 fn probe_upper_bound<D: Domain>(
     domain: &D,
     config: &SearchConfig,
@@ -285,21 +221,33 @@ fn probe_upper_bound<D: Domain>(
         },
         ..*config
     };
-    let inflated = InflatedDomain { inner: domain };
-    sequential(&inflated, &probe_config, None, start).best
+    sequential(domain, &probe_config, None, start, PROBE_WEIGHT).best
 }
 
 // ---------------------------------------------------------------------
 // Sequential driver
 // ---------------------------------------------------------------------
 
-/// The classic A\* loop; the deadline counts from `start`.
+/// The classic A\* loop with priority `f = g + h·num/den` (floored) at
+/// `weight = (num, den)`; the deadline counts from `start`. Only the
+/// exact search, at weight 1/1, takes an incumbent: pruning against it
+/// uses the admissible `h`, and its optimality proof the popped `f`.
 fn sequential<D: Domain>(
     domain: &D,
     config: &SearchConfig,
     incumbent: Option<Incumbent<D::Key>>,
     start: Instant,
+    (num, den): (u64, u64),
 ) -> DriverOutcome<D::Key> {
+    debug_assert!(incumbent.is_none() || num == den);
+    // At 1/1 (the exact search) no push pays for a division.
+    let weigh = |h: u64| {
+        if num == den {
+            h
+        } else {
+            h.saturating_mul(num) / den
+        }
+    };
     let kw = domain.key_words();
     let root = domain.root();
     let mut stats = SearchStats {
@@ -318,21 +266,28 @@ fn sequential<D: Domain>(
     stats.h_root = h0;
 
     let mut arena = StateArena::new(kw);
-    let mut frontier: Frontier<u32> = Frontier::new(domain.max_priority());
+    // The ceiling that selects the frontier representation grows with
+    // the weighted priorities.
+    let max_priority = domain.max_priority();
+    let mut frontier: Frontier<u32> = Frontier::new(if num == den {
+        max_priority
+    } else {
+        max_priority.saturating_mul(num).saturating_add(den)
+    });
     stats.heap_fallback = matches!(frontier, Frontier::Heap(_));
 
     let mut wbuf = [0u64; MAX_KEY_WORDS];
     domain.pack(&root, &mut wbuf[..kw]);
     let (ridx, _) = arena.relax(&wbuf[..kw], hash_words(&wbuf[..kw]), 0, gid(0, 0), 0);
     debug_assert_eq!(ridx, 0, "root interns at index 0");
-    frontier.push(h0, 0, 0);
+    frontier.push(weigh(h0), 0, 0);
     stats.pushed = 1;
     stats.frontier_peak = 1;
 
     let timing = phase_timing_enabled();
     let mut phases = PhaseStats::default();
     let mut expand_ns = 0u64;
-    let mut scratch = D::Scratch::default();
+    let mut prof = PhaseProf::default();
     let ub = incumbent.as_ref().map(|&(u, _)| u);
     // The hot loop is allocation-free: successors are relaxed inline as
     // the domain emits them from its scratch buffers, with no
@@ -380,7 +335,7 @@ fn sequential<D: Domain>(
             }
         }
         let t_exp = if timing { Some(Instant::now()) } else { None };
-        domain.expand(&key, &mut scratch, &mut |k2, c, mv, hv| {
+        domain.expand(&key, &mut prof, &mut |k2, c, mv, hv| {
             phases.emitted += 1;
             let nd = d + c;
             // With a seeded incumbent the heuristic is evaluated
@@ -408,7 +363,7 @@ fn sequential<D: Domain>(
             if improved {
                 if let Some(hv) = hval.or_else(hv) {
                     let tq = if timing { Some(Instant::now()) } else { None };
-                    frontier.push(nd + hv, idx2, nd);
+                    frontier.push(nd + weigh(hv), idx2, nd);
                     stats.pushed += 1;
                     stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u64);
                     if let Some(t0) = tq {
@@ -423,7 +378,7 @@ fn sequential<D: Domain>(
     };
     stats.arena_states = arena.len() as u64;
     stats.arena_peak_bytes = arena.bytes();
-    phases.merge(&domain.take_phases(&mut scratch));
+    phases.merge(&prof.take());
     // Successor generation is the in-expand remainder: expand wall-clock
     // minus the phases timed individually (all of which run inside
     // expand or its emit callback).
@@ -599,7 +554,7 @@ struct Worker<'a, D: Domain> {
     deadline: Option<std::time::Duration>,
     arena: StateArena,
     frontier: Frontier<u32>,
-    scratch: D::Scratch,
+    prof: PhaseProf,
     timing: bool,
     phases: PhaseStats,
     expand_ns: u64,
@@ -907,16 +862,16 @@ impl<'a, D: Domain> Worker<'a, D> {
                     }
                 }
                 let parent = gid(self.me, idx);
-                // Take the scratch out of `self` so the emit closure can
+                // Take the profiler out of `self` so the emit closure can
                 // borrow the rest of the worker mutably; successors are
                 // relaxed or shipped inline, with no intermediate Vec.
-                let mut scratch = std::mem::take(&mut self.scratch);
+                let mut prof = std::mem::take(&mut self.prof);
                 let t_exp = if self.timing {
                     Some(Instant::now())
                 } else {
                     None
                 };
-                domain.expand(&key, &mut scratch, &mut |k2, c, mv, hv| {
+                domain.expand(&key, &mut prof, &mut |k2, c, mv, hv| {
                     self.phases.emitted += 1;
                     let nd = d + c;
                     if nd >= self.shared.incumbent.load(Ordering::Relaxed) {
@@ -952,7 +907,7 @@ impl<'a, D: Domain> Worker<'a, D> {
                 if let Some(t0) = t_exp {
                     self.expand_ns += t0.elapsed().as_nanos() as u64;
                 }
-                self.scratch = scratch;
+                self.prof = prof;
             }
             if !progress {
                 // Local frontier exhausted: ship partial blocks so no
@@ -968,7 +923,7 @@ impl<'a, D: Domain> Worker<'a, D> {
                 }
             }
         }
-        self.phases.merge(&domain.take_phases(&mut self.scratch));
+        self.phases.merge(&self.prof.take());
         self.phases.succ_gen_ns = self.expand_ns.saturating_sub(self.phases.timed_ns());
         WorkerResult {
             shard: ShardStats {
@@ -1057,7 +1012,7 @@ fn parallel<D: Domain>(
                         deadline,
                         arena: StateArena::new(kw),
                         frontier: Frontier::new(max_priority),
-                        scratch: D::Scratch::default(),
+                        prof: PhaseProf::default(),
                         timing: phase_timing_enabled(),
                         phases: PhaseStats::default(),
                         expand_ns: 0,

@@ -19,7 +19,8 @@
 //! - [`rules`]: the one move checker every game shares — a transition
 //!   function over a small pebble-store abstraction, parameterised by
 //!   `k`, `r`, the green capacity and the SPP variant, plus the shared
-//!   terminality check;
+//!   terminality check — and, over each game's [`rules::Instance`], the
+//!   one validator and the one step simulator;
 //! - [`translate`]: the Lemma 5 simulation compiling MPP strategies to
 //!   single-processor strategies with fast memory `k·r`;
 //! - [`cost`]: the shared cost model and surplus cost (Definition 1).

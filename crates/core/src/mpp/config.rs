@@ -82,13 +82,6 @@ impl Configuration {
         self.reds.iter().all(|s| s.len() <= r)
     }
 
-    /// Whether the configuration is terminal for `dag`: every sink holds
-    /// a pebble (blue or any shade of red).
-    #[must_use]
-    pub fn is_terminal(&self, dag: &Dag) -> bool {
-        dag.sinks().into_iter().all(|s| self.has_pebble(s))
-    }
-
     /// The union of all red sets.
     #[must_use]
     pub fn red_union(&self) -> NodeSet {
@@ -116,15 +109,16 @@ impl PebbleStore for Configuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::{bare_sink, Game};
     use rbp_dag::dag_from_edges;
 
     #[test]
     fn initial_configuration_is_empty_and_valid() {
         let d = dag_from_edges(3, &[(0, 1), (1, 2)]);
-        let c = Configuration::initial(&d, 2);
+        let mut c = Configuration::initial(&d, 2);
         assert_eq!(c.k(), 2);
         assert!(c.is_valid(0));
-        assert!(!c.is_terminal(&d));
+        assert_eq!(bare_sink(&Game::new(&d, 2, 1), &mut c), Some(NodeId(2)));
         assert!(!c.has_pebble(NodeId(0)));
         assert!(c.red_union().is_empty());
     }
@@ -132,12 +126,13 @@ mod tests {
     #[test]
     fn terminal_accepts_any_shade_or_blue() {
         let d = dag_from_edges(2, &[(0, 1)]);
+        let game = Game::new(&d, 2, 1);
         let mut c = Configuration::initial(&d, 2);
         c.reds[1].insert(NodeId(1));
-        assert!(c.is_terminal(&d));
+        assert_eq!(bare_sink(&game, &mut c), None);
         let mut c2 = Configuration::initial(&d, 2);
         c2.blue.insert(NodeId(1));
-        assert!(c2.is_terminal(&d));
+        assert_eq!(bare_sink(&game, &mut c2), None);
     }
 
     #[test]

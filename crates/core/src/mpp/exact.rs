@@ -70,15 +70,12 @@ use rbp_util::Json;
 use crate::arena::{pack_fields, unpack_fields, words_for};
 use crate::driver::{self, Domain, EmitFn};
 use crate::partition::Partition;
-use crate::rules::{Game, Rule};
+use crate::rules::{Game, Move, Rule};
 use crate::search::{
     game_masks, trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig,
     SearchOutcome, StopReason, MAX_THREADS,
 };
-use crate::{
-    AdmissibleHeuristic, Cost, CostModel, MppInstance, MppMove, MppStrategy, Pebble, ProcId,
-    SolveLimits,
-};
+use crate::{AdmissibleHeuristic, Cost, CostModel, MppInstance, MppStrategy, ProcId, SolveLimits};
 
 const MAX_K: usize = 4;
 
@@ -247,25 +244,7 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
             ("partition", Json::from(config.partition.as_str())),
         ],
     );
-    let game = Game::mpp(instance);
-    solve_game(
-        &game,
-        instance.model,
-        0,
-        config,
-        "mpp",
-        |rule, batch| match rule {
-            Rule::Compute => MppMove::Compute(batch),
-            Rule::Load => MppMove::Load(batch),
-            Rule::Store => MppMove::Store(batch),
-            Rule::RemoveRed => MppMove::Remove(Pebble::Red(batch[0].0, batch[0].1)),
-            Rule::RemoveBlue => MppMove::Remove(Pebble::Blue(batch[0].1)),
-            Rule::LoadGreen | Rule::StoreGreen | Rule::RemoveGreen => {
-                unreachable!("green rule without a green tier")
-            }
-        },
-    )
-    .map(|(total, moves)| {
+    solve_game(&Game::mpp(instance), instance.model, 0, config, "mpp").map(|(total, moves)| {
         let strategy = MppStrategy::from_moves(moves);
         let cost = strategy
             .validate(instance)
@@ -283,24 +262,23 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
 /// `model` costs — plus `green_cost` per green store or load, read only
 /// when the game has a green tier — and reports the search counters
 /// under `solver.<which>.*` trace names. The solution is the optimal
-/// total plus the witness, one `step(rule, selection)` per move with the
-/// shaded selection under concrete processor labels; the caller builds
-/// its own move type from those steps and validates the strategy.
+/// total plus the witness in the caller's move type `M`, each move
+/// built by [`Move::from_rule`] with the shaded selection under concrete
+/// processor labels; the caller validates the strategy.
 ///
 /// Unsupported (`None` with [`StopReason::Unsupported`]) when the game
 /// is infeasible (`r ≤ Δ_in`), too large for the packed key (`n > 64`,
 /// `k > 4` or a green capacity above 64), or both three-level and
 /// one-shot.
 #[must_use]
-pub fn solve_game<M>(
+pub fn solve_game<M: Move>(
     game: &Game,
     model: CostModel,
     green_cost: u64,
     config: &SearchConfig,
     which: &str,
-    step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
 ) -> SearchOutcome<(u64, Vec<M>)> {
-    let out = with_k!(game.k, K => solve_k::<K, M>(game, model, green_cost, config, step),
+    let out = with_k!(game.k, K => solve_k::<K, M>(game, model, green_cost, config),
         _ => SearchOutcome::stopped(StopReason::Unsupported));
     out.stats
         .trace(which, out.solution.as_ref().map(|&(total, _)| total));
@@ -309,12 +287,11 @@ pub fn solve_game<M>(
     out
 }
 
-fn solve_k<const K: usize, M>(
+fn solve_k<const K: usize, M: Move>(
     game: &Game,
     model: CostModel,
     green_cost: u64,
     config: &SearchConfig,
-    step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
 ) -> SearchOutcome<(u64, Vec<M>)> {
     if game.dag.n() == 0 && game.green_cap <= 64 {
         return SearchOutcome {
@@ -331,7 +308,7 @@ fn solve_k<const K: usize, M>(
     SearchOutcome {
         solution: out
             .best
-            .map(|(total, path)| (total, domain.reconstruct(path, step))),
+            .map(|(total, path)| (total, domain.reconstruct(path))),
         stats: out.stats,
         reason: out.reason,
         shards: out.shards,
@@ -497,13 +474,9 @@ impl<const K: usize> MppDomain<K> {
     /// canonical successor is a *sorted* relabeling of the raw
     /// successor. Replaying forward, we maintain the composed
     /// permutation `perm` (canonical index → concrete processor id) and
-    /// hand every step to `step` under concrete labels, so the strategy
-    /// validates against the ordinary rules.
-    fn reconstruct<M>(
-        &self,
-        path: Vec<(Key<K>, PackedMove)>,
-        mut step: impl FnMut(Rule, Vec<(ProcId, NodeId)>) -> M,
-    ) -> Vec<M> {
+    /// build every move under concrete labels, so the strategy validates
+    /// against the ordinary rules.
+    fn reconstruct<M: Move>(&self, path: Vec<(Key<K>, PackedMove)>) -> Vec<M> {
         let mut perm: [usize; K] = std::array::from_fn(|j| j);
         let mut cur = path.first().map_or(self.root(), |&(p, _)| p);
         let mut moves = Vec::with_capacity(path.len());
@@ -514,7 +487,7 @@ impl<const K: usize> MppDomain<K> {
                 .iter()
                 .map(|&(j, i)| (perm[j], NodeId::new(i as usize)))
                 .collect();
-            moves.push(step(rule, concrete));
+            moves.push(M::from_rule(rule, concrete));
             let mut raw = parent;
             for &(j, i) in &pairs {
                 self.apply(&mut raw, rule, j, 1u64 << i);
@@ -532,9 +505,6 @@ impl<const K: usize> MppDomain<K> {
 
 impl<const K: usize> Domain for MppDomain<K> {
     type Key = Key<K>;
-    /// Per-worker scratch is just the phase profiler the driver drains
-    /// via `take_phases`: keys and moves live on the stack.
-    type Scratch = PhaseProf;
 
     fn key_words(&self) -> usize {
         words_for(self.fields, self.n)
@@ -767,10 +737,6 @@ impl<const K: usize> Domain for MppDomain<K> {
         }
 
         prof.stats.idle_suppressed += suppressed;
-    }
-
-    fn take_phases(&self, prof: &mut PhaseProf) -> PhaseStats {
-        prof.take()
     }
 }
 
@@ -1193,6 +1159,7 @@ pub mod probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MppMove;
     use rbp_dag::{dag_from_edges, generators};
 
     fn limits() -> SolveLimits {

@@ -114,6 +114,18 @@ impl Move for MppMove {
         };
         f(rule, sel)
     }
+
+    #[inline]
+    fn from_rule(rule: Rule, sel: Vec<(ProcId, NodeId)>) -> Self {
+        match rule {
+            Rule::Compute => MppMove::Compute(sel),
+            Rule::Load => MppMove::Load(sel),
+            Rule::Store => MppMove::Store(sel),
+            Rule::RemoveRed => MppMove::Remove(Pebble::Red(sel[0].0, sel[0].1)),
+            Rule::RemoveBlue => MppMove::Remove(Pebble::Blue(sel[0].1)),
+            _ => unreachable!("{rule:?} outside the two-level game"),
+        }
+    }
 }
 
 impl std::fmt::Display for MppMove {
@@ -150,6 +162,19 @@ mod tests {
         assert!(MppMove::store1(0, NodeId(3)).is_io());
         assert!(MppMove::load1(1, NodeId(3)).is_io());
         assert_eq!(MppMove::Remove(Pebble::Blue(NodeId(0))).batch_size(), 1);
+    }
+
+    #[test]
+    fn from_rule_inverts_with_rule() {
+        for m in [
+            MppMove::Store(vec![(0, NodeId(1)), (1, NodeId(2))]),
+            MppMove::load1(1, NodeId(3)),
+            MppMove::compute1(0, NodeId(4)),
+            MppMove::Remove(Pebble::Red(1, NodeId(5))),
+            MppMove::Remove(Pebble::Blue(NodeId(6))),
+        ] {
+            assert_eq!(m.with_rule(|r, s| MppMove::from_rule(r, s.to_vec())), m);
+        }
     }
 
     #[test]

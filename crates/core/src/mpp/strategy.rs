@@ -2,7 +2,7 @@
 
 use rbp_dag::NodeId;
 
-use crate::rules::{self, Game, Rule, StepError, Strategy, Validate, Violation};
+use crate::rules::{self, Game, Instance, Rule, StepError, Strategy, Violation};
 use crate::{Configuration, Cost, MppInstance, MppMove, Pebble, ProcId};
 
 /// An MPP pebbling strategy: the sequence of rule applications
@@ -87,20 +87,25 @@ impl From<Violation> for MppErrorKind {
 /// Replays `moves` on `instance`, enforcing every rule, the per-processor
 /// memory bound, and terminality. Returns the cost tally.
 pub fn validate(instance: &MppInstance, moves: &[MppMove]) -> Result<Cost, MppError> {
-    let mut config = Configuration::initial(instance.dag, instance.k);
-    let mut cost = Cost::zero();
-    rules::replay(&Game::mpp(instance), &mut config, moves, |rule| {
-        cost.tally(rule)
-    })
-    .map(|()| cost)
+    rules::validate(instance, moves)
 }
 
-impl Validate<MppMove> for MppInstance<'_> {
+impl Instance for MppInstance<'_> {
+    type Move = MppMove;
+    type Store = Configuration;
     type Cost = Cost;
     type Kind = MppErrorKind;
 
-    fn validate(&self, moves: &[MppMove]) -> Result<Cost, MppError> {
-        validate(self, moves)
+    fn game(&self) -> Game<'_> {
+        Game::mpp(self)
+    }
+
+    fn initial(&self) -> Configuration {
+        Configuration::initial(self.dag, self.k)
+    }
+
+    fn tally(cost: &mut Cost, rule: Rule) {
+        cost.tally(rule);
     }
 }
 

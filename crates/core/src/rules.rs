@@ -7,8 +7,15 @@
 //! the store only when every precondition holds, and [`bare_sink`] is
 //! their one terminality check. A [`Game`] carries the parameters, all
 //! existing instance fields; a game's move type reaches the kernel as a
-//! [`Rule`] and a shaded selection through [`Move`]. Every validator and
-//! simulator in the workspace checks its moves here.
+//! [`Rule`] and a shaded selection through [`Move`], and is built back
+//! from them by [`Move::from_rule`].
+//!
+//! Each game's instance type implements [`Instance`]: its move, store,
+//! cost and error types, its [`Game`], its initial configuration and
+//! its cost tally. Over that, the one validator ([`validate`]) replays
+//! a strategy and the one [`Simulator`] builds one move by move; every
+//! game's validator and simulator is these two, and `StreamSim` checks
+//! its moves through [`apply`] as well.
 
 use rbp_dag::{Dag, HybridNodeSet, NodeId, NodeSet};
 
@@ -182,6 +189,13 @@ pub trait Move {
     /// Calls `f` with the move's rule and selection; a removal passes one
     /// entry, with processor 0 unless it removes a red pebble.
     fn with_rule<T>(&self, f: impl FnOnce(Rule, &[(ProcId, NodeId)]) -> T) -> T;
+    /// The move applying `rule` to `sel`, the inverse of
+    /// [`Move::with_rule`]: a removal reads the one entry.
+    ///
+    /// # Panics
+    /// On a rule the game does not have, or an empty selection where the
+    /// move names one node.
+    fn from_rule(rule: Rule, sel: Vec<(ProcId, NodeId)>) -> Self;
 }
 
 /// Applies `rule` to the selection `sel` if every precondition holds in
@@ -369,26 +383,26 @@ pub fn bare_sink<S: PebbleStore>(game: &Game, store: &mut S) -> Option<NodeId> {
         .find(|&v| !holds(v))
 }
 
-/// Replays `moves` on `store`, passing each applied rule to `tally`,
-/// then checks terminality.
+/// The one validator: replays `moves` from the initial configuration
+/// of `instance`, enforcing every rule and terminality, and returns the
+/// cost tally. Each move is borrowed, not cloned.
 ///
 /// # Errors
 /// The first violation, with its move's index (`moves.len()` for a bare
 /// sink), in the game's own error kind.
-pub fn replay<S: PebbleStore, M: Move, K: From<Violation>>(
-    game: &Game,
-    store: &mut S,
-    moves: &[M],
-    mut tally: impl FnMut(Rule),
-) -> Result<(), StepError<K>> {
+pub fn validate<I: Instance>(instance: &I, moves: &[I::Move]) -> Result<I::Cost, InstanceError<I>> {
+    let game = instance.game();
+    let mut store = instance.initial();
+    let mut cost = I::Cost::default();
     let fail = |step, v: Violation| StepError {
         step,
         kind: v.into(),
     };
     for (step, mv) in moves.iter().enumerate() {
-        tally(apply_move(game, store, mv).map_err(|v| fail(step, v))?);
+        let rule = apply_move(&game, &mut store, mv).map_err(|v| fail(step, v))?;
+        I::tally(&mut cost, rule);
     }
-    bare_sink(game, store).map_or(Ok(()), |v| {
+    bare_sink(&game, &mut store).map_or(Ok(cost), |v| {
         Err(fail(moves.len(), Violation::NotTerminal(v)))
     })
 }
@@ -411,6 +425,9 @@ impl<K: std::fmt::Debug> std::fmt::Display for StepError<K> {
 }
 
 impl<K: std::fmt::Debug> std::error::Error for StepError<K> {}
+
+/// The [`StepError`] of a strategy of `I`'s game.
+pub type InstanceError<I> = StepError<<I as Instance>::Kind>;
 
 /// A pebbling strategy: the sequence of rule applications `(t_1, …,
 /// t_T)` of one game's move type `M`.
@@ -460,8 +477,11 @@ impl<M> Strategy<M> {
     ///
     /// # Errors
     /// The first rule violation.
-    pub fn validate<I: Validate<M>>(&self, instance: &I) -> Result<I::Cost, StepError<I::Kind>> {
-        instance.validate(&self.moves)
+    pub fn validate<I: Instance<Move = M>>(
+        &self,
+        instance: &I,
+    ) -> Result<I::Cost, InstanceError<I>> {
+        validate(instance, &self.moves)
     }
 }
 
@@ -475,18 +495,139 @@ pub struct Run<M, C> {
     pub cost: C,
 }
 
-/// An instance that validates strategies of moves `M`: the game's
-/// validator.
-pub trait Validate<M> {
-    /// The cost tally of a valid strategy.
-    type Cost;
+/// A game instance: the types and parameters the one [`validate`] and
+/// the one [`Simulator`] read.
+pub trait Instance {
+    /// The game's move type.
+    type Move: Move + Clone + std::fmt::Debug;
+    /// The game's configuration.
+    type Store: PebbleStore + Clone + std::fmt::Debug;
+    /// The cost tally of a strategy.
+    type Cost: Copy + Default + std::fmt::Debug;
     /// The game's error kind.
-    type Kind;
-    /// Replays `moves`, enforcing every rule and terminality.
+    type Kind: From<Violation>;
+    /// The parameters the rules read.
+    fn game(&self) -> Game<'_>;
+    /// The configuration a strategy starts from.
+    fn initial(&self) -> Self::Store;
+    /// Counts one application of `rule` into `cost`.
+    fn tally(cost: &mut Self::Cost, rule: Rule);
+}
+
+/// A live game that accumulates a strategy. Each call applies one move
+/// to the configuration, or rejects it with its violation and leaves
+/// the configuration as it was; [`Simulator::finish`] checks
+/// terminality. Schedulers build their strategies through one, so they
+/// emit only rule-conforming strategies, which [`validate`] can still
+/// check independently.
+#[derive(Debug, Clone)]
+pub struct Simulator<I: Instance> {
+    instance: I,
+    config: I::Store,
+    moves: Vec<I::Move>,
+    cost: I::Cost,
+}
+
+impl<I: Instance> Simulator<I> {
+    /// Starts a game in the instance's initial configuration.
+    #[must_use]
+    pub fn new(instance: I) -> Self {
+        let config = instance.initial();
+        Simulator {
+            instance,
+            config,
+            moves: Vec::new(),
+            cost: I::Cost::default(),
+        }
+    }
+
+    /// The instance being played.
+    #[must_use]
+    pub fn instance(&self) -> &I {
+        &self.instance
+    }
+
+    /// The current configuration (read-only).
+    #[must_use]
+    pub fn config(&self) -> &I::Store {
+        &self.config
+    }
+
+    /// Cost so far.
+    #[must_use]
+    pub fn cost(&self) -> I::Cost {
+        self.cost
+    }
+
+    /// Number of moves so far.
+    #[must_use]
+    pub fn steps(&self) -> usize {
+        self.moves.len()
+    }
+
+    fn fail(&self, v: Violation) -> InstanceError<I> {
+        StepError {
+            step: self.moves.len(),
+            kind: v.into(),
+        }
+    }
+
+    /// Applies one move, or reports the violation without changing state.
     ///
     /// # Errors
-    /// The first rule violation.
-    fn validate(&self, moves: &[M]) -> Result<Self::Cost, StepError<Self::Kind>>;
+    /// The move's first broken precondition.
+    pub fn apply(&mut self, mv: I::Move) -> Result<(), InstanceError<I>> {
+        let rule =
+            apply_move(&self.instance.game(), &mut self.config, &mv).map_err(|v| self.fail(v))?;
+        I::tally(&mut self.cost, rule);
+        self.moves.push(mv);
+        Ok(())
+    }
+
+    /// Batch compute.
+    pub fn compute(&mut self, batch: Vec<(ProcId, NodeId)>) -> Result<(), InstanceError<I>> {
+        self.apply(I::Move::from_rule(Rule::Compute, batch))
+    }
+
+    /// Batch blue load.
+    pub fn load(&mut self, batch: Vec<(ProcId, NodeId)>) -> Result<(), InstanceError<I>> {
+        self.apply(I::Move::from_rule(Rule::Load, batch))
+    }
+
+    /// Batch blue store.
+    pub fn store(&mut self, batch: Vec<(ProcId, NodeId)>) -> Result<(), InstanceError<I>> {
+        self.apply(I::Move::from_rule(Rule::Store, batch))
+    }
+
+    /// Removes processor `proc`'s red pebble from `v`.
+    pub fn remove_red(&mut self, proc: ProcId, v: NodeId) -> Result<(), InstanceError<I>> {
+        self.apply(I::Move::from_rule(Rule::RemoveRed, vec![(proc, v)]))
+    }
+
+    /// Removes the blue pebble from `v`.
+    pub fn remove_blue(&mut self, v: NodeId) -> Result<(), InstanceError<I>> {
+        self.apply(I::Move::from_rule(Rule::RemoveBlue, vec![(0, v)]))
+    }
+
+    /// Stores `v` from `proc` only if it has no blue pebble yet; no-op
+    /// (and no cost) otherwise. Convenience for schedulers.
+    pub fn ensure_stored(&mut self, proc: ProcId, v: NodeId) -> Result<(), InstanceError<I>> {
+        if self.config.sets().1.contains(v) {
+            return Ok(());
+        }
+        self.store(vec![(proc, v)])
+    }
+
+    /// Checks terminality and returns the finished run.
+    pub fn finish(mut self) -> Result<Run<I::Move, I::Cost>, InstanceError<I>> {
+        if let Some(sink) = bare_sink(&self.instance.game(), &mut self.config) {
+            return Err(self.fail(Violation::NotTerminal(sink)));
+        }
+        Ok(Run {
+            strategy: Strategy::from_moves(self.moves),
+            cost: self.cost,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -570,11 +570,11 @@ impl PhaseStats {
     }
 }
 
-/// Scratch-embedded phase profiler the `Domain` implementations
-/// accumulate into during [`expand`](crate::driver::Domain::expand).
+/// Per-worker phase profiler the search domain accumulates into during
+/// [`expand`](crate::driver::Domain::expand).
 ///
 /// Owns a [`PhaseStats`] plus the cached timing flag; the driver drains
-/// it once per worker via `Domain::take_phases`, so the hot loop never
+/// it once per worker with [`PhaseProf::take`], so the hot loop never
 /// touches shared state.
 #[derive(Debug, Clone)]
 pub(crate) struct PhaseProf {

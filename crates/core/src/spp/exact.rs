@@ -4,9 +4,10 @@
 //! search ([`crate::mpp::exact::solve_game`]): its variant flags — one-shot,
 //! no deletion, the Hong–Kung boundary convention — are parameters of
 //! the rule kernel's [`Game`], and the search takes them from there.
-//! This module keeps the SPP facade: it maps the witness steps to
-//! [`SppMove`]s, validates them with [`crate::spp::validate`], and
-//! reports the `solve.spp` span and the `solver.spp.*` counters.
+//! This module keeps the SPP facade: it takes the witness as
+//! [`crate::SppMove`]s (built by `Move::from_rule`), validates it with
+//! [`crate::spp::validate`], and reports the `solve.spp` span and the
+//! `solver.spp.*` counters.
 //! Optimal pebbling is PSPACE-complete in general, so the search is
 //! exponential; intended for the small instances that experiments use
 //! as ground truth (`n ≤ ~14` in practice, hard limit 64).
@@ -16,9 +17,9 @@
 //! before/after benchmarks rely on that mode.
 
 use crate::mpp::exact::solve_game;
-use crate::rules::{Game, Rule};
+use crate::rules::Game;
 use crate::search::{SearchConfig, SearchOutcome};
-use crate::{Cost, SppInstance, SppMove, SppStrategy};
+use crate::{Cost, SppInstance, SppStrategy};
 
 pub use crate::search::SolveLimits;
 
@@ -61,18 +62,7 @@ pub fn solve_with(instance: &SppInstance, config: &SearchConfig) -> SearchOutcom
             ("partition", rbp_util::Json::from(config.partition.as_str())),
         ],
     );
-    let game = Game::spp(instance);
-    solve_game(&game, instance.model, 0, config, "spp", |rule, sel| {
-        let v = sel[0].1;
-        match rule {
-            Rule::Compute => SppMove::Compute(v),
-            Rule::Load => SppMove::Load(v),
-            Rule::Store => SppMove::Store(v),
-            Rule::RemoveRed => SppMove::RemoveRed(v),
-            _ => unreachable!("{rule:?} outside the single-processor game"),
-        }
-    })
-    .map(|(total, moves)| {
+    solve_game(&Game::spp(instance), instance.model, 0, config, "spp").map(|(total, moves)| {
         let strategy = SppStrategy::from_moves(moves);
         let cost = strategy
             .validate(instance)

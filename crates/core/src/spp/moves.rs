@@ -61,6 +61,19 @@ impl Move for SppMove {
         };
         f(rule, &[(0, self.node())])
     }
+
+    #[inline]
+    fn from_rule(rule: Rule, sel: Vec<(ProcId, NodeId)>) -> Self {
+        let v = sel[0].1;
+        match rule {
+            Rule::Compute => SppMove::Compute(v),
+            Rule::Load => SppMove::Load(v),
+            Rule::Store => SppMove::Store(v),
+            Rule::RemoveRed => SppMove::RemoveRed(v),
+            Rule::RemoveBlue => SppMove::RemoveBlue(v),
+            _ => unreachable!("{rule:?} outside the single-processor game"),
+        }
+    }
 }
 
 impl std::fmt::Display for SppMove {
@@ -89,6 +102,20 @@ mod tests {
         assert!(SppMove::RemoveBlue(v).is_removal());
         assert!(!SppMove::Compute(v).is_removal());
         assert_eq!(SppMove::Compute(v).node(), v);
+    }
+
+    #[test]
+    fn from_rule_inverts_with_rule() {
+        let v = NodeId(2);
+        for m in [
+            SppMove::Load(v),
+            SppMove::Store(v),
+            SppMove::Compute(v),
+            SppMove::RemoveRed(v),
+            SppMove::RemoveBlue(v),
+        ] {
+            assert_eq!(m.with_rule(|r, s| SppMove::from_rule(r, s.to_vec())), m);
+        }
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl SppState {
     pub fn has_pebble(&self, v: NodeId) -> bool {
         self.red.contains(v) || self.blue.contains(v)
     }
-
-    /// Whether the state is terminal for `dag`: every sink holds a pebble.
-    #[must_use]
-    pub fn is_terminal(&self, dag: &Dag) -> bool {
-        dag.sinks().into_iter().all(|s| self.has_pebble(s))
-    }
 }
 
 impl PebbleStore for SppState {
@@ -75,31 +69,34 @@ impl PebbleStore for SppState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::{bare_sink, Game};
     use rbp_dag::dag_from_edges;
 
     #[test]
     fn initial_state_is_empty() {
         let d = dag_from_edges(3, &[(0, 1), (1, 2)]);
-        let s = SppState::initial(&d);
+        let mut s = SppState::initial(&d);
         assert_eq!(s.red_count(), 0);
         assert!(!s.has_pebble(NodeId(0)));
-        assert!(!s.is_terminal(&d));
+        assert_eq!(bare_sink(&Game::new(&d, 1, 1), &mut s), Some(NodeId(2)));
     }
 
     #[test]
     fn terminal_accepts_red_or_blue_on_sinks() {
         let d = dag_from_edges(3, &[(0, 2), (1, 2)]);
+        let game = Game::new(&d, 1, 3);
         let mut s = SppState::initial(&d);
         s.red.insert(NodeId(2));
-        assert!(s.is_terminal(&d));
+        assert_eq!(bare_sink(&game, &mut s), None);
         let mut s2 = SppState::initial(&d);
         s2.blue.insert(NodeId(2));
-        assert!(s2.is_terminal(&d));
+        assert_eq!(bare_sink(&game, &mut s2), None);
     }
 
     #[test]
     fn empty_dag_is_immediately_terminal() {
         let d = dag_from_edges(0, &[]);
-        assert!(SppState::initial(&d).is_terminal(&d));
+        let mut s = SppState::initial(&d);
+        assert_eq!(bare_sink(&Game::new(&d, 1, 1), &mut s), None);
     }
 }

@@ -2,7 +2,7 @@
 
 use rbp_dag::NodeId;
 
-use crate::rules::{self, Game, StepError, Strategy, Validate, Violation};
+use crate::rules::{self, Game, Instance, Rule, StepError, Strategy, Violation};
 use crate::{Cost, SppInstance, SppMove, SppState};
 
 /// A pebbling strategy: the sequence of rule applications.
@@ -70,20 +70,25 @@ impl From<Violation> for SppErrorKind {
 /// Replays `moves` on `instance`, enforcing every rule, the memory bound,
 /// the variant restrictions, and terminality. Returns the cost tally.
 pub fn validate(instance: &SppInstance, moves: &[SppMove]) -> Result<Cost, SppError> {
-    let mut state = SppState::initial_for(instance.dag, instance.variant);
-    let mut cost = Cost::zero();
-    rules::replay(&Game::spp(instance), &mut state, moves, |rule| {
-        cost.tally(rule)
-    })
-    .map(|()| cost)
+    rules::validate(instance, moves)
 }
 
-impl Validate<SppMove> for SppInstance<'_> {
+impl Instance for SppInstance<'_> {
+    type Move = SppMove;
+    type Store = SppState;
     type Cost = Cost;
     type Kind = SppErrorKind;
 
-    fn validate(&self, moves: &[SppMove]) -> Result<Cost, SppError> {
-        validate(self, moves)
+    fn game(&self) -> Game<'_> {
+        Game::spp(self)
+    }
+
+    fn initial(&self) -> SppState {
+        SppState::initial_for(self.dag, self.variant)
+    }
+
+    fn tally(cost: &mut Cost, rule: Rule) {
+        cost.tally(rule);
     }
 }
 

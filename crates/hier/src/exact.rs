@@ -6,8 +6,9 @@
 //! [`rbp_core::rules::Game`]): one A\* kernel, with processor-symmetry
 //! canonicalization, the Lemma 1 admissible heuristic (`G ∪ B` in the
 //! role of the blue set, reload cost `min(g, green)`), lazy eviction
-//! and maximal-batch dominance pruning, serves every game. This module maps the decoded witness steps to
-//! [`HierMove`]s, validates them with [`crate::validate_hier`], and
+//! and maximal-batch dominance pruning, serves every game. This module
+//! takes the witness as [`crate::HierMove`]s (built by
+//! `Move::from_rule`), validates it with [`crate::validate_hier`], and
 //! reports the `solve.hier` span and the `hier.*` trace counters.
 //!
 //! With `green_cap = 0` the game has no tier, so the three-level solve
@@ -16,11 +17,10 @@
 //! that down against `rbp_core::solve_mpp_with`.
 
 use rbp_core::mpp::exact::solve_game;
-use rbp_core::rules::Rule;
 use rbp_core::{SearchConfig, SearchOutcome, SolveLimits};
 use rbp_util::Json;
 
-use crate::{HierCost, HierInstance, HierMove, HierPebble, HierStrategy};
+use crate::{HierCost, HierInstance, HierStrategy};
 
 /// An optimal three-level solution found by [`solve`].
 #[derive(Debug, Clone)]
@@ -70,16 +70,6 @@ pub fn solve_with(instance: &HierInstance, config: &SearchConfig) -> SearchOutco
         instance.model.green,
         config,
         "hier",
-        |rule, batch| match rule {
-            Rule::Compute => HierMove::Compute(batch),
-            Rule::Load => HierMove::Load(batch),
-            Rule::Store => HierMove::Store(batch),
-            Rule::LoadGreen => HierMove::LoadGreen(batch),
-            Rule::StoreGreen => HierMove::StoreGreen(batch),
-            Rule::RemoveRed => HierMove::Remove(HierPebble::Red(batch[0].0, batch[0].1)),
-            Rule::RemoveGreen => HierMove::Remove(HierPebble::Green(batch[0].1)),
-            Rule::RemoveBlue => HierMove::Remove(HierPebble::Blue(batch[0].1)),
-        },
     )
     .map(|(total, moves)| {
         let strategy = HierStrategy::from_moves(moves);

@@ -254,13 +254,6 @@ impl HierConfiguration {
     pub fn is_valid(&self, r: usize, green_cap: usize) -> bool {
         self.green.len() <= green_cap && self.reds.iter().all(|s| s.len() <= r)
     }
-
-    /// Whether the configuration is terminal for `dag`: every sink
-    /// holds a pebble on some level.
-    #[must_use]
-    pub fn is_terminal(&self, dag: &Dag) -> bool {
-        dag.sinks().into_iter().all(|s| self.has_pebble(s))
-    }
 }
 
 impl PebbleStore for HierConfiguration {
@@ -276,6 +269,7 @@ impl PebbleStore for HierConfiguration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbp_core::rules::bare_sink;
     use rbp_dag::dag_from_edges;
 
     #[test]
@@ -324,12 +318,13 @@ mod tests {
     #[test]
     fn configuration_queries() {
         let d = dag_from_edges(2, &[(0, 1)]);
+        let game = HierInstance::new(&d, 2, 1, 1, 1, 1).game();
         let mut c = HierConfiguration::initial(&d, 2);
         assert_eq!(c.k(), 2);
-        assert!(!c.is_terminal(&d));
+        assert_eq!(bare_sink(&game, &mut c), Some(NodeId(1)));
         c.green.insert(NodeId(1));
         assert!(c.has_pebble(NodeId(1)));
-        assert!(c.is_terminal(&d));
+        assert_eq!(bare_sink(&game, &mut c), None);
         assert!(c.is_valid(1, 1));
         assert!(!c.is_valid(1, 0));
     }

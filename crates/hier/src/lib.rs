@@ -38,9 +38,14 @@
 //! hash-sharded parallel) with processor-symmetry canonicalization, the
 //! Lemma 1 admissible heuristic (with `G ∪ B` as the out-of-fast-memory
 //! set), and lazy eviction serves both games, and at `green_cap = 0`
-//! the three-level solve is the vanilla solve. Heuristic schedulers ([`GreenList`],
-//! [`HierTopoBaseline`]) build strategies through the rule-enforcing
-//! [`HierSimulator`].
+//! the three-level solve is the vanilla solve.
+//!
+//! The rules are `rbp_core`'s too: [`HierInstance`] implements
+//! `rbp_core::rules::Instance`, so [`validate_hier`] is the one
+//! validator of `rbp_core::rules` and [`HierSimulator`] an alias of its
+//! one simulator. Heuristic schedulers ([`GreenList`],
+//! [`HierTopoBaseline`]) build strategies through that rule-enforcing
+//! simulator, whose `apply` takes the green moves.
 //!
 //! ```
 //! use rbp_hier::{solve_hier, HierInstance};

@@ -131,6 +131,20 @@ impl Move for HierMove {
         };
         f(rule, sel)
     }
+
+    #[inline]
+    fn from_rule(rule: Rule, sel: Vec<(ProcId, NodeId)>) -> Self {
+        match rule {
+            Rule::Compute => HierMove::Compute(sel),
+            Rule::Load => HierMove::Load(sel),
+            Rule::Store => HierMove::Store(sel),
+            Rule::LoadGreen => HierMove::LoadGreen(sel),
+            Rule::StoreGreen => HierMove::StoreGreen(sel),
+            Rule::RemoveRed => HierMove::Remove(HierPebble::Red(sel[0].0, sel[0].1)),
+            Rule::RemoveGreen => HierMove::Remove(HierPebble::Green(sel[0].1)),
+            Rule::RemoveBlue => HierMove::Remove(HierPebble::Blue(sel[0].1)),
+        }
+    }
 }
 
 impl std::fmt::Display for HierMove {
@@ -174,6 +188,23 @@ mod tests {
             HierMove::Remove(HierPebble::Green(NodeId(0))).batch_size(),
             1
         );
+    }
+
+    #[test]
+    fn from_rule_inverts_with_rule() {
+        let v = NodeId(4);
+        for m in [
+            HierMove::store1(0, v),
+            HierMove::load1(1, v),
+            HierMove::StoreGreen(vec![(0, NodeId(1)), (1, v)]),
+            HierMove::green_load1(1, v),
+            HierMove::compute1(0, v),
+            HierMove::Remove(HierPebble::Red(1, v)),
+            HierMove::Remove(HierPebble::Green(v)),
+            HierMove::Remove(HierPebble::Blue(v)),
+        ] {
+            assert_eq!(m.with_rule(|r, s| HierMove::from_rule(r, s.to_vec())), m);
+        }
     }
 
     #[test]

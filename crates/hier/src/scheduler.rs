@@ -15,7 +15,7 @@ use rbp_core::ProcId;
 use rbp_dag::NodeId;
 use rbp_util::Json;
 
-use crate::{HierError, HierInstance, HierRun, HierSimulator};
+use crate::{HierError, HierInstance, HierMove, HierPebble, HierRun, HierSimulator};
 
 /// A scheduler producing a valid three-level strategy for any feasible
 /// instance. Stateless configuration holders, `Send + Sync` so sweeps
@@ -161,7 +161,8 @@ impl GreenList {
 
     /// Persists `w` from `p` green-first: reclaims dead green entries
     /// to make room, then falls back to blue if the tier is full or
-    /// not cheaper.
+    /// not cheaper. No-op if `w` is already green, or already blue
+    /// when a green store is impossible.
     fn persist(
         sim: &mut HierSimulator,
         p: ProcId,
@@ -170,7 +171,8 @@ impl GreenList {
         sinks: &[bool],
     ) -> Result<(), HierError> {
         let inst = *sim.instance();
-        if inst.model.green <= inst.model.g && sim.config().green.len() >= inst.green_cap {
+        let cheaper = inst.model.green <= inst.model.g;
+        if cheaper && sim.config().green.len() >= inst.green_cap {
             let dead: Vec<NodeId> = sim
                 .config()
                 .green
@@ -181,10 +183,17 @@ impl GreenList {
                 if sim.config().green.len() < inst.green_cap {
                     break;
                 }
-                sim.remove_green(u)?;
+                sim.apply(HierMove::Remove(HierPebble::Green(u)))?;
             }
         }
-        sim.persist_prefer_green(p, w)
+        let green = &sim.config().green;
+        if green.contains(w) {
+            return Ok(());
+        }
+        if cheaper && green.len() < inst.green_cap {
+            return sim.apply(HierMove::green_store1(p, w));
+        }
+        sim.ensure_stored(p, w)
     }
 
     /// Loads `u` into `p`, preferring the green copy when it is at
@@ -195,7 +204,7 @@ impl GreenList {
         let green_ok = cfg.green.contains(u);
         let blue_ok = cfg.blue.contains(u);
         if green_ok && (inst.model.green <= inst.model.g || !blue_ok) {
-            sim.load_green(vec![(p, u)])
+            sim.apply(HierMove::green_load1(p, u))
         } else {
             sim.load(vec![(p, u)])
         }
@@ -271,6 +280,10 @@ impl HierScheduler for GreenList {
 mod tests {
     use super::*;
     use rbp_dag::{dag_from_edges, generators, DagStats};
+
+    fn v(i: u32) -> NodeId {
+        NodeId(i)
+    }
 
     #[test]
     fn registry_runs_everything_and_revalidates() {
@@ -370,6 +383,37 @@ mod tests {
             "blue fallback unexpected: {}",
             run.cost
         );
+    }
+
+    #[test]
+    fn persist_prefers_green_until_full() {
+        let d = dag_from_edges(3, &[]);
+        let inst = HierInstance::new(&d, 1, 3, 7, 1, 1);
+        // Every node is a live sink: no green entry is ever reclaimed.
+        let (remaining, sinks) = ([0; 3], [true; 3]);
+        let mut sim = HierSimulator::new(inst);
+        sim.compute(vec![(0, v(0))]).unwrap();
+        sim.compute(vec![(0, v(1))]).unwrap();
+        GreenList::persist(&mut sim, 0, v(0), &remaining, &sinks).unwrap();
+        // Idempotent while green.
+        GreenList::persist(&mut sim, 0, v(0), &remaining, &sinks).unwrap();
+        // Green full: falls back to blue.
+        GreenList::persist(&mut sim, 0, v(1), &remaining, &sinks).unwrap();
+        GreenList::persist(&mut sim, 0, v(1), &remaining, &sinks).unwrap();
+        sim.compute(vec![(0, v(2))]).unwrap();
+        let run = sim.finish().unwrap();
+        assert_eq!((run.cost.green_stores, run.cost.stores), (1, 1));
+    }
+
+    #[test]
+    fn persist_with_zero_cap_goes_blue() {
+        let d = dag_from_edges(1, &[]);
+        let inst = HierInstance::new(&d, 1, 1, 7, 0, 1);
+        let mut sim = HierSimulator::new(inst);
+        sim.compute(vec![(0, v(0))]).unwrap();
+        GreenList::persist(&mut sim, 0, v(0), &[0], &[true]).unwrap();
+        let run = sim.finish().unwrap();
+        assert_eq!((run.cost.green_stores, run.cost.stores), (0, 1));
     }
 
     #[test]

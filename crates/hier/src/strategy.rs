@@ -6,7 +6,7 @@
 //! illegal move never corrupts the configuration. This module maps the
 //! kernel's violations onto [`HierErrorKind`].
 
-use rbp_core::rules::{self, Rule, StepError, Strategy, Validate, Violation};
+use rbp_core::rules::{self, Game, Instance, Rule, StepError, Strategy, Violation};
 use rbp_core::ProcId;
 use rbp_dag::NodeId;
 
@@ -113,20 +113,25 @@ impl From<Violation> for HierErrorKind {
 /// Replays `moves` on `instance`, enforcing every rule, the red and
 /// green capacity bounds, and terminality. Returns the cost tally.
 pub fn validate(instance: &HierInstance, moves: &[HierMove]) -> Result<HierCost, HierError> {
-    let mut config = HierConfiguration::initial(instance.dag, instance.k);
-    let mut cost = HierCost::zero();
-    rules::replay(&instance.game(), &mut config, moves, |rule| {
-        cost.tally(rule)
-    })
-    .map(|()| cost)
+    rules::validate(instance, moves)
 }
 
-impl Validate<HierMove> for HierInstance<'_> {
+impl Instance for HierInstance<'_> {
+    type Move = HierMove;
+    type Store = HierConfiguration;
     type Cost = HierCost;
     type Kind = HierErrorKind;
 
-    fn validate(&self, moves: &[HierMove]) -> Result<HierCost, HierError> {
-        validate(self, moves)
+    fn game(&self) -> Game<'_> {
+        HierInstance::game(self)
+    }
+
+    fn initial(&self) -> HierConfiguration {
+        HierConfiguration::initial(self.dag, self.k)
+    }
+
+    fn tally(cost: &mut HierCost, rule: Rule) {
+        cost.tally(rule);
     }
 }
 

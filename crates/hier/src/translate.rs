@@ -86,8 +86,8 @@ mod tests {
         let inst = HierInstance::new(&d, 2, 2, 3, 2, 1);
         let mut sim = HierSimulator::new(inst);
         sim.compute(vec![(0, v(0))]).unwrap();
-        sim.store_green(vec![(0, v(0))]).unwrap();
-        sim.load_green(vec![(1, v(0))]).unwrap();
+        sim.apply(HierMove::green_store1(0, v(0))).unwrap();
+        sim.apply(HierMove::green_load1(1, v(0))).unwrap();
         sim.compute(vec![(1, v(1))]).unwrap();
         let run = sim.finish().unwrap();
 
@@ -109,7 +109,7 @@ mod tests {
         let inst = HierInstance::new(&d, 1, 1, 2, 1, 1);
         let mut sim = HierSimulator::new(inst);
         sim.compute(vec![(0, v(0))]).unwrap();
-        sim.store_green(vec![(0, v(0))]).unwrap();
+        sim.apply(HierMove::green_store1(0, v(0))).unwrap();
         sim.store(vec![(0, v(0))]).unwrap();
         let run = sim.finish().unwrap();
         let mpp = hier_to_mpp(&inst, &run.strategy);
@@ -126,11 +126,12 @@ mod tests {
         let inst = HierInstance::new(&d, 1, 1, 2, 1, 1);
         let mut sim = HierSimulator::new(inst);
         sim.compute(vec![(0, v(0))]).unwrap();
-        sim.store_green(vec![(0, v(0))]).unwrap();
+        sim.apply(HierMove::green_store1(0, v(0))).unwrap();
         sim.remove_red(0, v(0)).unwrap();
-        sim.remove_green(v(0)).unwrap();
+        sim.apply(HierMove::Remove(HierPebble::Green(v(0))))
+            .unwrap();
         sim.compute(vec![(0, v(1))]).unwrap();
-        sim.store_green(vec![(0, v(1))]).unwrap();
+        sim.apply(HierMove::green_store1(0, v(1))).unwrap();
         // v0 lost its green pebble, but the projection keeps the merged
         // blue pebble, so the projected strategy is terminal even
         // though the hier run itself is not.

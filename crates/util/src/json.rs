@@ -387,13 +387,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
+                    // Copy the whole unescaped run at once, so parsing
+                    // stays linear. The run ends at a quote, a backslash,
+                    // a control byte or the end of the input: all char
+                    // boundaries of the input `&str`.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }

@@ -19,6 +19,12 @@ cargo build --offline --release --workspace --all-targets
 echo "== cargo test (every workspace member) =="
 cargo test --workspace --offline --release -q
 
+echo "== rbpbench (its own workspace, built against crates/*) =="
+# The benchmark is not a workspace member, so the steps above never
+# compile it: a public-API change would break it unseen. Its build
+# output stays in the gitignored rbpbench/target/.
+cargo test --release --offline -q --manifest-path rbpbench/Cargo.toml
+
 echo "== cargo doc (missing docs are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 

@@ -1,13 +1,22 @@
-//! Exact anchors of the single-processor search.
+//! Exact anchors of the one exact search.
 //!
 //! Each row pins the optimum, the settled and pushed state counts and
-//! the stop reason of one sequential `solve_spp_with` run under the
-//! default configuration. The counts are load-independent: a changed
-//! count means a changed search (successor order, dominance, heuristic
-//! or key layout), even when the optimum survives.
+//! the stop reason of one sequential run under the default
+//! configuration: `solve_spp_with` for the single-processor rows, and
+//! `solve_mpp_with` or `solve_hier_with` for the multi-processor and
+//! three-level instances `scripts/ci.sh` guards, which also pin how
+//! many successors the incumbent probe's bound pruned. The counts are
+//! load-independent: a changed count means a changed search (successor
+//! order, dominance, heuristic, probe or key layout), even when the
+//! optimum survives.
 
-use rbp::core::rbp_dag::{generators, Dag};
-use rbp::core::{solve_spp_with, CostModel, SearchConfig, SppInstance, SppVariant, StopReason};
+use rbp::core::rbp_dag::{generators, io, Dag};
+use rbp::core::{
+    solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SppInstance, SppVariant,
+    StopReason,
+};
+use rbp::gadgets::HierSkip;
+use rbp::hier::{solve_hier_with, HierInstance};
 
 struct Row {
     name: &'static str,
@@ -70,5 +79,75 @@ fn single_processor_search_matches_its_anchors() {
             let cost = sol.strategy.validate(&inst).expect("witness validates");
             assert_eq!(cost.total(inst.model), sol.total, "{}", row.name);
         }
+    }
+}
+
+/// One multi-processor anchor: `k` processors of capacity `r` at I/O
+/// cost `g`, with a green tier `(capacity, cost)` for three-level rows.
+struct GameRow {
+    name: &'static str,
+    dag: Dag,
+    k: usize,
+    r: usize,
+    g: u64,
+    green: Option<(usize, u64)>,
+    opt: u64,
+    settled: u64,
+    pushed: u64,
+    ub_pruned: u64,
+}
+
+#[rustfmt::skip]
+fn game_rows() -> Vec<GameRow> {
+    let fixture = io::parse(include_str!("fixtures/grid_3x3.dag")).expect("fixture parses");
+    let row = |name, dag, green, opt, settled, pushed, ub_pruned| GameRow {
+        name,
+        dag,
+        k: 2,
+        r: 3,
+        g: 2,
+        green,
+        opt,
+        settled,
+        pushed,
+        ub_pruned,
+    };
+    vec![
+        row("grid_3x3.dag k2 r3 g2", fixture, None, 11, 27_375, 89_228, 0),
+        // The incumbent probe finds a schedule here, and its bound prunes.
+        row("fft 2 k2 r3 g2", generators::fft(2), None, 12, 41_453, 43_209, 221_644),
+        row("hier_skip 4 k2 r3 g2 cap2 cost1", HierSkip::build(4).dag, Some((2, 1)), 9, 36_455, 382_582, 0),
+    ]
+}
+
+#[test]
+fn multiprocessor_and_three_level_search_match_their_anchors() {
+    for row in game_rows() {
+        let mpp = MppInstance::new(&row.dag, row.k, row.r, row.g);
+        let config = SearchConfig::default();
+        let (opt, stats, phases, reason) = match row.green {
+            None => {
+                let out = solve_mpp_with(&mpp, &config);
+                let opt = out.solution.map(|s| s.total);
+                (opt, out.stats, out.phases, out.reason)
+            }
+            Some((cap, cost)) => {
+                let out = solve_hier_with(&HierInstance::from_mpp(&mpp, cap, cost), &config);
+                let opt = out.solution.map(|s| s.total);
+                (opt, out.stats, out.phases, out.reason)
+            }
+        };
+        assert_eq!(
+            (opt, stats.settled, stats.pushed, phases.ub_pruned, reason),
+            (
+                Some(row.opt),
+                row.settled,
+                row.pushed,
+                row.ub_pruned,
+                StopReason::Solved
+            ),
+            "{}: (OPT, settled, pushed, ub_pruned, stop reason)",
+            row.name
+        );
     }
 }
