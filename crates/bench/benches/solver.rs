@@ -97,11 +97,10 @@ fn main() {
 
     // Hot-path kernels (`solver_kernel` group), timed in isolation via
     // the solver's probe hooks: memoized processor-permutation
-    // canonicalization, the incremental (delta) heuristic against the
-    // from-scratch evaluation it replaces, and per-expansion successor
-    // generation with dominance pruning off vs on. All walk-based
-    // kernels share a fixed seed so before/after runs time identical
-    // work; the returned checksums keep the work live.
+    // canonicalization and per-expansion successor generation with
+    // dominance pruning off vs on. The walk-based kernels share a fixed
+    // seed so before/after runs time identical work; the returned
+    // checksums keep the work live.
     let dag = generators::grid(3, 3);
     let inst = MppInstance::new(&dag, 2, 3, 2);
     const KSEED: u64 = 0xbeb0;
@@ -109,13 +108,6 @@ fn main() {
         probe::canon_kernel(64_000, KSEED)
     });
     m.extra.add("iters", 64_000u64);
-    for (label, delta) in [
-        ("solver_kernel/heur_scratch_8k", false),
-        ("solver_kernel/heur_delta_8k", true),
-    ] {
-        let m = b.run(label, || probe::heur_kernel(&inst, 8_000, delta, KSEED));
-        m.extra.add("evals", 8_000u64);
-    }
     for (label, dominance) in [
         ("solver_kernel/expand_naive_2k", false),
         ("solver_kernel/expand_pruned_2k", true),
@@ -127,35 +119,6 @@ fn main() {
         m.extra.add("expansions", 2_000u64);
         m.extra.add("emitted", emitted);
     }
-
-    // Send-path cost: one ring slot per state vs the driver's 8-state
-    // blocks, producer/consumer interleaved on one thread so the
-    // numbers are deterministic on any host. This walk exposes the
-    // *copy* side of the trade-off (batching moves more bytes per
-    // message: into the block, then the block through the ring) while
-    // `ring_ops` records the synchronization side it buys — 8x fewer
-    // atomic release/acquire pairs and shared-cache-line handoffs,
-    // which is where the win lives under real cross-core traffic. The
-    // checksum proves both transports deliver identical messages
-    // before either is timed.
-    const MSGS: u64 = 200_000;
-    const BCAP: u64 = rbp_core::ringbench::BLOCK_CAP as u64;
-    assert_eq!(
-        rbp_core::ringbench::transfer_per_state(MSGS),
-        rbp_core::ringbench::transfer_batched(MSGS),
-        "transports must deliver identical payloads"
-    );
-    let m = b.run("ring/send_per_state_200k", || {
-        rbp_core::ringbench::transfer_per_state(MSGS)
-    });
-    m.extra.add("msgs", MSGS);
-    m.extra.add("ring_ops", MSGS);
-    let m = b.run("ring/send_batched_200k", || {
-        rbp_core::ringbench::transfer_batched(MSGS)
-    });
-    m.extra.add("msgs", MSGS);
-    m.extra.add("ring_ops", MSGS.div_ceil(BCAP));
-    m.extra.add("block_cap", BCAP);
 
     b.finish();
 }

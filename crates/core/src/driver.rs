@@ -59,8 +59,10 @@ use crate::search::{
 };
 use crate::spsc::Spsc;
 
-/// Lazily evaluated admissible bound for an emitted successor: `None`
-/// marks the state provably dead. See [`Domain::expand`].
+/// Lazily evaluated admissible bound for an emitted successor — the
+/// value [`Domain::heuristic`] would return for it, computed only if the
+/// driver calls the thunk. `None` marks the state provably dead. See
+/// [`Domain::expand`].
 pub type HeurThunk<'a> = &'a mut dyn FnMut() -> Option<u64>;
 
 /// Successor sink passed to [`Domain::expand`]: receives
@@ -93,19 +95,17 @@ pub trait Domain: Sync {
     /// constants when the heuristic is disabled in config so baselines
     /// stay comparable. The drivers call this for the root and for
     /// states arriving over cross-shard channels; locally generated
-    /// successors carry the (incrementally evaluated) bound emitted by
-    /// [`Domain::expand`] instead.
+    /// successors carry a [`HeurThunk`] for the same bound instead.
     fn heuristic(&self, key: &Self::Key) -> Option<u64>;
     /// Emits every canonical successor as `(key, edge_cost, move,
     /// heuristic_thunk)`. The last component evaluates the successor's
     /// own admissible bound on demand — `None` for provably dead
     /// successors (interned but never enqueued), `Some(0)` when the
-    /// heuristic is disabled — so implementations can evaluate it
-    /// incrementally from the parent instead of having the driver
-    /// recompute it from scratch. The thunk is only invoked when the
-    /// relax actually improved a locally owned distance: most emitted
+    /// heuristic is disabled. The drivers invoke it only when the relax
+    /// actually improved a locally owned distance, or before interning
+    /// when an incumbent may prune the successor: most emitted
     /// successors are duplicates (or ship to a foreign shard, which
-    /// re-evaluates on arrival), and their bound is never needed. Phase
+    /// evaluates on arrival), and their bound is never needed. Phase
     /// counters accumulate into the worker's `prof`, which the drivers
     /// drain once per run.
     fn expand(&self, key: &Self::Key, prof: &mut PhaseProf, emit: EmitFn<'_, Self::Key>);
@@ -581,10 +581,10 @@ impl<'a, D: Domain> Worker<'a, D> {
     /// it when the distance improved, the heuristic finds it alive, and
     /// its `f` still beats the incumbent. Returns whether the distance
     /// was created or improved. Used for states arriving over channels
-    /// or the speculation stash, where no parent heuristic context
-    /// exists — the bound is evaluated from scratch (and lazily, only
-    /// on improvement). Runs outside `expand`, so it is deliberately
-    /// untimed: the phase profile accounts the expansion path.
+    /// or the speculation stash, which come without a heuristic thunk —
+    /// the bound is evaluated here, lazily, only on improvement. Runs
+    /// outside `expand`, so it is deliberately untimed: the phase
+    /// profile accounts the expansion path.
     #[inline]
     fn relax_owned(
         &mut self,
@@ -611,8 +611,8 @@ impl<'a, D: Domain> Worker<'a, D> {
     }
 
     /// [`Worker::relax_owned`] for locally generated successors, whose
-    /// admissible bound is evaluated lazily — the domain's incremental
-    /// thunk `hv` runs only when the distance actually improved.
+    /// admissible bound is evaluated lazily — the domain's thunk `hv`
+    /// runs only when the distance actually improved.
     #[inline]
     fn relax_owned_h(
         &mut self,

@@ -49,8 +49,6 @@ mod driver;
 pub mod mode;
 pub mod mpp;
 mod partition;
-#[doc(hidden)]
-pub mod ringbench;
 pub mod rules;
 pub mod search;
 pub mod spp;
@@ -62,7 +60,7 @@ pub use mode::GameMode;
 pub use mpp::{
     async_makespan, batchify, solve_mpp, solve_mpp_with, validate_mpp, AsyncTiming, Configuration,
     IoClass, MppError, MppErrorKind, MppInstance, MppMove, MppRun, MppRunStats, MppSimulator,
-    MppSolution, MppStrategy, Pebble, ProcId,
+    MppSolution, MppStrategy, Pebble, ProcId, StreamHeader,
 };
 pub use partition::PartitionMode;
 pub use search::{

@@ -72,8 +72,8 @@ use crate::driver::{self, Domain, EmitFn};
 use crate::partition::Partition;
 use crate::rules::{Game, Move, Rule};
 use crate::search::{
-    game_masks, trace_shards, HeurCtx, PackedMove, PhaseProf, PhaseStats, SearchConfig,
-    SearchOutcome, StopReason, MAX_THREADS,
+    game_masks, trace_shards, PackedMove, PhaseProf, SearchConfig, SearchOutcome, StopReason,
+    MAX_THREADS,
 };
 use crate::{AdmissibleHeuristic, Cost, CostModel, MppInstance, MppStrategy, ProcId, SolveLimits};
 
@@ -591,23 +591,6 @@ impl<const K: usize> Domain for MppDomain<K> {
         let key = *key;
         let green = self.green(&key);
 
-        // Per-parent heuristic context: one from-scratch closure walk
-        // whose needed set answers most successors in O(1) via
-        // `eval_delta`. `prepare` returns `None` only on dead states
-        // (one-shot variants), which the driver never expands; fall
-        // back to per-successor `eval` regardless.
-        let hctx: Option<HeurCtx> = if self.use_heuristic {
-            let t0 = prof.start();
-            prof.stats.heur_full_evals += 1;
-            let ctx = self
-                .heur
-                .prepare(key.red_all(), self.outer(&key), self.computed(&key));
-            prof.stop_heur(t0);
-            ctx
-        } else {
-            None
-        };
-
         let mut emit_raw = |mut raw: Key<K>, cost: u64, mv: PackedMove| {
             // Canonicalization is vacuous with one processor.
             if K > 1 && self.symmetry {
@@ -620,20 +603,14 @@ impl<const K: usize> Domain for MppDomain<K> {
                 }
                 prof.stop_canon(t0);
             }
+            // The successor's bound, evaluated only if the driver asks.
             emit(raw, cost, mv, &mut || {
                 if !self.use_heuristic {
                     return Some(0);
                 }
                 let t0 = prof.start();
-                let (red_all, outer) = (raw.red_all(), self.outer(&raw));
-                let computed = self.computed(&raw);
-                let hv = match &hctx {
-                    Some(ctx) => {
-                        self.heur
-                            .eval_delta(ctx, red_all, outer, computed, &mut prof.stats)
-                    }
-                    None => self.heur.eval(red_all, outer, computed),
-                };
+                prof.stats.heur_full_evals += 1;
+                let hv = self.heuristic(&raw);
                 prof.stop_heur(t0);
                 hv
             });
@@ -900,9 +877,9 @@ pub mod probe {
     //! successor sets along deterministic pseudo-random walks, with the
     //! decoded move behind each naive successor — the substrate of the
     //! successor-set equivalence property tests for every game — and
-    //! the micro-kernels (`canonicalize`, heuristic delta vs
-    //! from-scratch, per-expansion successor generation) timed by the
-    //! `solver_kernel` bench group. Not a public API.
+    //! the micro-kernels (`canonicalize`, per-expansion successor
+    //! generation) timed by the `solver_kernel` bench group. Not a
+    //! public API.
 
     use super::*;
     use rbp_util::Rng;
@@ -1066,62 +1043,11 @@ pub mod probe {
         acc
     }
 
-    /// Heuristic micro-kernel: evaluates the admissible bound for every
-    /// successor along a seeded walk, either through the incremental
-    /// delta path (`delta = true`) or from scratch, until `iters`
-    /// evaluations have run. Returns a checksum of the bounds.
-    #[must_use]
-    pub fn heur_kernel(instance: &MppInstance, iters: u64, delta: bool, seed: u64) -> u64 {
-        with_k!(instance.k, K => heur_walk::<K>(instance, iters, delta, seed),
-            _ => panic!("unsupported instance"))
-    }
-
-    fn heur_walk<const K: usize>(
-        instance: &MppInstance,
-        iters: u64,
-        delta: bool,
-        seed: u64,
-    ) -> u64 {
-        let domain = mpp_domain::<K>(instance, &raw_config(true));
-        let mut rng = Rng::new(seed);
-        let mut scratch = PhaseProf::default();
-        let mut stats = PhaseStats::default();
-        let mut key = domain.root();
-        let mut acc = 0u64;
-        let mut done = 0u64;
-        while done < iters {
-            let succs = expand_into(&domain, &key, &mut scratch);
-            if succs.is_empty() {
-                key = domain.root();
-                continue;
-            }
-            let ctx = domain
-                .heur
-                .prepare(key.red_all(), domain.outer(&key), 0)
-                .expect("MPP states are never dead");
-            for (s, _) in &succs {
-                let next = s.key::<K>();
-                let (red_all, outer) = (next.red_all(), domain.outer(&next));
-                let hv = if delta {
-                    domain.heur.eval_delta(&ctx, red_all, outer, 0, &mut stats)
-                } else {
-                    domain.heur.eval(red_all, outer, 0)
-                };
-                acc = acc.rotate_left(5) ^ hv.unwrap_or(u64::MAX);
-                done += 1;
-                if done >= iters {
-                    break;
-                }
-            }
-            key = succs[rng.index(succs.len())].0.key();
-        }
-        acc
-    }
-
     /// Successor-generation micro-kernel: expands states along a seeded
-    /// walk (heuristic delta and canonicalization included, as in the
-    /// real hot loop) until `iters` expansions have run; returns the
-    /// total number of emitted successors.
+    /// walk (canonicalization included, as in the real hot loop) until
+    /// `iters` expansions have run; returns the total number of emitted
+    /// successors. The driver evaluates a successor's bound lazily, and
+    /// this walk never asks, so no heuristic runs here.
     #[must_use]
     pub fn expand_kernel(instance: &MppInstance, iters: u64, dominance: bool, seed: u64) -> u64 {
         with_k!(instance.k, K => expand_walk::<K>(instance, iters, dominance, seed),

@@ -9,6 +9,7 @@
 pub mod async_cost;
 pub mod config;
 pub mod exact;
+pub mod jsonl;
 pub mod moves;
 pub mod optimize;
 pub mod sim;
@@ -20,6 +21,7 @@ pub use optimize::batchify;
 
 pub use config::{Configuration, MppInstance};
 pub use exact::{solve as solve_mpp, solve_with as solve_mpp_with, MppSolution};
+pub use jsonl::StreamHeader;
 pub use moves::{MppMove, Pebble, ProcId};
 pub use sim::{MppRun, MppSimulator};
 pub use stats::{IoClass, MppRunStats};

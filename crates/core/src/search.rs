@@ -12,7 +12,8 @@
 //!   `push` a `Vec` append, with zero per-operation heap rebalancing.
 //!   Instances whose cost range would make buckets wasteful (huge `g`)
 //!   fall back to a binary heap transparently.
-//! - [`AdmissibleHeuristic`]: the lower bound guiding A\*. See the
+//! - [`AdmissibleHeuristic`]: the lower bound guiding A\*, computed by
+//!   its one evaluation, [`AdmissibleHeuristic::eval`]. See the
 //!   admissibility argument on the type; it is also *consistent*, so
 //!   the first settling of a state is final and the bucket cursor never
 //!   moves backwards.
@@ -438,9 +439,9 @@ pub(crate) fn trace_shards(which: &str, shards: &[ShardStats]) {
 ///
 /// Timing is opt-in because it reads the clock twice per successor —
 /// enabling it unconditionally would pollute the very benchmarks the
-/// profile exists to explain. The phase *counters* (memo hits, delta
-/// fast-paths, suppressed idles, emissions) are plain integer
-/// increments and are always accumulated.
+/// profile exists to explain. The phase *counters* (memo hits,
+/// heuristic evaluations, suppressed idles, emissions) are plain
+/// integer increments and are always accumulated.
 #[must_use]
 pub fn phase_timing_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -461,7 +462,7 @@ pub fn phase_timing_enabled() -> bool {
 pub struct PhaseStats {
     /// Time sorting red masks into the canonical processor order.
     pub canonicalize_ns: u64,
-    /// Time evaluating the admissible bound (delta and from-scratch).
+    /// Time evaluating the admissible bound.
     pub heuristic_ns: u64,
     /// Time enumerating rule batches and building successor keys:
     /// expand wall-clock minus the other in-expand phases.
@@ -475,10 +476,13 @@ pub struct PhaseStats {
     pub canon_memo_hits: u64,
     /// Canonicalizations that had to sort the red masks.
     pub canon_sorts: u64,
-    /// Heuristic evaluations answered by the O(1) incremental delta
-    /// path (no needed-set closure walk).
+    /// Always zero: every bound is computed by
+    /// [`AdmissibleHeuristic::eval`], with no fast path to count. Kept,
+    /// and still traced, so that readers of
+    /// `solver.phase.*.heur_delta_fast` keep parsing.
     pub heur_delta_fast: u64,
-    /// Heuristic evaluations that ran the from-scratch closure walk.
+    /// Heuristic evaluations of successors (each one runs
+    /// [`AdmissibleHeuristic::eval`]).
     pub heur_full_evals: u64,
     /// Successors suppressed by dominance pruning (idle processors that
     /// had an available action, and dominated single moves).
@@ -872,6 +876,9 @@ impl AdmissibleHeuristic {
     /// all red masks, `computed` the ever-computed mask (zero unless the
     /// one-shot variant tracks it). `None` means the state admits no
     /// completion at all.
+    ///
+    /// This is the bound's only evaluation path: the search, the probe
+    /// and `rbp-bounds` all call it, so a new term goes here once.
     #[must_use]
     pub fn eval(&self, red_all: u64, blue: u64, computed: u64) -> Option<u64> {
         let pebbled = red_all | blue;
@@ -891,19 +898,10 @@ impl AdmissibleHeuristic {
         if need & uncomputable != 0 {
             return None;
         }
-        Some(self.terms(need, pred_union, red_all, blue, uncomputable))
-    }
-
-    /// The bound's arithmetic given the needed set, the union of its
-    /// predecessor sets, and the state masks: compute slots for `A`
-    /// plus re-entry slots for its blue-only predecessors (minimized
-    /// over the load/recompute split), plus forced sink stores.
-    #[inline]
-    fn terms(&self, need: u64, pred_union: u64, red_all: u64, blue: u64, uncomputable: u64) -> u64 {
         let a = u64::from(need.count_ones());
         // Blue-only predecessors of needed nodes: each must re-enter
         // fast memory, by a load batch slot or (when recomputable) a
-        // compute batch slot.
+        // compute batch slot. Minimize over the load/recompute split.
         let reenter = pred_union & blue & !red_all;
         let forced = u64::from((reenter & uncomputable).count_ones());
         let optional = u64::from((reenter & !uncomputable).count_ones());
@@ -917,147 +915,8 @@ impl AdmissibleHeuristic {
             let missing_stores = self.sinks & !blue;
             h += u64::from(missing_stores.count_ones()).div_ceil(self.k) * self.g;
         }
-        h
+        Some(h)
     }
-
-    /// Prepares a per-parent context for [`AdmissibleHeuristic::
-    /// eval_delta`]: one from-scratch evaluation whose needed set is
-    /// retained so each successor can be answered by a bitmask delta.
-    /// Returns `None` iff the parent state is dead (same contract as
-    /// `eval`).
-    #[must_use]
-    pub(crate) fn prepare(&self, red_all: u64, blue: u64, computed: u64) -> Option<HeurCtx> {
-        let pebbled = red_all | blue;
-        let mut need = self.sinks & !pebbled;
-        let mut stack = need;
-        let mut pred_union = 0u64;
-        while stack != 0 {
-            let v = stack.trailing_zeros() as usize;
-            stack &= stack - 1;
-            let ps = self.preds[v];
-            pred_union |= ps;
-            let fresh = ps & !pebbled & !need;
-            need |= fresh;
-            stack |= fresh;
-        }
-        let uncomputable = self.no_compute | if self.one_shot { computed } else { 0 };
-        if need & uncomputable != 0 {
-            return None;
-        }
-        debug_assert_eq!(
-            Some(self.terms(need, pred_union, red_all, blue, uncomputable)),
-            self.eval(red_all, blue, computed)
-        );
-        Some(HeurCtx {
-            pebbled,
-            need,
-            pred_union,
-            computed,
-        })
-    }
-
-    /// Evaluates the bound at a successor of the state `ctx` was
-    /// prepared for, reusing the parent's needed set instead of
-    /// re-walking the closure when the move permits it. Increments the
-    /// `heur_delta_fast` / `heur_full_evals` counters in `stats`.
-    ///
-    /// The fast paths skip the closure walk — the expensive part — and
-    /// re-run only the O(1)-ish `terms` arithmetic on
-    /// the cached needed set. They are exact, not approximations (a
-    /// `debug_assert` cross-checks against
-    /// [`AdmissibleHeuristic::eval`]):
-    ///
-    /// - **Needed set unchanged**: if no node was unpebbled, `computed`
-    ///   is unchanged, and no newly pebbled node lies in `A`, then
-    ///   `A' = A` (the closure only stops *earlier* at pebbled nodes,
-    ///   and it stopped at none of the new ones) and its predecessor
-    ///   union is unchanged; only the red/blue masks feeding the
-    ///   re-entry and store terms moved.
-    /// - **Shrink only**: if nodes `hit = added ∩ A` were pebbled and no
-    ///   surviving member of `A` reaches the sinks *through* a hit node
-    ///   — i.e. `preds⁻¹(hit) ∩ A ∩ ¬added = ∅` — then `A' = A \
-    ///   added` exactly: any path certifying membership of `v ∈ A'`
-    ///   in the parent closure either avoided `added` (still valid) or
-    ///   its first `added` node `w` has an unpebbled `A`-predecessor on
-    ///   the path, contradicting the cut condition. The predecessor
-    ///   union is rebuilt by one pass over the surviving members.
-    ///
-    /// Both paths are alive by inheritance: `A' ⊆ A` with the same
-    /// uncomputable mask, and the parent passed the dead check.
-    /// Everything else — a move that unpebbled a node (red eviction of
-    /// the last copy) or changed `computed` — re-runs the from-scratch
-    /// evaluation.
-    #[must_use]
-    pub(crate) fn eval_delta(
-        &self,
-        ctx: &HeurCtx,
-        red_all: u64,
-        blue: u64,
-        computed: u64,
-        stats: &mut PhaseStats,
-    ) -> Option<u64> {
-        let result = self.eval_delta_inner(ctx, red_all, blue, computed, stats);
-        debug_assert_eq!(
-            result,
-            self.eval(red_all, blue, computed),
-            "incremental heuristic diverged from from-scratch evaluation"
-        );
-        result
-    }
-
-    fn eval_delta_inner(
-        &self,
-        ctx: &HeurCtx,
-        red_all: u64,
-        blue: u64,
-        computed: u64,
-        stats: &mut PhaseStats,
-    ) -> Option<u64> {
-        let pebbled = red_all | blue;
-        if ctx.pebbled & !pebbled == 0 && computed == ctx.computed {
-            let uncomputable = self.no_compute | if self.one_shot { computed } else { 0 };
-            let added = pebbled & !ctx.pebbled;
-            let hit = added & ctx.need;
-            if hit == 0 {
-                stats.heur_delta_fast += 1;
-                return Some(self.terms(ctx.need, ctx.pred_union, red_all, blue, uncomputable));
-            }
-            // Union of predecessor sets of the hit nodes: the only
-            // nodes whose membership proof could route through `hit`.
-            let mut cut_preds = 0u64;
-            let mut m = hit;
-            while m != 0 {
-                let v = m.trailing_zeros() as usize;
-                m &= m - 1;
-                cut_preds |= self.preds[v];
-            }
-            if cut_preds & ctx.need & !added == 0 {
-                stats.heur_delta_fast += 1;
-                let need = ctx.need & !added;
-                let mut pred_union = 0u64;
-                let mut m = need;
-                while m != 0 {
-                    let v = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    pred_union |= self.preds[v];
-                }
-                return Some(self.terms(need, pred_union, red_all, blue, uncomputable));
-            }
-        }
-        stats.heur_full_evals += 1;
-        self.eval(red_all, blue, computed)
-    }
-}
-
-/// Per-parent context for [`AdmissibleHeuristic::eval_delta`]: the
-/// parent's pebbled mask and needed set, cached by
-/// [`AdmissibleHeuristic::prepare`] once per expansion.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HeurCtx {
-    pebbled: u64,
-    need: u64,
-    pred_union: u64,
-    computed: u64,
 }
 
 /// The masks of a game on at most 64 nodes: each node's predecessors,
@@ -1169,79 +1028,6 @@ mod tests {
         assert_eq!(h.eval(0, 1 << 0, 0), Some(4));
         // Everything blue: done.
         assert_eq!(h.eval(0, 0b111, 0), Some(0));
-    }
-
-    #[test]
-    fn delta_heuristic_agrees_with_full_eval_exhaustively() {
-        // Every parent mask × every single-node addition, in both the
-        // "new red" and "new blue" directions. This is the release-mode
-        // pin of the debug_assert cross-check inside eval_delta.
-        let dag = generators::layered_random(3, 3, 2, 7);
-        let n = dag.n();
-        assert!(n <= 10, "exhaustive test wants a small dag");
-        let inst = MppInstance::new(&dag, 2, 3, 2);
-        let h = mpp_heuristic(&inst);
-        let mut stats = PhaseStats::default();
-        for m in 0u64..(1 << n) {
-            let ctx = h.prepare(m, 0, 0).expect("MPP states are never dead");
-            assert_eq!(h.eval_delta(&ctx, m, 0, 0, &mut stats), h.eval(m, 0, 0));
-            for v in 0..n {
-                let bit = 1u64 << v;
-                if m & bit != 0 {
-                    continue;
-                }
-                // Compute/load-like move: node v becomes red.
-                assert_eq!(
-                    h.eval_delta(&ctx, m | bit, 0, 0, &mut stats),
-                    h.eval(m | bit, 0, 0)
-                );
-                // Blue-side move: node v becomes blue instead.
-                assert_eq!(h.eval_delta(&ctx, m, bit, 0, &mut stats), h.eval(m, bit, 0));
-            }
-            // Unpebbling move: must fall back to the full walk.
-            if m != 0 {
-                let low = 1u64 << m.trailing_zeros();
-                assert_eq!(
-                    h.eval_delta(&ctx, m & !low, 0, 0, &mut stats),
-                    h.eval(m & !low, 0, 0)
-                );
-            }
-        }
-        assert!(stats.heur_delta_fast > 0, "fast path never taken");
-        assert!(stats.heur_full_evals > 0, "fallback never taken");
-    }
-
-    #[test]
-    fn delta_heuristic_handles_io_term_variants() {
-        use crate::{CostModel, SppVariant};
-        let dag = generators::chain(3);
-        let inst = SppInstance {
-            dag: &dag,
-            r: 2,
-            model: CostModel::spp_io_only(2),
-            variant: SppVariant::hong_kung(),
-        };
-        let h = spp_heuristic(&inst);
-        let ctx = h.prepare(0, 1 << 0, 0).expect("state is live");
-        let parent = h.eval_delta(&ctx, 0, 1 << 0, 0, &mut PhaseStats::default());
-        assert_eq!(parent, Some(4));
-        let mut stats = PhaseStats::default();
-        // Hong–Kung variants carry I/O terms; the fast paths recompute
-        // the load/store arithmetic from the cached needed set, so
-        // every delta evaluation must still agree with eval.
-        for red in 0u64..8 {
-            for blue in 0u64..8 {
-                assert_eq!(
-                    h.eval_delta(&ctx, red, blue | 1, 0, &mut stats),
-                    h.eval(red, blue | 1, 0)
-                );
-            }
-        }
-        // The only fallbacks are moves that pebble the sink (node 2)
-        // without pebbling node 1: the cut check cannot certify that
-        // node 1's membership proof avoided the sink.
-        assert_eq!(stats.heur_delta_fast, 52);
-        assert_eq!(stats.heur_full_evals, 12);
     }
 
     #[test]

@@ -8,15 +8,12 @@
 //! fully characterized by the order of the `n` compute steps, and a
 //! zero-cost pebbling with capacity `r` exists iff some topological order
 //! keeps the live set (plus the node being placed) within `r` at every
-//! step. This module decides that by best-first search on the bottleneck
-//! peak over downward-closed computed sets, and returns a witness order.
+//! step. That is the bottleneck search of [`rbp_dag::min_peak_order`]
+//! pruned at `r`, which also returns a witness order.
 //!
 //! This is exactly the problem the paper's clique reduction (Theorem 2,
 //! Figures 3–4) proves NP-hard, so exponential time here is expected; the
-//! DP is exact for `n ≤ 64` and fast when `r` prunes aggressively.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+//! search is exact for `n ≤ 64` and fast when `r` prunes aggressively.
 
 use rbp_dag::{Dag, NodeId};
 
@@ -34,88 +31,10 @@ pub fn zero_io_pebbling_exists(dag: &Dag, r: usize) -> Option<bool> {
 /// Outer `None` when the DAG exceeds 64 nodes.
 #[must_use]
 pub fn zero_io_order(dag: &Dag, r: usize) -> Option<Option<Vec<NodeId>>> {
-    let n = dag.n();
-    if n > 64 {
+    if dag.n() > 64 {
         return None;
     }
-    if n == 0 {
-        return Some(Some(Vec::new()));
-    }
-    let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let preds_mask: Vec<u64> = dag
-        .nodes()
-        .map(|v| {
-            dag.preds(v)
-                .iter()
-                .fold(0u64, |m, p| m | (1u64 << p.index()))
-        })
-        .collect();
-    let succs_mask: Vec<u64> = dag
-        .nodes()
-        .map(|v| {
-            dag.succs(v)
-                .iter()
-                .fold(0u64, |m, p| m | (1u64 << p.index()))
-        })
-        .collect();
-    let live_count = |mask: u64| -> u32 {
-        let mut live = 0u32;
-        let mut m = mask;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if succs_mask[i] == 0 || succs_mask[i] & !mask != 0 {
-                live += 1;
-            }
-        }
-        live
-    };
-
-    let mut best: HashMap<u64, u32> = HashMap::new();
-    let mut parent: HashMap<u64, (u64, NodeId)> = HashMap::new();
-    let mut heap: BinaryHeap<(Reverse<u32>, u64)> = BinaryHeap::new();
-    best.insert(0, 0);
-    heap.push((Reverse(0), 0));
-    while let Some((Reverse(peak), mask)) = heap.pop() {
-        if best.get(&mask).copied() != Some(peak) {
-            continue;
-        }
-        if peak as usize > r {
-            // Bottleneck already too large; everything later is worse.
-            return Some(None);
-        }
-        if mask == full {
-            // Reconstruct the witness order.
-            let mut order = Vec::with_capacity(n);
-            let mut cur = full;
-            while let Some(&(prev, v)) = parent.get(&cur) {
-                order.push(v);
-                cur = prev;
-            }
-            order.reverse();
-            return Some(Some(order));
-        }
-        // Peak while placing any node i: all still-needed values plus i.
-        // Predecessors of i are live in `mask` (i is uncomputed), so
-        // live(mask) ∪ {i} is the instantaneous requirement.
-        let during = live_count(mask) + 1;
-        for (i, &pm) in preds_mask.iter().enumerate() {
-            let b = 1u64 << i;
-            if mask & b != 0 || pm & !mask != 0 {
-                continue;
-            }
-            let new_mask = mask | b;
-            // After placing, some preds may die; the lasting requirement
-            // is live(new_mask) ≤ during, so `during` dominates.
-            let new_peak = peak.max(during);
-            if new_peak as usize <= r && best.get(&new_mask).is_none_or(|&p| new_peak < p) {
-                best.insert(new_mask, new_peak);
-                parent.insert(new_mask, (mask, NodeId::new(i)));
-                heap.push((Reverse(new_peak), new_mask));
-            }
-        }
-    }
-    Some(None)
+    Some(rbp_dag::min_peak_order(dag, r).map(|(_, order)| order))
 }
 
 /// Converts a witness order into an explicit one-shot SPP strategy

@@ -1,6 +1,6 @@
 //! Structural analyses used by bounds and experiment reports.
 
-use crate::{Dag, NodeId, NodeSet};
+use crate::{Dag, NodeId};
 
 /// Summary statistics of a DAG, printed in experiment headers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,26 +58,6 @@ impl std::fmt::Display for DagStats {
     }
 }
 
-/// The *live set* of a downward-closed computed set `s`: members that still
-/// have at least one uncomputed successor, plus computed sinks.
-///
-/// In a zero-I/O one-shot pebbling these are exactly the nodes that must
-/// hold red pebbles once `s` has been computed: a value is dead only when
-/// every consumer has been computed, and sink values must be retained as
-/// outputs. This function drives the Theorem 2 decision procedure in
-/// `rbp-core`.
-#[must_use]
-pub fn live_set(dag: &Dag, computed: &NodeSet) -> NodeSet {
-    let mut live = dag.empty_set();
-    for v in computed.iter() {
-        let needed = dag.out_degree(v) == 0 || dag.succs(v).iter().any(|&s| !computed.contains(s));
-        if needed {
-            live.insert(v);
-        }
-    }
-    live
-}
-
 /// Minimum possible peak size of the live set over all topological orders,
 /// computed exactly by DP over downward-closed subsets.
 ///
@@ -86,84 +66,96 @@ pub fn live_set(dag: &Dag, computed: &NodeSet) -> NodeSet {
 /// one-shot black-pebbling number. Exponential in `n`; intended for
 /// `n ≤ ~22`.
 ///
-/// Returns `None` if `n` exceeds `max_n` (guard against accidental blowup).
+/// Returns `None` if `n` exceeds `max_n` or 30 (guard against accidental
+/// blowup).
 #[must_use]
 pub fn min_peak_memory(dag: &Dag, max_n: usize) -> Option<usize> {
     let n = dag.n();
     if n > max_n || n > 30 {
         return None;
     }
-    use std::collections::HashMap;
-    // State: bitmask of computed nodes (downward-closed by construction).
-    // Value: minimal achievable peak of |live ∪ {next}| over the remaining
-    // completion. We search forward with Dijkstra-style best-first on the
-    // bottleneck cost.
+    min_peak_order(dag, usize::MAX).map(|(peak, _)| peak)
+}
+
+/// The exact bottleneck search behind [`min_peak_memory`] and the
+/// Theorem 2 zero-I/O procedure of `rbp-core`: the minimum peak over all
+/// topological orders together with an order achieving it, or `None`
+/// when every order peaks above `cap`.
+///
+/// A one-shot pebbling without I/O is fixed by its compute order: a
+/// computed node holds a red pebble while it is *live* — it is a sink
+/// (an output) or has an uncomputed successor — and placing a node needs
+/// the live set plus the node itself. The search runs best-first on the
+/// bottleneck over downward-closed computed sets and never enters a set
+/// whose peak exceeds `cap`, so a tight `cap` also bounds its work.
+///
+/// # Panics
+/// If the DAG has more than 64 nodes (one bit per node in a `u64` set).
+#[must_use]
+pub fn min_peak_order(dag: &Dag, cap: usize) -> Option<(usize, Vec<NodeId>)> {
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashMap};
+
+    let n = dag.n();
+    assert!(n <= 64, "min_peak_order: {n} nodes exceed one u64 set");
     let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let preds_mask: Vec<u64> = dag
-        .nodes()
-        .map(|v| {
-            dag.preds(v)
-                .iter()
-                .fold(0u64, |m, p| m | (1u64 << p.index()))
-        })
-        .collect();
-    let succs_mask: Vec<u64> = dag
-        .nodes()
-        .map(|v| {
-            dag.succs(v)
-                .iter()
-                .fold(0u64, |m, p| m | (1u64 << p.index()))
-        })
-        .collect();
-    let live_of = |mask: u64| -> u64 {
-        let mut live = 0u64;
-        let mut m = mask;
+    let mask = |vs: &[NodeId]| vs.iter().fold(0u64, |m, v| m | (1u64 << v.index()));
+    let preds: Vec<u64> = dag.nodes().map(|v| mask(dag.preds(v))).collect();
+    let succs: Vec<u64> = dag.nodes().map(|v| mask(dag.succs(v))).collect();
+    let live_count = |computed: u64| {
+        let mut live = 0u32;
+        let mut m = computed;
         while m != 0 {
             let i = m.trailing_zeros() as usize;
             m &= m - 1;
-            // Live if sink or has uncomputed successor.
-            if succs_mask[i] == 0 || succs_mask[i] & !mask != 0 {
-                live |= 1u64 << i;
+            if succs[i] == 0 || succs[i] & !computed != 0 {
+                live += 1;
             }
         }
         live
     };
 
-    // Best-first search over (bottleneck, mask).
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut best: HashMap<u64, usize> = HashMap::new();
-    let mut heap: BinaryHeap<(Reverse<usize>, u64)> = BinaryHeap::new();
-    best.insert(0, 0);
+    // Each reached set's best peak, and the node placed last to reach it
+    // at that peak (the set minus that node is its predecessor).
+    let mut best: HashMap<u64, (u32, u32)> = HashMap::new();
+    let mut heap: BinaryHeap<(Reverse<u32>, u64)> = BinaryHeap::new();
+    best.insert(0, (0, 0));
     heap.push((Reverse(0), 0));
-    while let Some((Reverse(peak), mask)) = heap.pop() {
-        if mask == full {
-            return Some(peak);
-        }
-        if best.get(&mask).copied().unwrap_or(usize::MAX) < peak {
+    while let Some((Reverse(peak), computed)) = heap.pop() {
+        if best[&computed].0 != peak {
             continue;
         }
-        let live = live_of(mask);
-        // Try computing each ready node.
-        for (i, &pm) in preds_mask.iter().enumerate() {
+        if computed == full {
+            let mut order = Vec::with_capacity(n);
+            let mut cur = full;
+            while cur != 0 {
+                let v = best[&cur].1;
+                order.push(NodeId(v));
+                cur &= !(1u64 << v);
+            }
+            order.reverse();
+            return Some((peak as usize, order));
+        }
+        // Placing any node: the still-live values plus the node itself.
+        // Its predecessors are live (it is uncomputed), and after the
+        // step the live set is no larger, so this is the step's peak.
+        let next_peak = peak.max(live_count(computed) + 1);
+        if next_peak as usize > cap {
+            continue;
+        }
+        for (i, &pm) in preds.iter().enumerate() {
             let bit = 1u64 << i;
-            if mask & bit != 0 || pm & !mask != 0 {
+            if computed & bit != 0 || pm & !computed != 0 {
                 continue;
             }
-            let new_mask = mask | bit;
-            // During the step, node i plus the still-needed values are
-            // pebbled: peak candidate = |live ∪ {i}| (preds of i are in
-            // live since i was uncomputed).
-            let during = (live | bit).count_ones() as usize;
-            let new_peak = peak.max(during);
-            if best.get(&new_mask).is_none_or(|&b| new_peak < b) {
-                best.insert(new_mask, new_peak);
-                heap.push((Reverse(new_peak), new_mask));
+            let next = computed | bit;
+            if best.get(&next).is_none_or(|&(p, _)| next_peak < p) {
+                best.insert(next, (next_peak, i as u32));
+                heap.push((Reverse(next_peak), next));
             }
         }
     }
-    // Dag is acyclic so completion is always possible.
-    unreachable!("DAG must be completable")
+    None
 }
 
 /// A maximum antichain computed exactly for small DAGs via the
@@ -250,23 +242,6 @@ mod tests {
             }
         );
         assert!(s.to_string().contains("Δin=2"));
-    }
-
-    #[test]
-    fn live_set_diamond() {
-        let d = diamond();
-        // After computing {0}: 0 is live (successors 1,2 uncomputed).
-        let live = live_set(&d, &NodeSet::from_iter(4, [NodeId(0)]));
-        assert_eq!(live.len(), 1);
-        // After {0,1,2}: 0 dead, 1 and 2 live.
-        let live = live_set(
-            &d,
-            &NodeSet::from_iter(4, [NodeId(0), NodeId(1), NodeId(2)]),
-        );
-        assert_eq!(live.iter().collect::<Vec<_>>(), vec![NodeId(1), NodeId(2)]);
-        // Fully computed: only the sink is live (it is the output).
-        let live = live_set(&d, &NodeSet::full(4));
-        assert_eq!(live.iter().collect::<Vec<_>>(), vec![NodeId(3)]);
     }
 
     #[test]

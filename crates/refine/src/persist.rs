@@ -2,140 +2,39 @@
 //!
 //! Lets `rbp improve --out` save a refined strategy and a later
 //! `rbp improve --in` resume from it. The format (documented in
-//! `docs/SCHEMAS.md`) is one JSON object per line:
-//!
-//! 1. a header `{"type":"mpp_strategy","version":1,"dag":…,"n":…,
-//!    "k":…,"r":…,"g":…}` recording the instance the strategy was
-//!    built for, and
-//! 2. one line per move — `{"op":"store"|"load"|"compute",
-//!    "sel":[[p,v],…]}` for the batched rules,
-//!    `{"op":"remove","proc":p,"node":v}` for red deletions,
-//!    `{"op":"remove","node":v}` for blue deletions.
+//! `docs/SCHEMAS.md`) is a header line recording the instance the
+//! strategy was built for, then one line per move; both are rendered
+//! and read by the codec in [`rbp_core::mpp::jsonl`], which the
+//! streaming tier's writer shares.
 //!
 //! Loading checks the header against nothing but its own shape; whether
 //! the strategy is valid *for a given instance* is decided where it
 //! matters, by replaying it through `rbp_core::validate_mpp` (the CLI
 //! does exactly that before refining).
 
-use rbp_core::{MppMove, MppStrategy, Pebble};
-use rbp_dag::NodeId;
+use rbp_core::{MppMove, MppStrategy, StreamHeader};
 use rbp_util::json::Json;
-
-/// The `version` emitted in (and required of) strategy headers.
-pub const FORMAT_VERSION: u64 = 1;
 
 /// A strategy together with the instance parameters it was saved under.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedStrategy {
-    /// DAG name recorded at save time (informational).
-    pub dag_name: String,
-    /// Node count of the DAG the strategy was built for.
-    pub n: usize,
-    /// Number of processors.
-    pub k: usize,
-    /// Fast-memory capacity per processor.
-    pub r: usize,
-    /// I/O cost `g`.
-    pub g: u64,
+    /// The instance parameters of the header line.
+    pub header: StreamHeader,
     /// The move list.
     pub strategy: MppStrategy,
-}
-
-fn sel_json(batch: &[(usize, NodeId)]) -> Json {
-    Json::arr(
-        batch
-            .iter()
-            .map(|&(p, v)| Json::arr([Json::from(p), Json::from(v.index())])),
-    )
-}
-
-fn move_json(mv: &MppMove) -> Json {
-    match mv {
-        MppMove::Store(b) => Json::obj([("op", Json::from("store")), ("sel", sel_json(b))]),
-        MppMove::Load(b) => Json::obj([("op", Json::from("load")), ("sel", sel_json(b))]),
-        MppMove::Compute(b) => Json::obj([("op", Json::from("compute")), ("sel", sel_json(b))]),
-        MppMove::Remove(Pebble::Red(p, v)) => Json::obj([
-            ("op", Json::from("remove")),
-            ("proc", Json::from(*p)),
-            ("node", Json::from(v.index())),
-        ]),
-        MppMove::Remove(Pebble::Blue(v)) => Json::obj([
-            ("op", Json::from("remove")),
-            ("node", Json::from(v.index())),
-        ]),
-    }
 }
 
 /// Serializes a strategy (with its instance parameters) to the JSONL
 /// format described in the module docs.
 #[must_use]
 pub fn strategy_to_jsonl(saved: &SavedStrategy) -> String {
-    let mut out = String::new();
-    let header = Json::obj([
-        ("type", Json::from("mpp_strategy")),
-        ("version", Json::from(FORMAT_VERSION)),
-        ("dag", Json::from(saved.dag_name.as_str())),
-        ("n", Json::from(saved.n)),
-        ("k", Json::from(saved.k)),
-        ("r", Json::from(saved.r)),
-        ("g", Json::from(saved.g)),
-    ]);
-    out.push_str(&header.render());
+    let mut out = saved.header.to_json().render();
     out.push('\n');
     for mv in &saved.strategy.moves {
-        out.push_str(&move_json(mv).render());
+        out.push_str(&mv.to_json().render());
         out.push('\n');
     }
     out
-}
-
-fn parse_sel(obj: &Json) -> Result<Vec<(usize, NodeId)>, String> {
-    let sel = obj
-        .get("sel")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"sel\" array")?;
-    let mut batch = Vec::with_capacity(sel.len());
-    for pair in sel {
-        let xs = pair.as_arr().ok_or("selection entry is not an array")?;
-        let [p, v] = xs else {
-            return Err(format!("selection entry has {} elements, want 2", xs.len()));
-        };
-        let p = p.as_u64().ok_or("processor is not an integer")?;
-        let v = v.as_u64().ok_or("node is not an integer")?;
-        batch.push((
-            usize::try_from(p).map_err(|_| "processor out of range")?,
-            NodeId(u32::try_from(v).map_err(|_| "node out of range")?),
-        ));
-    }
-    Ok(batch)
-}
-
-fn parse_move(obj: &Json) -> Result<MppMove, String> {
-    let op = obj
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("missing \"op\"")?;
-    match op {
-        "store" => Ok(MppMove::Store(parse_sel(obj)?)),
-        "load" => Ok(MppMove::Load(parse_sel(obj)?)),
-        "compute" => Ok(MppMove::Compute(parse_sel(obj)?)),
-        "remove" => {
-            let v = obj
-                .get("node")
-                .and_then(Json::as_u64)
-                .ok_or("remove missing \"node\"")?;
-            let v = NodeId(u32::try_from(v).map_err(|_| "node out of range")?);
-            match obj.get("proc") {
-                Some(p) => {
-                    let p = p.as_u64().ok_or("processor is not an integer")?;
-                    let p = usize::try_from(p).map_err(|_| "processor out of range")?;
-                    Ok(MppMove::Remove(Pebble::Red(p, v)))
-                }
-                None => Ok(MppMove::Remove(Pebble::Blue(v))),
-            }
-        }
-        other => Err(format!("unknown op {other:?}")),
-    }
 }
 
 /// Parses the JSONL produced by [`strategy_to_jsonl`]. Returns a
@@ -147,42 +46,17 @@ pub fn strategy_from_jsonl(text: &str) -> Result<SavedStrategy, String> {
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty());
     let (_, first) = lines.next().ok_or("empty strategy file")?;
-    let header = Json::parse(first).map_err(|e| format!("line 1: {e:?}"))?;
-    if header.get("type").and_then(Json::as_str) != Some("mpp_strategy") {
-        return Err("line 1: not an mpp_strategy header".to_string());
-    }
-    if header.get("version").and_then(Json::as_u64) != Some(FORMAT_VERSION) {
-        return Err(format!(
-            "line 1: unsupported version (want {FORMAT_VERSION})"
-        ));
-    }
-    let field = |name: &str| -> Result<u64, String> {
-        header
-            .get(name)
-            .and_then(Json::as_u64)
-            .ok_or(format!("line 1: missing \"{name}\""))
-    };
-    let n = usize::try_from(field("n")?).map_err(|_| "n out of range")?;
-    let k = usize::try_from(field("k")?).map_err(|_| "k out of range")?;
-    let r = usize::try_from(field("r")?).map_err(|_| "r out of range")?;
-    let g = field("g")?;
-    let dag_name = header
-        .get("dag")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
-
+    let header = Json::parse(first)
+        .map_err(|e| format!("{e:?}"))
+        .and_then(|obj| StreamHeader::from_json(&obj))
+        .map_err(|e| format!("line 1: {e}"))?;
     let mut moves = Vec::new();
     for (i, line) in lines {
         let obj = Json::parse(line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
-        moves.push(parse_move(&obj).map_err(|e| format!("line {}: {e}", i + 1))?);
+        moves.push(MppMove::from_json(&obj).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(SavedStrategy {
-        dag_name,
-        n,
-        k,
-        r,
-        g,
+        header,
         strategy: MppStrategy::from_moves(moves),
     })
 }
@@ -190,8 +64,8 @@ pub fn strategy_from_jsonl(text: &str) -> Result<SavedStrategy, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbp_core::{validate_mpp, MppInstance, MppSimulator};
-    use rbp_dag::generators;
+    use rbp_core::{validate_mpp, MppInstance, MppSimulator, Pebble};
+    use rbp_dag::{generators, NodeId};
 
     #[test]
     fn round_trip_preserves_strategy_exactly() {
@@ -214,11 +88,13 @@ mod tests {
         }
         let run = sim.finish().unwrap();
         let saved = SavedStrategy {
-            dag_name: dag.name().to_string(),
-            n: dag.n(),
-            k: inst.k,
-            r: inst.r,
-            g: inst.model.g,
+            header: StreamHeader {
+                dag_name: dag.name().to_string(),
+                n: dag.n(),
+                k: inst.k,
+                r: inst.r,
+                g: inst.model.g,
+            },
             strategy: run.strategy.clone(),
         };
         let text = strategy_to_jsonl(&saved);
@@ -239,11 +115,13 @@ mod tests {
             MppMove::Remove(Pebble::Blue(NodeId(3))),
         ];
         let saved = SavedStrategy {
-            dag_name: "synthetic".to_string(),
-            n: 4,
-            k: 2,
-            r: 3,
-            g: 2,
+            header: StreamHeader {
+                dag_name: "synthetic".to_string(),
+                n: 4,
+                k: 2,
+                r: 3,
+                g: 2,
+            },
             strategy: MppStrategy::from_moves(moves),
         };
         let loaded = strategy_from_jsonl(&strategy_to_jsonl(&saved)).unwrap();

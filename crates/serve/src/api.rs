@@ -211,6 +211,7 @@ impl Work {
                 })
             }
             "portfolio" => {
+                reject_mode_fields(endpoint, body)?;
                 let (dag, k, r, g) = instance_params(body, MAX_NODES)?;
                 let budget_ms = opt_u64(body, "budget_ms")?.unwrap_or(1000).clamp(1, 60_000);
                 let seed = opt_u64(body, "seed")?.unwrap_or(0);
@@ -230,10 +231,12 @@ impl Work {
                 })
             }
             "bounds" => {
+                reject_mode_fields(endpoint, body)?;
                 let (dag, k, r, g) = instance_params(body, MAX_NODES)?;
                 Ok(Work::Bounds { dag, k, r, g })
             }
             "generate" => {
+                reject_mode_fields(endpoint, body)?;
                 let spec = body
                     .get("generator")
                     .ok_or_else(|| bad("generate: missing \"generator\" object"))?;
@@ -666,6 +669,20 @@ fn mode_from_body(body: &Json) -> Result<GameMode, ApiError> {
     .map_err(bad)
 }
 
+/// Refuses the game-mode fields on an endpoint that takes no game mode
+/// and would otherwise answer the two-level question regardless.
+fn reject_mode_fields(endpoint: &str, body: &Json) -> Result<(), ApiError> {
+    for key in ["levels", "green_cap", "green_cost"] {
+        if !matches!(body.get(key), None | Some(Json::Null)) {
+            return Err(bad(format!(
+                "\"{key}\" is not accepted by /v1/{endpoint}: \
+                 game modes apply to /v1/solve and /v1/schedule only"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Extracts the shared `(dag, k, r, g)` instance parameters. `max_nodes`
 /// is the endpoint's admission cap ([`MAX_NODES`] everywhere except
 /// `/v1/schedule`, whose streaming tier accepts [`STREAM_MAX_NODES`]).
@@ -750,31 +767,11 @@ fn check_declared_nodes(text: &str, max_nodes: usize) -> Result<(), ApiError> {
 /// requests with `413` before any allocation; `None` for families the
 /// registry does not know (those fail later with `400`). Estimates are
 /// exact or slight over-approximations — never drastic under-counts —
-/// so nothing huge slips past the guard.
+/// so nothing huge slips past the guard. Missing parameters read as 0.
 #[must_use]
 pub fn estimate_nodes(family: &str, params: &[usize]) -> Option<u64> {
-    let p = |i: usize| params.get(i).copied().unwrap_or(0) as u64;
-    Some(match family {
-        "chain" | "random" => p(0),
-        "chains" | "grid" | "layered" => p(0).saturating_mul(p(1)),
-        "tree" => p(0).saturating_mul(2),
-        "fft" => {
-            let log_n = p(0).min(62) as u32;
-            (1u64 << log_n).saturating_mul(u64::from(log_n) + 1)
-        }
-        // 2n² inputs + per output cell n products and n−1 partial sums.
-        "matmul" => p(0)
-            .saturating_mul(p(0))
-            .saturating_mul(p(0).saturating_mul(2).saturating_add(2)),
-        "diamond" => p(0).saturating_add(2),
-        "pyramid" => {
-            let h = p(0);
-            h.saturating_add(1).saturating_mul(h.saturating_add(2)) / 2
-        }
-        "zipper" => p(0).saturating_mul(2).saturating_add(p(1)),
-        "hier_skip" => p(0).saturating_mul(2).saturating_add(5),
-        _ => return None,
-    })
+    let p = std::array::from_fn(|i| params.get(i).copied().unwrap_or(0) as u64);
+    family_named(family).map(|f| (f.estimate)(p))
 }
 
 fn generator_spec(spec: &Json) -> Result<(String, Vec<usize>), ApiError> {
@@ -840,84 +837,133 @@ pub fn instance_json(dag: &Dag, k: usize, r: usize, g: u64) -> Json {
 /// # Errors
 /// A human-readable message for unknown families or wrong arity.
 pub fn build_dag(family: &str, params: &[usize]) -> Result<Dag, String> {
-    let need = |n: usize| -> Result<(), String> {
-        if params.len() == n {
-            Ok(())
-        } else {
-            Err(format!(
-                "{family}: expected {n} parameters, got {}",
-                params.len()
-            ))
-        }
+    let Some(f) = family_named(family) else {
+        let names: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+        return Err(format!("unknown family '{family}' ({})", names.join("|")));
     };
-    match family {
-        "chain" => {
-            need(1)?;
-            Ok(generators::chain(params[0]))
-        }
-        "chains" => {
-            need(2)?;
-            Ok(generators::independent_chains(params[0], params[1]))
-        }
-        "tree" => {
-            need(1)?;
-            Ok(generators::binary_in_tree(params[0]))
-        }
-        "grid" => {
-            need(2)?;
-            Ok(generators::grid(params[0], params[1]))
-        }
-        "fft" => {
-            need(1)?;
-            let log_n =
-                u32::try_from(params[0]).map_err(|_| "fft: parameter too large".to_string())?;
+    if params.len() != f.arity {
+        return Err(format!(
+            "{family}: expected {} parameters, got {}",
+            f.arity,
+            params.len()
+        ));
+    }
+    (f.build)(params)
+}
+
+/// One generator family of the registry.
+struct Family {
+    name: &'static str,
+    /// Number of parameters [`build_dag`] requires.
+    arity: usize,
+    /// Closed-form node count over the parameters (zero-padded).
+    estimate: fn([u64; 4]) -> u64,
+    /// Builds the DAG from exactly `arity` parameters.
+    build: fn(&[usize]) -> Result<Dag, String>,
+}
+
+fn family_named(name: &str) -> Option<&'static Family> {
+    FAMILIES.iter().find(|f| f.name == name)
+}
+
+/// The generator registry behind [`build_dag`] and [`estimate_nodes`],
+/// in the order the unknown-family message lists it.
+const FAMILIES: [Family; 12] = [
+    Family {
+        name: "chain",
+        arity: 1,
+        estimate: |p| p[0],
+        build: |p| Ok(generators::chain(p[0])),
+    },
+    Family {
+        name: "chains",
+        arity: 2,
+        estimate: |p| p[0].saturating_mul(p[1]),
+        build: |p| Ok(generators::independent_chains(p[0], p[1])),
+    },
+    Family {
+        name: "tree",
+        arity: 1,
+        estimate: |p| p[0].saturating_mul(2),
+        build: |p| Ok(generators::binary_in_tree(p[0])),
+    },
+    Family {
+        name: "grid",
+        arity: 2,
+        estimate: |p| p[0].saturating_mul(p[1]),
+        build: |p| Ok(generators::grid(p[0], p[1])),
+    },
+    Family {
+        name: "fft",
+        arity: 1,
+        estimate: |p| {
+            let log_n = p[0].min(62) as u32;
+            (1u64 << log_n).saturating_mul(u64::from(log_n) + 1)
+        },
+        build: |p| {
+            let log_n = u32::try_from(p[0]).map_err(|_| "fft: parameter too large".to_string())?;
             if log_n > 16 {
                 return Err("fft: log_n capped at 16".to_string());
             }
             Ok(generators::fft(log_n))
-        }
-        "matmul" => {
-            need(1)?;
-            Ok(generators::matmul(params[0]))
-        }
-        "diamond" => {
-            need(1)?;
-            Ok(generators::diamond(params[0]))
-        }
-        "pyramid" => {
-            need(1)?;
-            Ok(generators::pyramid(params[0]))
-        }
-        "zipper" => {
-            need(2)?;
-            Ok(rbp_gadgets::Zipper::build(params[0], params[1], 0).dag)
-        }
-        "hier_skip" => {
-            need(1)?;
-            if params[0] == 0 {
+        },
+    },
+    Family {
+        name: "matmul",
+        arity: 1,
+        // 2n² inputs + per output cell n products and n−1 partial sums.
+        estimate: |p| {
+            let n = p[0];
+            n.saturating_mul(n)
+                .saturating_mul(n.saturating_mul(2).saturating_add(2))
+        },
+        build: |p| Ok(generators::matmul(p[0])),
+    },
+    Family {
+        name: "diamond",
+        arity: 1,
+        estimate: |p| p[0].saturating_add(2),
+        build: |p| Ok(generators::diamond(p[0])),
+    },
+    Family {
+        name: "pyramid",
+        arity: 1,
+        estimate: |p| {
+            let h = p[0];
+            h.saturating_add(1).saturating_mul(h.saturating_add(2)) / 2
+        },
+        build: |p| Ok(generators::pyramid(p[0])),
+    },
+    Family {
+        name: "zipper",
+        arity: 2,
+        estimate: |p| p[0].saturating_mul(2).saturating_add(p[1]),
+        build: |p| Ok(rbp_gadgets::Zipper::build(p[0], p[1], 0).dag),
+    },
+    Family {
+        name: "hier_skip",
+        arity: 1,
+        estimate: |p| p[0].saturating_mul(2).saturating_add(5),
+        build: |p| {
+            if p[0] == 0 {
                 return Err("hier_skip: chain length must be ≥ 1".to_string());
             }
-            Ok(rbp_gadgets::HierSkip::build(params[0]).dag)
-        }
-        "random" => {
-            need(2)?;
-            Ok(generators::random_dag(params[0], 0.2, params[1] as u64))
-        }
-        "layered" => {
-            need(4)?;
-            Ok(generators::layered_random(
-                params[0],
-                params[1],
-                params[2],
-                params[3] as u64,
-            ))
-        }
-        other => Err(format!(
-            "unknown family '{other}' \
-             (chain|chains|tree|grid|fft|matmul|diamond|pyramid|zipper|hier_skip|random|layered)"
-        )),
-    }
-}
+            Ok(rbp_gadgets::HierSkip::build(p[0]).dag)
+        },
+    },
+    Family {
+        name: "random",
+        arity: 2,
+        estimate: |p| p[0],
+        build: |p| Ok(generators::random_dag(p[0], 0.2, p[1] as u64)),
+    },
+    Family {
+        name: "layered",
+        arity: 4,
+        estimate: |p| p[0].saturating_mul(p[1]),
+        build: |p| Ok(generators::layered_random(p[0], p[1], p[2], p[3] as u64)),
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -1231,6 +1277,24 @@ mod tests {
             r#"{"generator":{"family":"hier_skip","params":[1]},"k":1,"r":3,"g":3,"green_cap":2}"#,
         );
         assert_eq!(Work::parse("solve", &stray).unwrap_err().status, 400);
+    }
+
+    /// Endpoints without a game mode refuse the mode fields instead of
+    /// silently answering the two-level question.
+    #[test]
+    fn modeless_endpoints_reject_game_mode_fields() {
+        let instance = r#""generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2"#;
+        for endpoint in ["bounds", "portfolio", "generate"] {
+            for field in [r#""levels":3"#, r#""green_cap":2"#, r#""green_cost":1"#] {
+                let body = parse_body(&format!("{{{instance},{field}}}"));
+                let err = Work::parse(endpoint, &body).unwrap_err();
+                assert_eq!(err.status, 400, "{endpoint} {field}: {}", err.msg);
+                assert!(err.msg.contains("not accepted"), "{endpoint}: {}", err.msg);
+            }
+            // A null field is an absent one, and the plain body parses.
+            let body = parse_body(&format!(r#"{{{instance},"levels":null}}"#));
+            assert!(Work::parse(endpoint, &body).is_ok(), "{endpoint}");
+        }
     }
 
     /// `levels: 3` on the schedule endpoint runs the hier registry with

@@ -9,7 +9,7 @@
 //! through a mutex + condvar pair that synchronous waiters (and async
 //! pollers via `/v1/jobs/<id>`) observe.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -86,6 +86,13 @@ impl Job {
         self.state.lock().unwrap().clone()
     }
 
+    /// Whether the job reached a terminal state; unlike
+    /// [`Job::state`], this never copies a result.
+    #[must_use]
+    pub fn is_terminal(&self) -> bool {
+        self.state.lock().unwrap().is_terminal()
+    }
+
     /// Transitions `Queued → Running`; returns `false` when the job is
     /// no longer claimable (already terminal).
     pub fn claim(&self) -> bool {
@@ -124,6 +131,20 @@ impl Job {
             let (guard, _timeout) = self.done.wait_timeout(st, deadline - now).unwrap();
             st = guard;
         }
+    }
+}
+
+/// Prunes the job registry (id-ordered, and ids are handed out in
+/// submission order) down to `keep` entries by dropping the oldest
+/// terminal jobs. Queued and running jobs are never dropped, so nothing
+/// admitted loses its handle; the registry may stay above `keep` while
+/// they hold it there.
+pub(crate) fn prune_terminal(jobs: &mut BTreeMap<u64, Arc<Job>>, keep: usize) {
+    while jobs.len() > keep {
+        let Some(id) = jobs.values().find(|j| j.is_terminal()).map(|j| j.id) else {
+            return;
+        };
+        jobs.remove(&id);
     }
 }
 
@@ -267,6 +288,28 @@ mod tests {
         job.finish(JobState::Done("{}".into()));
         let seen = waiter.join().unwrap();
         assert_eq!(seen.name(), "done");
+    }
+
+    #[test]
+    fn registry_prunes_the_oldest_terminal_jobs_only() {
+        let mut jobs: BTreeMap<u64, Arc<Job>> = (1..=8).map(|id| (id, mk_job(id))).collect();
+        // 1 and 4 are running, 2 still queued; the rest finished.
+        assert!(jobs[&1].claim() && jobs[&4].claim());
+        for id in [3, 5, 6, 7, 8] {
+            jobs[&id].finish(JobState::Done(format!("{{\"id\":{id}}}")));
+        }
+        prune_terminal(&mut jobs, 5);
+        assert_eq!(jobs.keys().copied().collect::<Vec<_>>(), [1, 2, 4, 7, 8]);
+        // Already within bounds: nothing goes.
+        prune_terminal(&mut jobs, 5);
+        assert_eq!(jobs.len(), 5);
+        // Only live jobs left below the bound: the registry keeps them
+        // all rather than drop a handle.
+        prune_terminal(&mut jobs, 1);
+        assert_eq!(jobs.keys().copied().collect::<Vec<_>>(), [1, 2, 4]);
+        jobs[&1].finish(JobState::Failed(500, "boom".into()));
+        prune_terminal(&mut jobs, 1);
+        assert_eq!(jobs.keys().copied().collect::<Vec<_>>(), [2, 4]);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! dropped silently — backpressure is always an explicit `503` with
 //! `Retry-After`.
 
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -18,12 +19,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rbp_util::json::Json;
-use rbp_util::FxHashMap;
 
 use crate::api::{ApiError, Work};
 use crate::cache::ResultCache;
 use crate::http;
-use crate::jobs::{Job, JobQueue, JobState, PushError};
+use crate::jobs::{prune_terminal, Job, JobQueue, JobState, PushError};
 use crate::stats::ServeStats;
 use crate::store::ResultStore;
 use crate::wire;
@@ -40,7 +40,9 @@ pub(crate) struct State {
     cfg: ServeConfig,
     addr: SocketAddr,
     queue: JobQueue,
-    jobs: Mutex<FxHashMap<u64, Arc<Job>>>,
+    /// Submitted jobs by id, for `/v1/jobs/<id>`; ids are monotone, so
+    /// the oldest come first.
+    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
     cache: ResultCache,
     /// Durable result tier under the RAM cache (`--store-dir`).
     store: Option<ResultStore>,
@@ -115,7 +117,7 @@ impl Server {
         };
         let state = Arc::new(State {
             queue: JobQueue::new(cfg.queue_cap.max(1)),
-            jobs: Mutex::new(FxHashMap::default()),
+            jobs: Mutex::new(BTreeMap::new()),
             cache,
             store,
             stats: ServeStats::new(),
@@ -637,20 +639,7 @@ fn handle_submit(state: &Arc<State>, endpoint: &str, req: &http::Request) -> Rep
 fn register_job(state: &Arc<State>, job: &Arc<Job>) {
     let mut jobs = state.jobs.lock().unwrap();
     jobs.insert(job.id, Arc::clone(job));
-    if jobs.len() > JOB_RETENTION {
-        // Prune the oldest *terminal* jobs; queued/running entries are
-        // always retained so nothing admitted loses its handle.
-        let mut prunable: Vec<u64> = jobs
-            .iter()
-            .filter(|(_, j)| j.state().is_terminal())
-            .map(|(&id, _)| id)
-            .collect();
-        prunable.sort_unstable();
-        let excess = jobs.len().saturating_sub(JOB_RETENTION);
-        for id in prunable.into_iter().take(excess) {
-            jobs.remove(&id);
-        }
-    }
+    prune_terminal(&mut jobs, JOB_RETENTION);
 }
 
 fn worker_loop(state: &Arc<State>) {

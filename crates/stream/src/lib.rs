@@ -16,9 +16,9 @@
 //!   step;
 //! - **incremental strategy emission** through the [`StrategySink`]
 //!   trait: a million-step strategy streams to a buffered JSONL writer
-//!   ([`JsonlSink`], byte-compatible with `rbp_refine::persist` format
-//!   version 1) instead of living in RAM. Small runs keep the classic
-//!   in-memory vector ([`VecSink`]).
+//!   ([`JsonlSink`], rendering through the `rbp_core::mpp::jsonl` codec
+//!   that `rbp_refine::persist` shares) instead of living in RAM. Small
+//!   runs keep the classic in-memory vector ([`VecSink`]).
 //!
 //! Every move still goes through a rule-enforcing simulator
 //! ([`StreamSim`]) — an illegal schedule is an error, never a silently

@@ -8,18 +8,18 @@
 //!
 //! - [`VecSink`] keeps the classic in-memory vector (small instances,
 //!   tests, replay validation);
-//! - [`JsonlSink`] writes the exact strategy JSONL format of
-//!   `rbp_refine::persist` (format version 1, documented in
-//!   `docs/SCHEMAS.md`) through any [`Write`], buffered, so a
-//!   million-step strategy streams to disk without ever living in
+//! - [`JsonlSink`] writes the strategy JSONL format (documented in
+//!   `docs/SCHEMAS.md` and rendered by [`rbp_core::mpp::jsonl`], the
+//!   codec `rbp_refine::persist` also uses) to any [`Write`], buffered,
+//!   so a million-step strategy streams to disk without ever living in
 //!   memory — and is later re-loadable by `rbp improve --in`;
 //! - [`NullSink`] discards moves and only counts them (pure
 //!   cost/throughput measurement).
 
 use std::io::{self, BufWriter, Write};
 
-use rbp_core::{MppMove, MppStrategy, Pebble};
-use rbp_util::json::Json;
+pub use rbp_core::StreamHeader;
+use rbp_core::{MppMove, MppStrategy};
 
 /// Receives strategy moves one at a time, in execution order.
 pub trait StrategySink {
@@ -99,25 +99,9 @@ impl StrategySink for NullSink {
     }
 }
 
-/// Instance parameters recorded in a strategy JSONL header.
-#[derive(Debug, Clone)]
-pub struct StreamHeader {
-    /// DAG name (informational provenance).
-    pub dag_name: String,
-    /// Node count of the DAG.
-    pub n: usize,
-    /// Number of processors.
-    pub k: usize,
-    /// Fast-memory capacity per processor.
-    pub r: usize,
-    /// I/O cost `g`.
-    pub g: u64,
-}
-
 /// Buffered JSONL writer emitting the strategy persistence format
-/// (version 1) of `rbp_refine::persist` — byte-compatible, so the
-/// output re-parses with `strategy_from_jsonl` and feeds
-/// `rbp improve --in`.
+/// through the same codec as `rbp_refine::persist`, so the output
+/// re-parses with `strategy_from_jsonl` and feeds `rbp improve --in`.
 pub struct JsonlSink<W: Write> {
     out: BufWriter<W>,
     bytes: u64,
@@ -133,17 +117,7 @@ impl<W: Write> JsonlSink<W> {
             out: BufWriter::new(writer),
             bytes: 0,
         };
-        let line = Json::obj([
-            ("type", Json::from("mpp_strategy")),
-            ("version", Json::from(1u64)),
-            ("dag", Json::from(header.dag_name.as_str())),
-            ("n", Json::from(header.n)),
-            ("k", Json::from(header.k)),
-            ("r", Json::from(header.r)),
-            ("g", Json::from(header.g)),
-        ])
-        .render();
-        sink.write_line(&line)?;
+        sink.write_line(&header.to_json().render())?;
         Ok(sink)
     }
 
@@ -165,37 +139,9 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-fn sel_json(batch: &[(usize, rbp_dag::NodeId)]) -> Json {
-    Json::arr(
-        batch
-            .iter()
-            .map(|&(p, v)| Json::arr([Json::from(p), Json::from(v.index())])),
-    )
-}
-
-/// Renders one move as its persistence-format JSON object (identical
-/// field order to `rbp_refine::persist`).
-fn move_json(mv: &MppMove) -> Json {
-    match mv {
-        MppMove::Store(b) => Json::obj([("op", Json::from("store")), ("sel", sel_json(b))]),
-        MppMove::Load(b) => Json::obj([("op", Json::from("load")), ("sel", sel_json(b))]),
-        MppMove::Compute(b) => Json::obj([("op", Json::from("compute")), ("sel", sel_json(b))]),
-        MppMove::Remove(Pebble::Red(p, v)) => Json::obj([
-            ("op", Json::from("remove")),
-            ("proc", Json::from(*p)),
-            ("node", Json::from(v.index())),
-        ]),
-        MppMove::Remove(Pebble::Blue(v)) => Json::obj([
-            ("op", Json::from("remove")),
-            ("node", Json::from(v.index())),
-        ]),
-    }
-}
-
 impl<W: Write> StrategySink for JsonlSink<W> {
     fn emit(&mut self, mv: &MppMove) -> io::Result<()> {
-        let line = move_json(mv).render();
-        self.write_line(&line)
+        self.write_line(&mv.to_json().render())
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -210,6 +156,7 @@ impl<W: Write> StrategySink for JsonlSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbp_core::Pebble;
     use rbp_dag::NodeId;
 
     #[test]

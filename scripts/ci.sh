@@ -7,6 +7,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 repo=$(pwd)
 
+# The gate must leave the working tree as it found it: every step that
+# writes files writes them to a temp dir or a gitignored path. Snapshot
+# the status (plus a checksum of the tracked diff, which catches a
+# rewrite of an already-modified file) and compare at the end. Skipped
+# outside a git checkout.
+tree_state() {
+    git status --porcelain
+    git diff --no-ext-diff | cksum
+}
+tree_before=""
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    tree_before=$(tree_state)
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -327,5 +341,18 @@ wait "$serve_pid" || { echo "restart smoke: server exited non-zero"; exit 1; }
 trap - EXIT
 rm -rf "$serve_log" "$store_dir"
 echo "restart smoke: SIGTERM survived, warm hit with identical total=$t1"
+
+echo "== clean-tree check (ci.sh changed no file) =="
+if [ -n "$tree_before" ]; then
+    tree_after=$(tree_state)
+    [ "$tree_before" = "$tree_after" ] || {
+        echo "clean-tree check failed: the working tree changed during ci.sh"
+        diff <(echo "$tree_before") <(echo "$tree_after") || true
+        exit 1
+    }
+    echo "clean-tree check: git status and the tracked diff are unchanged"
+else
+    echo "clean-tree check: skipped (not a git checkout)"
+fi
 
 echo "CI OK"

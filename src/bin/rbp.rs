@@ -75,7 +75,7 @@ use rbp::bounds::trivial;
 use rbp::core::rbp_dag::{dot, io, Dag, DagStats};
 use rbp::core::{
     async_makespan, batchify, GameMode, MppInstance, MppRun, MppRunStats, PartitionMode,
-    SearchConfig, SolveLimits, StopReason,
+    SearchConfig, SolveLimits, StopReason, StreamHeader,
 };
 use rbp::hier::{all_hier_schedulers, HierInstance};
 use rbp::refine::{persist, Budget, Driver, PortfolioConfig, RefineConfig};
@@ -288,13 +288,14 @@ fn run(args: &[String]) -> Result<(), String> {
                     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                     let saved =
                         persist::strategy_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-                    if (saved.n, saved.k, saved.r, saved.g) != (dag.n(), k, r, g) {
+                    let h = &saved.header;
+                    if (h.n, h.k, h.r, h.g) != (dag.n(), k, r, g) {
                         return Err(format!(
                             "{path}: saved for n={} k={} r={} g={}, want n={} k={} r={} g={}",
-                            saved.n,
-                            saved.k,
-                            saved.r,
-                            saved.g,
+                            h.n,
+                            h.k,
+                            h.r,
+                            h.g,
                             dag.n(),
                             k,
                             r,
@@ -342,11 +343,13 @@ fn run(args: &[String]) -> Result<(), String> {
             );
             if let Some(path) = flag_value(args, "--out")? {
                 let saved = persist::SavedStrategy {
-                    dag_name: dag.name().to_string(),
-                    n: dag.n(),
-                    k,
-                    r,
-                    g,
+                    header: StreamHeader {
+                        dag_name: dag.name().to_string(),
+                        n: dag.n(),
+                        k,
+                        r,
+                        g,
+                    },
                     strategy: out.run.strategy.clone(),
                 };
                 std::fs::write(path, persist::strategy_to_jsonl(&saved))
@@ -501,7 +504,7 @@ fn schedule_stream(
     want: Option<&str>,
     out: Option<&str>,
 ) -> Result<(), String> {
-    use rbp::stream::{all_stream_schedulers, JsonlSink, NullSink, StreamHeader};
+    use rbp::stream::{all_stream_schedulers, JsonlSink, NullSink};
     let model = rbp::core::CostModel::mpp(g);
     let selected: Vec<_> = all_stream_schedulers()
         .into_iter()
