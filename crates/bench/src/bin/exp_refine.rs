@@ -244,10 +244,14 @@ fn main() {
         "refinement closed the gap on fewer than half the solver-feasible instances"
     );
 
+    // The portfolio races wall-clock budgets, so how much each worker
+    // gets done depends on the cores it shares.
+    let hardware_threads = std::thread::available_parallelism().map_or(0, usize::from);
     let json = Json::obj(vec![
         ("suite", Json::from("refine")),
         ("quick", Json::from(quick)),
         ("seed", Json::from(seed)),
+        ("hardware_threads", Json::from(hardware_threads)),
         ("budget_millis", Json::from(budget_millis)),
         ("exact_cases", Json::from(exact_cases)),
         ("exact_closed", Json::from(exact_closed)),

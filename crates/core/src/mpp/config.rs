@@ -43,7 +43,7 @@ impl<'a> MppInstance<'a> {
 /// shared blue set. `computed` additionally tracks nodes ever computed
 /// (any shade), for statistics; it is not part of the paper's state but
 /// never affects rule legality in the base game.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Configuration {
     /// Red pebbles per processor shade.
     pub reds: Vec<NodeSet>,
@@ -51,6 +51,27 @@ pub struct Configuration {
     pub blue: NodeSet,
     /// Nodes computed at least once, by any processor.
     pub computed: NodeSet,
+}
+
+impl Clone for Configuration {
+    #[inline]
+    fn clone(&self) -> Self {
+        Configuration {
+            reds: self.reds.clone(),
+            blue: self.blue.clone(),
+            computed: self.computed.clone(),
+        }
+    }
+
+    /// Copies set by set into the existing allocations (the derived
+    /// impl would reallocate), so a scratch configuration can be reset
+    /// to a checkpoint in place.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.reds.clone_from(&source.reds);
+        self.blue.clone_from(&source.blue);
+        self.computed.clone_from(&source.computed);
+    }
 }
 
 impl Configuration {

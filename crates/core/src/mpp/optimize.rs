@@ -16,7 +16,11 @@
 //!   the batch, conservatively preserving order).
 //!
 //! The result validates against the same instance and never costs more;
-//! the cost strictly drops whenever any merge happened.
+//! the cost strictly drops whenever any merge happened. The pass is a
+//! pure function of its input and idempotent, so a caller that proposes
+//! it repeatedly (the `rbp-refine` neighborhood) computes it once per
+//! strategy. It keeps three configurations and copies between them in
+//! place, so it allocates no configuration per move.
 
 use crate::rules::{apply_move, Game};
 use crate::{Configuration, MppInstance, MppMove, MppStrategy};
@@ -32,16 +36,19 @@ pub fn batchify(instance: &MppInstance, strategy: &MppStrategy) -> MppStrategy {
     let mut pre = Configuration::initial(instance.dag, instance.k);
     // Configuration after everything flushed so far plus the open batch.
     let mut cur = pre.clone();
+    // Scratch for merge attempts. The three are copied between with
+    // `clone_from`, which reuses their sets: no allocation per move.
+    let mut trial = pre.clone();
     let mut open: Option<MppMove> = None;
 
     for mv in &strategy.moves {
         // Attempt to extend the open batch with a same-type move.
         if let Some(o) = &open {
             if let Some(candidate) = try_merge(o, mv) {
-                let mut trial = pre.clone();
+                trial.clone_from(&pre);
                 if apply_move(&game, &mut trial, &candidate).is_ok() {
                     open = Some(candidate);
-                    cur = trial;
+                    std::mem::swap(&mut cur, &mut trial);
                     continue;
                 }
             }
@@ -49,12 +56,12 @@ pub fn batchify(instance: &MppInstance, strategy: &MppStrategy) -> MppStrategy {
         // Flush the open batch.
         if let Some(o) = open.take() {
             out.push(o);
-            pre = cur.clone();
+            pre.clone_from(&cur);
         }
         apply_move(&game, &mut cur, mv).expect("input strategy must be valid");
         if matches!(mv, MppMove::Remove(_)) {
             out.push(mv.clone());
-            pre = cur.clone();
+            pre.clone_from(&cur);
         } else {
             open = Some(mv.clone());
         }

@@ -109,21 +109,6 @@ impl Instance for MppInstance<'_> {
     }
 }
 
-/// Applies one move to `config` if legal in `instance`, mutating
-/// `config` only on success. Public so strategy transformers (e.g. the
-/// `rbp-refine` neighborhood model) can reconstruct the configuration
-/// at an arbitrary step without re-validating the whole prefix through
-/// a simulator.
-pub fn apply_move(
-    instance: &MppInstance,
-    config: &mut Configuration,
-    mv: &MppMove,
-) -> Result<(), MppErrorKind> {
-    rules::apply_move(&Game::mpp(instance), config, mv)
-        .map(drop)
-        .map_err(Into::into)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

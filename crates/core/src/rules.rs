@@ -12,10 +12,12 @@
 //!
 //! Each game's instance type implements [`Instance`]: its move, store,
 //! cost and error types, its [`Game`], its initial configuration and
-//! its cost tally. Over that, the one validator ([`validate`]) replays
-//! a strategy and the one [`Simulator`] builds one move by move; every
-//! game's validator and simulator is these two, and `StreamSim` checks
-//! its moves through [`apply`] as well.
+//! its cost tally. Over that, the one replay loop ([`replay`]) runs a
+//! strategy from any validated configuration, the one validator
+//! ([`validate`]) is that loop from the initial configuration plus
+//! terminality, and the one [`Simulator`] builds a strategy move by
+//! move; every game's validator and simulator is these, and `StreamSim`
+//! checks its moves through [`apply`] as well.
 
 use rbp_dag::{Dag, HybridNodeSet, NodeId, NodeSet};
 
@@ -384,27 +386,62 @@ pub fn bare_sink<S: PebbleStore>(game: &Game, store: &mut S) -> Option<NodeId> {
 }
 
 /// The one validator: replays `moves` from the initial configuration
-/// of `instance`, enforcing every rule and terminality, and returns the
-/// cost tally. Each move is borrowed, not cloned.
+/// of `instance` through [`replay`], then checks terminality, and
+/// returns the cost tally. Each move is borrowed, not cloned.
 ///
 /// # Errors
 /// The first violation, with its move's index (`moves.len()` for a bare
 /// sink), in the game's own error kind.
 pub fn validate<I: Instance>(instance: &I, moves: &[I::Move]) -> Result<I::Cost, InstanceError<I>> {
-    let game = instance.game();
     let mut store = instance.initial();
-    let mut cost = I::Cost::default();
-    let fail = |step, v: Violation| StepError {
-        step,
-        kind: v.into(),
-    };
-    for (step, mv) in moves.iter().enumerate() {
-        let rule = apply_move(&game, &mut store, mv).map_err(|v| fail(step, v))?;
+    let cost = replay(
+        instance,
+        &mut store,
+        I::Cost::default(),
+        0,
+        moves,
+        |_, _, _| {},
+    )?;
+    bare_sink(&instance.game(), &mut store).map_or(Ok(cost), |v| {
+        Err(StepError {
+            step: moves.len(),
+            kind: Violation::NotTerminal(v).into(),
+        })
+    })
+}
+
+/// The one replay loop. Applies `moves` to `store` as steps `first`,
+/// `first + 1`, … of a strategy, adds each rule's cost to `cost`, and
+/// returns the tally; `visit` sees the step index, configuration and
+/// tally before each move. [`validate`] runs it from the initial
+/// configuration; a caller holding the configuration and tally after a
+/// validated prefix resumes it there. Terminality ([`bare_sink`]) is the
+/// caller's to check.
+///
+/// # Errors
+/// The first violation, with its step index; `store` is then the
+/// configuration before that step.
+pub fn replay<'m, I: Instance>(
+    instance: &I,
+    store: &mut I::Store,
+    mut cost: I::Cost,
+    first: usize,
+    moves: impl IntoIterator<Item = &'m I::Move>,
+    mut visit: impl FnMut(usize, &I::Store, I::Cost),
+) -> Result<I::Cost, InstanceError<I>>
+where
+    I::Move: 'm,
+{
+    let game = instance.game();
+    for (step, mv) in (first..).zip(moves) {
+        visit(step, store, cost);
+        let rule = apply_move(&game, store, mv).map_err(|v| StepError {
+            step,
+            kind: v.into(),
+        })?;
         I::tally(&mut cost, rule);
     }
-    bare_sink(&game, &mut store).map_or(Ok(cost), |v| {
-        Err(fail(moves.len(), Violation::NotTerminal(v)))
-    })
+    Ok(cost)
 }
 
 /// A rule violation found while replaying a strategy: the offending

@@ -19,11 +19,29 @@ const BITS: usize = 64;
 /// All sets participating in an operation must have been created with the
 /// same universe size (the number of nodes of one DAG); mixing sizes is a
 /// logic error and panics in debug builds.
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(PartialEq, Eq, Default)]
 pub struct NodeSet {
     blocks: Vec<u64>,
     /// Number of valid bits (the universe size).
     universe: usize,
+}
+
+impl Clone for NodeSet {
+    #[inline]
+    fn clone(&self) -> Self {
+        NodeSet {
+            blocks: self.blocks.clone(),
+            universe: self.universe,
+        }
+    }
+
+    /// Copies into the existing blocks: no allocation when the
+    /// universes match (the derived impl would reallocate).
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.blocks.clone_from(&source.blocks);
+        self.universe = source.universe;
+    }
 }
 
 impl NodeSet {

@@ -18,9 +18,14 @@
 //!   optimum with ruin-and-recreate kicks, restarting the descent from
 //!   every improved rebuild.
 //!
-//! Every accepted incumbent re-validates through
-//! [`rbp_core::mpp::strategy::validate`]; costs are only ever read off
-//! a successful validation.
+//! Hill climbing and annealing walk an [`Incumbent`]: each proposal is
+//! an edit checked by resuming the one replay loop at the incumbent's
+//! nearest checkpoint, and the incumbent is replayed (with checkpoints)
+//! once per acceptance, at the start of a walk and on each reheat.
+//! Whole-strategy transforms (the free first re-batching and the LNS
+//! kick) replay in full. Costs are only ever read off a successful
+//! replay, and the answer is re-validated with
+//! [`rbp_core::mpp::strategy::validate`].
 
 use std::time::Instant;
 
@@ -28,7 +33,7 @@ use rbp_core::{validate_mpp, MppError, MppInstance, MppMove, MppRun, MppStrategy
 use rbp_trace::CounterSet;
 use rbp_util::Rng;
 
-use crate::neighborhood::{MoveKind, Neighborhood};
+use crate::neighborhood::{Incumbent, MoveKind, Neighborhood};
 use crate::recreate;
 
 /// Stop conditions for a refinement run (whichever trips first).
@@ -122,6 +127,11 @@ pub struct RefineOutcome {
     pub accepted: u64,
     /// Annealing reheats or LNS kicks performed.
     pub reheats: u64,
+    /// Moves the rule kernel applied while evaluating proposals and
+    /// building incumbents' checkpoints: a load-independent measure of
+    /// the replay work (the input's and the answer's validations are not
+    /// counted).
+    pub replayed_moves: u64,
     /// Human-readable lineage, e.g. `"auto(seed=7)"`.
     pub provenance: String,
 }
@@ -131,8 +141,9 @@ pub struct RefineOutcome {
 /// input is an error, not a silent restart.
 ///
 /// Emits an `refine.run` trace span, a `refine.incumbent` gauge at every
-/// improvement, and `refine.{proposed,accepted,invalid}.<move>` counters
-/// on completion (all no-ops when tracing is off).
+/// improvement, and `refine.{proposed,accepted,invalid}.<move>` and
+/// `refine.replayed_moves` counters on completion (all no-ops when
+/// tracing is off).
 pub fn refine(
     instance: &MppInstance,
     initial: &MppStrategy,
@@ -154,7 +165,7 @@ pub fn refine(
     let mut search = Search {
         nb: Neighborhood::new(*instance),
         rng: Rng::new(cfg.seed ^ 0x5eed_ab1e),
-        counters: CounterSet::new(),
+        outcomes: Outcomes::default(),
         started: Instant::now(),
         budget: cfg.budget,
         proposals: 0,
@@ -178,8 +189,10 @@ pub fn refine(
     let best = MppStrategy::from_moves(search.best_moves.clone());
     let cost = validate_mpp(instance, &best.moves)?;
     debug_assert_eq!(cost.total(instance.model), search.best_total);
+    let replayed_moves = search.nb.replayed_moves();
     if rbp_trace::enabled() {
-        search.counters.emit("refine.");
+        search.outcomes.counters().emit("refine.");
+        rbp_trace::counter("refine.replayed_moves", replayed_moves);
         rbp_trace::gauge("refine.final_total", search.best_total as f64);
     }
     Ok(RefineOutcome {
@@ -192,15 +205,65 @@ pub fn refine(
         proposals: search.proposals,
         accepted: search.accepted,
         reheats: search.reheats,
+        replayed_moves,
         provenance: format!("{}(seed={})", cfg.driver.name(), cfg.seed),
     })
+}
+
+/// What happened to a proposal, for the `refine.<outcome>.<kind>`
+/// counters.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Proposed,
+    Accepted,
+    Invalid,
+}
+
+impl Outcome {
+    fn name(self) -> &'static str {
+        match self {
+            Outcome::Proposed => "proposed",
+            Outcome::Accepted => "accepted",
+            Outcome::Invalid => "invalid",
+        }
+    }
+}
+
+/// Proposal outcomes per move kind, counted in a fixed table on the hot
+/// path and named once at the end.
+#[derive(Debug, Default)]
+struct Outcomes {
+    counts: [[u64; MoveKind::ALL.len()]; 3],
+    /// Each (outcome, kind) in the order it was first counted, which is
+    /// the counters' order in the trace.
+    first_seen: Vec<(Outcome, MoveKind)>,
+}
+
+impl Outcomes {
+    fn add(&mut self, outcome: Outcome, kind: MoveKind) {
+        let count = &mut self.counts[outcome as usize][kind as usize];
+        if *count == 0 {
+            self.first_seen.push((outcome, kind));
+        }
+        *count += 1;
+    }
+
+    /// The `<outcome>.<kind>` counters.
+    fn counters(&self) -> CounterSet {
+        let mut set = CounterSet::new();
+        for &(outcome, kind) in &self.first_seen {
+            let name = format!("{}.{}", outcome.name(), kind.name());
+            set.add(&name, self.counts[outcome as usize][kind as usize]);
+        }
+        set
+    }
 }
 
 /// Shared state of one running search.
 struct Search<'a> {
     nb: Neighborhood<'a>,
     rng: Rng,
-    counters: CounterSet,
+    outcomes: Outcomes,
     started: Instant,
     budget: Budget,
     proposals: u64,
@@ -217,14 +280,18 @@ impl Search<'_> {
                 || self.started.elapsed().as_millis() < u128::from(self.budget.max_millis))
     }
 
-    fn record(&mut self, kind: MoveKind, outcome: &str) {
-        self.counters.add(&format!("{outcome}.{}", kind.name()), 1);
-    }
-
     fn improve_best(&mut self, moves: Vec<MppMove>, total: u64) {
         self.best_moves = moves;
         self.best_total = total;
         rbp_trace::gauge("refine.incumbent", total as f64);
+    }
+
+    /// The best strategy as an incumbent to walk from.
+    fn incumbent(&mut self) -> Incumbent {
+        let moves = self.best_moves.clone();
+        self.nb
+            .incumbent(moves)
+            .expect("the best strategy is always validated")
     }
 
     /// Applies a whole-strategy transform to the incumbent and keeps it
@@ -237,10 +304,10 @@ impl Search<'_> {
         let Some(candidate) = f(self.nb.instance(), &self.best_moves) else {
             return;
         };
-        self.record(kind, "proposed");
+        self.outcomes.add(Outcome::Proposed, kind);
         match self.nb.evaluate(&candidate) {
             Some(total) if total <= self.best_total => {
-                self.record(kind, "accepted");
+                self.outcomes.add(Outcome::Accepted, kind);
                 if total < self.best_total {
                     self.improve_best(candidate, total);
                 } else {
@@ -248,7 +315,7 @@ impl Search<'_> {
                 }
             }
             Some(_) => {}
-            None => self.record(kind, "invalid"),
+            None => self.outcomes.add(Outcome::Invalid, kind),
         }
     }
 
@@ -256,39 +323,37 @@ impl Search<'_> {
     /// Returns after `stall_limit` consecutive non-improving proposals
     /// (a local optimum) or when the budget runs out.
     fn hill_climb(&mut self, stall_limit: u64) {
-        let mut current = self.best_moves.clone();
-        let mut cur_total = self.best_total;
+        let mut current = self.incumbent();
         let mut stalls = 0u64;
-        let limit = stall_limit.min(64 + 8 * current.len() as u64);
+        let limit = stall_limit.min(64 + 8 * current.moves().len() as u64);
         while self.in_budget() && stalls < limit {
             self.proposals += 1;
             let Some(c) = self.nb.propose(&current, &mut self.rng) else {
                 stalls += 1;
                 continue;
             };
-            self.record(c.kind, "proposed");
-            match self.nb.evaluate(&c.moves) {
-                Some(total) if total < cur_total => {
-                    self.record(c.kind, "accepted");
+            self.outcomes.add(Outcome::Proposed, c.kind);
+            match self.nb.check(&current, &c) {
+                Some(total) if total < current.total() => {
+                    self.outcomes.add(Outcome::Accepted, c.kind);
                     self.accepted += 1;
-                    current = c.moves;
-                    cur_total = total;
+                    self.nb.accept(&mut current, c);
                     stalls = 0;
                     if total < self.best_total {
-                        self.improve_best(current.clone(), total);
+                        self.improve_best(current.moves().to_vec(), total);
                     }
                 }
-                Some(total) if total == cur_total && self.rng.bool(0.25) => {
+                Some(total) if total == current.total() && self.rng.bool(0.25) => {
                     // Sideways: slide along the plateau but keep the
                     // stall counter running so plateaus still terminate.
-                    self.record(c.kind, "accepted");
+                    self.outcomes.add(Outcome::Accepted, c.kind);
                     self.accepted += 1;
-                    current = c.moves;
+                    self.nb.accept(&mut current, c);
                     stalls += 1;
                 }
                 Some(_) => stalls += 1,
                 None => {
-                    self.record(c.kind, "invalid");
+                    self.outcomes.add(Outcome::Invalid, c.kind);
                     stalls += 1;
                 }
             }
@@ -297,29 +362,27 @@ impl Search<'_> {
 
     /// Simulated annealing with geometric cooling and reheating.
     fn anneal(&mut self) {
-        let mut current = self.best_moves.clone();
-        let mut cur_total = self.best_total;
+        let mut current = self.incumbent();
         let t0 = (self.best_total as f64 / 10.0).max(1.0);
         let mut temp = t0;
         let alpha = 0.999;
         while self.in_budget() {
             self.proposals += 1;
             if let Some(c) = self.nb.propose(&current, &mut self.rng) {
-                self.record(c.kind, "proposed");
-                match self.nb.evaluate(&c.moves) {
+                self.outcomes.add(Outcome::Proposed, c.kind);
+                match self.nb.check(&current, &c) {
                     Some(total) => {
-                        let dt = total as f64 - cur_total as f64;
+                        let dt = total as f64 - current.total() as f64;
                         if dt <= 0.0 || self.rng.f64() < (-dt / temp).exp() {
-                            self.record(c.kind, "accepted");
+                            self.outcomes.add(Outcome::Accepted, c.kind);
                             self.accepted += 1;
-                            current = c.moves;
-                            cur_total = total;
+                            self.nb.accept(&mut current, c);
                             if total < self.best_total {
-                                self.improve_best(current.clone(), total);
+                                self.improve_best(current.moves().to_vec(), total);
                             }
                         }
                     }
-                    None => self.record(c.kind, "invalid"),
+                    None => self.outcomes.add(Outcome::Invalid, c.kind),
                 }
             }
             temp *= alpha;
@@ -327,8 +390,7 @@ impl Search<'_> {
                 // Frozen: reheat from the incumbent.
                 self.reheats += 1;
                 rbp_trace::counter("refine.reheats", 1);
-                current = self.best_moves.clone();
-                cur_total = self.best_total;
+                current = self.incumbent();
                 temp = t0 * 0.5f64.powi(i32::try_from(self.reheats.min(8)).unwrap_or(8));
             }
         }
@@ -348,32 +410,28 @@ impl Search<'_> {
         self.proposals += 1;
         self.reheats += 1;
         let cut = self.rng.index(self.best_moves.len() + 1);
-        self.record(MoveKind::RuinRecreate, "proposed");
-        let rebuilt = recreate::ruin_recreate(
-            self.nb.instance(),
-            &self.best_moves.clone(),
-            cut,
-            &mut self.rng,
-        );
+        self.outcomes.add(Outcome::Proposed, MoveKind::RuinRecreate);
+        let rebuilt =
+            recreate::ruin_recreate(self.nb.instance(), &self.best_moves, cut, &mut self.rng);
         let Ok(run) = rebuilt else {
-            self.record(MoveKind::RuinRecreate, "invalid");
+            self.outcomes.add(Outcome::Invalid, MoveKind::RuinRecreate);
             return;
         };
         let merged = rbp_core::batchify(self.nb.instance(), &run.strategy);
         match self.nb.evaluate(&merged.moves) {
             Some(total) if total < self.best_total => {
-                self.record(MoveKind::RuinRecreate, "accepted");
+                self.outcomes.add(Outcome::Accepted, MoveKind::RuinRecreate);
                 self.accepted += 1;
                 self.improve_best(merged.moves, total);
             }
             Some(total) if total == self.best_total && self.rng.bool(0.5) => {
                 // Equal-cost rebuilds diversify the incumbent's shape.
-                self.record(MoveKind::RuinRecreate, "accepted");
+                self.outcomes.add(Outcome::Accepted, MoveKind::RuinRecreate);
                 self.accepted += 1;
                 self.best_moves = merged.moves;
             }
             Some(_) => {}
-            None => self.record(MoveKind::RuinRecreate, "invalid"),
+            None => self.outcomes.add(Outcome::Invalid, MoveKind::RuinRecreate),
         }
     }
 

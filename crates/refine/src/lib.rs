@@ -8,9 +8,10 @@
 //! - [`neighborhood`] — validity-preserving local moves over strategies
 //!   (swap adjacent steps, delete dead I/O, re-assign a batch entry,
 //!   trade a load for a recomputation, change an eviction victim,
-//!   re-batch). Every candidate is replayed through the rule-enforcing
-//!   `rbp_core::validate_mpp` before acceptance, so an illegal neighbor
-//!   is a rejected proposal, never a wrong cost.
+//!   re-batch), proposed as edits of an incumbent. Every candidate is
+//!   replayed through the rule kernel's one replay loop, resumed at the
+//!   incumbent's nearest checkpoint, before acceptance, so an illegal
+//!   neighbor is a rejected proposal, never a wrong cost.
 //! - [`recreate`] — the large neighborhood: truncate a strategy at a
 //!   cut point and greedily reschedule the rest from the mid-game
 //!   configuration (also usable as a seeded scheduler from scratch).
@@ -40,7 +41,7 @@ pub mod portfolio;
 pub mod recreate;
 
 pub use drivers::{refine, Budget, Driver, RefineConfig, RefineOutcome};
-pub use neighborhood::{Candidate, MoveKind, Neighborhood};
+pub use neighborhood::{Candidate, Incumbent, MoveKind, Neighborhood};
 pub use persist::{strategy_from_jsonl, strategy_to_jsonl, SavedStrategy};
 pub use portfolio::{race, PortfolioConfig, PortfolioEntry, PortfolioOutcome};
 pub use recreate::{complete_greedy, greedy_from_scratch, ruin_recreate};

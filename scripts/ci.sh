@@ -60,6 +60,17 @@ trap 'rm -rf "$sweep_dir"' EXIT
 trap - EXIT
 rm -rf "$sweep_dir"
 
+echo "== quick refinement sweep (E17 sandwich: OPT <= refined <= best heuristic) =="
+# exp_refine asserts the sandwich on every instance and that refinement
+# closes the gap on at least half the solver-feasible ones. It writes
+# BENCH_refine.json and a trace into its working directory: run it from
+# a scratch directory so the committed full-run numbers stay put.
+refine_dir=$(mktemp -d)
+trap 'rm -rf "$refine_dir"' EXIT
+(cd "$refine_dir" && "$repo/target/release/exp_refine" --quick)
+trap - EXIT
+rm -rf "$refine_dir"
+
 echo "== parallel solver smoke (--threads 4, every partition mode, same optimum) =="
 seq_opt=$(./target/release/rbp solve tests/fixtures/chains_2x4.dag 2 3 2 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p')

@@ -335,11 +335,12 @@ fn run(args: &[String]) -> Result<(), String> {
             let out = rbp::refine::refine(&inst, &initial, &cfg).map_err(|e| e.to_string())?;
             outln!("initial  total={:<6} ({origin})", out.initial_total);
             outln!(
-                "refined  total={:<6} ({}; {} proposals, {} accepted)",
+                "refined  total={:<6} ({}; {} proposals, {} accepted, {} moves replayed)",
                 out.total,
                 out.provenance,
                 out.proposals,
-                out.accepted
+                out.accepted,
+                out.replayed_moves
             );
             if let Some(path) = flag_value(args, "--out")? {
                 let saved = persist::SavedStrategy {
