@@ -290,6 +290,7 @@ fn main() {
             ("opt_wall_ns", Json::from(o.opt_ns)),
             ("base_settled", Json::from(o.base_stats.settled)),
             ("opt_settled", Json::from(o.opt_stats.settled)),
+            ("opt_probe_settled", Json::from(o.opt_stats.probe_settled)),
             ("base_pushed", Json::from(o.base_stats.pushed)),
             ("opt_pushed", Json::from(o.opt_stats.pushed)),
             (

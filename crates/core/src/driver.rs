@@ -8,26 +8,34 @@
 //! drivers here own the search loop, the packed interning arenas, and
 //! the frontier.
 //!
-//! `threads = 1` runs [`sequential`]: the classic A\* loop, stopping at
-//! the first goal pop (optimal under the consistent heuristic), with
-//! identical expansion order to the pre-refactor engine. The same loop
-//! runs the incumbent probe: its priority is `f = g + h·num/den`, with
-//! the weight 1/1 for the exact search and 3/2 for the probe.
+//! `threads = 1` runs [`sequential`]: one A\* loop in two phases over
+//! one arena and one frontier. The loop first runs as the incumbent
+//! probe, weighted A\* (`f = g + h·3/2`) looking for any schedule; at
+//! its first goal, or after [`PROBE_MAX_STATES`] expansions, it re-keys
+//! its frontier at weight 1 and carries on as the exact search, pruning
+//! against the probe's schedule and re-expanding a state the probe
+//! reached the long way round (A\* with re-opening). It stops at the
+//! first goal popped at weight 1 — optimal, by the argument on
+//! [`sequential`] — or proves the probe's schedule optimal by emptying
+//! the frontier below it. The frontier pops the smallest `f`, then the
+//! deepest state (see `Frontier`).
 //!
-//! `threads ≥ 2` runs [`parallel`], an HDA\*-style search (Kishimoto et
-//! al.): every canonical state is **owned** by a shard chosen through
-//! [`Domain::owner`] — the hash partition or a structure-aware
-//! projection ([`crate::partition::Partition`]); each worker keeps a
-//! private arena + frontier for its shard and forwards successors it
-//! does not own over bounded SPSC rings, packed into fixed-capacity
-//! [`MsgBlock`]s that flush on fill or on local-frontier exhaustion. A
-//! shared atomic **incumbent** (best goal distance so far) prunes
-//! pushes and pops; goals are not expanded but recorded, and the search
-//! continues until global quiescence — at which point every frontier's
-//! minimum `f` is at least the incumbent, which (with the admissible
-//! heuristic) proves the incumbent optimal. Quiescence is detected with
-//! monotone sent/received **block** counters plus an idle bitmask,
-//! double-read so a racing message cannot be missed: `sent` is
+//! `threads ≥ 2` runs the same loop up to that switch and then
+//! [`parallel`], which takes only the probe's incumbent (its shards
+//! start from the root with arenas of their own): an HDA\*-style
+//! search (Kishimoto et al.). Every canonical state is **owned** by a
+//! shard chosen through [`Domain::owner`] — the hash partition or a
+//! structure-aware projection ([`crate::partition::Partition`]); each
+//! worker keeps a private arena + frontier for its shard and forwards
+//! successors it does not own over bounded SPSC rings, packed into
+//! fixed-capacity [`MsgBlock`]s that flush on fill or on local-frontier
+//! exhaustion. A shared atomic **incumbent** (best goal distance so
+//! far) prunes pushes and pops; goals are not expanded but recorded,
+//! and the search continues until global quiescence — at which point
+//! every frontier's minimum `f` is at least the incumbent, which (with
+//! the admissible heuristic) proves the incumbent optimal. Quiescence is
+//! detected with monotone sent/received **block** counters plus an idle
+//! bitmask, double-read so a racing message cannot be missed: `sent` is
 //! incremented *before* a ring push and `received` *after* the block is
 //! fully processed, and a worker flushes every out-buffer before
 //! advertising idle, so "all workers idle and `sent == received`"
@@ -43,10 +51,11 @@
 //! optimality is untouched and the only cost is some duplicated
 //! expansion (counted per shard as `foreign_expansions` / `dup_msgs`).
 //!
-//! Resource limits are **global** at any thread count: a shared settled
-//! counter and the shared deadline abort every worker through a status
-//! word, and the distinct abort causes surface as
-//! [`StopReason::StateLimit`] vs [`StopReason::Deadline`].
+//! Resource limits are **global** at any thread count and cover the
+//! probe: a shared settled counter, which starts at the probe's count,
+//! and the shared deadline abort every worker through a status word,
+//! and the distinct abort causes surface as [`StopReason::StateLimit`]
+//! vs [`StopReason::Deadline`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -55,7 +64,7 @@ use std::time::Instant;
 use crate::arena::{gid, gid_idx, gid_shard, hash_words, StateArena, MAX_KEY_WORDS};
 use crate::search::{
     phase_timing_enabled, Frontier, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchStats,
-    ShardStats, SolveLimits, StopReason, MAX_THREADS,
+    ShardStats, StopReason, MAX_THREADS,
 };
 use crate::spsc::Spsc;
 
@@ -156,98 +165,91 @@ impl<K> DriverOutcome<K> {
 
 /// Entry point: dispatches on `config.threads` (clamped to
 /// `1..=MAX_THREADS`). The deadline in `config.limits` counts from this
-/// call, across the incumbent probe and the exact search.
+/// call, and `config.limits.max_states` bounds the expansions of the
+/// incumbent probe and the exact search together.
 pub fn search<D: Domain>(domain: &D, config: &SearchConfig) -> DriverOutcome<D::Key> {
     let start = Instant::now();
     let threads = config.threads.clamp(1, MAX_THREADS);
-    // A weighted-A* probe for a feasible schedule seeds an incumbent:
-    // the exact search then discards every successor whose f-value
-    // provably cannot beat it, before paying the dominant cost of
-    // hashing and interning it. When the probe's schedule turns out
-    // optimal, the exact search never settles the `f == OPT` plateau
-    // at all — exhausting `f < ub` proves the incumbent optimal and
-    // the probe's own schedule is the witness. Only worthwhile when
-    // the heuristic exists to guide the probe and compute f — a
-    // baseline run keeps the unpruned search it is meant to measure.
-    let incumbent = if config.heuristic {
-        probe_upper_bound(domain, config, start)
-    } else {
-        None
-    };
-    if threads == 1 {
-        sequential(domain, config, incumbent, start, (1, 1))
-    } else {
-        parallel(domain, config, threads, incumbent, start)
+    match sequential(domain, config, start, threads > 1) {
+        Ended::Search(out) => out,
+        Ended::Switch(probe) => parallel(domain, config, threads, probe, start),
     }
 }
 
-/// A feasible schedule found by the upper-bound probe: its cost and
-/// its full move path, kept so the exact search can return it as the
+/// A feasible schedule found by the incumbent probe: its cost and its
+/// full move path, kept so the exact search can return it as the
 /// witness when it proves no strictly better schedule exists.
 type Incumbent<K> = (u64, Vec<(K, PackedMove)>);
 
-/// Heuristic weight of the upper-bound probe, as a ratio `(num, den)`:
+/// Heuristic weight of the incumbent probe, as a ratio `(num, den)`:
 /// `f = g + h·3/2`. Weighted A* with an admissible `h` returns a goal
 /// within `3/2` of optimal while settling a small fraction of the
 /// exact search's states.
 const PROBE_WEIGHT: (u64, u64) = (3, 2);
-/// Settled-state budget of the probe. The probe is a bet: if greedy
-/// descent does not reach a goal quickly, give up and run the exact
-/// search unpruned rather than burn a meaningful slice of its budget.
-const PROBE_MAX_STATES: usize = 20_000;
+/// Expansions after which the probe stops looking for a goal and the
+/// loop switches to the exact search, which carries on from the probe's
+/// states.
+const PROBE_MAX_STATES: u64 = 20_000;
 
-/// Runs weighted A* (the sequential engine at [`PROBE_WEIGHT`]) for
-/// *any* goal state and returns its cost and move path — a feasible,
-/// not necessarily optimal, schedule. `None` when the probe gives up
-/// (state budget, deadline, or an unsolvable instance).
-///
-/// The bound is correct by construction: the probe only follows real
-/// [`Domain::expand`] edges from the root and `g` accumulates real
-/// edge costs, so the distance of any goal it settles is the cost of
-/// an actual schedule. The weight only affects *which* goal greedy
-/// descent reaches first; the probe reuses the exact engine — same
-/// canonicalization, dominance pruning, and arena. It shares the
-/// solve's deadline, counted from `start`.
-fn probe_upper_bound<D: Domain>(
-    domain: &D,
-    config: &SearchConfig,
-    start: Instant,
-) -> Option<Incumbent<D::Key>> {
-    let probe_config = SearchConfig {
-        threads: 1,
-        limits: SolveLimits {
-            max_states: PROBE_MAX_STATES.min(config.limits.max_states),
-            deadline: config.limits.deadline,
-        },
-        ..*config
-    };
-    sequential(domain, &probe_config, None, start, PROBE_WEIGHT).best
+/// How the sequential loop ended: with the search's outcome, or — when
+/// asked to stop there — at the switch from the probe to the exact
+/// search.
+enum Ended<K> {
+    Search(DriverOutcome<K>),
+    Switch(Probe<K>),
+}
+
+/// What the probe hands the parallel engine: the incumbent, if it
+/// popped a goal, and its counters.
+struct Probe<K> {
+    incumbent: Option<Incumbent<K>>,
+    stats: SearchStats,
+    phases: PhaseStats,
 }
 
 // ---------------------------------------------------------------------
 // Sequential driver
 // ---------------------------------------------------------------------
 
-/// The classic A\* loop with priority `f = g + h·num/den` (floored) at
-/// `weight = (num, den)`; the deadline counts from `start`. Only the
-/// exact search, at weight 1/1, takes an incumbent: pruning against it
-/// uses the admissible `h`, and its optimality proof the popped `f`.
+/// The sequential A\* loop: two phases over one arena and one frontier.
+///
+/// 1. **Probe.** Weighted A\*, `f = g + h·3/2` (floored), looks for any
+///    goal. The probe only follows [`Domain::expand`] edges from the
+///    root, so a goal's distance is the cost of a real schedule: the
+///    first goal it pops becomes the incumbent, path and all.
+/// 2. **Exact search.** At that goal, or after [`PROBE_MAX_STATES`]
+///    expansions without one, every live frontier entry is re-keyed at
+///    weight 1 (`f = g + h`; entries at or above the incumbent's cost
+///    are dropped), and the loop carries on with the same arena,
+///    distances and parents. A successor whose `g + h` cannot beat the
+///    incumbent is discarded before it is interned.
+///
+/// The probe may expand a state at more than its optimal distance. The
+/// exact search expands it again if it finds a shorter path (A\* with
+/// re-opening: the arena's relax reports the improvement and the state
+/// is pushed again), and that keeps the search exact. Take any optimal
+/// path, and on it the first state not yet expanded at its optimal
+/// distance: the root is queued at distance 0, and any later state was
+/// relaxed to its optimal distance when its predecessor on the path was
+/// expanded at its own. So that state is always queued at
+/// `f = g* + h ≤ OPT` (admissible `h`; symmetry and dominance pruning
+/// keep some optimal path in the searched graph). Hence while a
+/// schedule cheaper than the incumbent exists, no weight-1 pop has
+/// `f > OPT`: the first goal popped at weight 1 is optimal, and
+/// emptying the frontier below the incumbent proves the incumbent
+/// optimal. The consistent `h` also makes each weight-1 expansion
+/// final, so the exact search expands a state at most once.
+///
+/// A baseline run (heuristic disabled) switches before its first pop and
+/// keeps the unpruned search it is meant to measure. With
+/// `stop_at_switch` the loop returns at the switch instead of carrying
+/// on, for the parallel engine. The deadline counts from `start`.
 fn sequential<D: Domain>(
     domain: &D,
     config: &SearchConfig,
-    incumbent: Option<Incumbent<D::Key>>,
     start: Instant,
-    (num, den): (u64, u64),
-) -> DriverOutcome<D::Key> {
-    debug_assert!(incumbent.is_none() || num == den);
-    // At 1/1 (the exact search) no push pays for a division.
-    let weigh = |h: u64| {
-        if num == den {
-            h
-        } else {
-            h.saturating_mul(num) / den
-        }
-    };
+    stop_at_switch: bool,
+) -> Ended<D::Key> {
     let kw = domain.key_words();
     let root = domain.root();
     let mut stats = SearchStats {
@@ -256,31 +258,37 @@ fn sequential<D: Domain>(
     };
     let Some(h0) = domain.heuristic(&root) else {
         // The start state is already dead: unsolvable.
-        return DriverOutcome::stopped(
+        return Ended::Search(DriverOutcome::stopped(
             stats,
             Vec::new(),
             StopReason::Exhausted,
             PhaseStats::default(),
-        );
+        ));
     };
     stats.h_root = h0;
+    let probe_budget = if config.heuristic {
+        PROBE_MAX_STATES
+    } else {
+        0
+    };
+    let (num, den) = PROBE_WEIGHT;
 
     let mut arena = StateArena::new(kw);
-    // The ceiling that selects the frontier representation grows with
-    // the weighted priorities.
-    let max_priority = domain.max_priority();
-    let mut frontier: Frontier<u32> = Frontier::new(if num == den {
-        max_priority
-    } else {
-        max_priority.saturating_mul(num).saturating_add(den)
-    });
-    stats.heap_fallback = matches!(frontier, Frontier::Heap(_));
+    // The ceiling that selects the frontier representation covers the
+    // probe's weighted priorities.
+    let mut frontier: Frontier<u32> = Frontier::new(
+        domain
+            .max_priority()
+            .saturating_mul(num)
+            .saturating_add(den),
+    );
+    stats.heap_fallback = matches!(frontier, Frontier::Heap { .. });
 
     let mut wbuf = [0u64; MAX_KEY_WORDS];
     domain.pack(&root, &mut wbuf[..kw]);
     let (ridx, _) = arena.relax(&wbuf[..kw], hash_words(&wbuf[..kw]), 0, gid(0, 0), 0);
     debug_assert_eq!(ridx, 0, "root interns at index 0");
-    frontier.push(weigh(h0), 0, 0);
+    frontier.push(h0.saturating_mul(num) / den, h0, 0, 0);
     stats.pushed = 1;
     stats.frontier_peak = 1;
 
@@ -288,44 +296,58 @@ fn sequential<D: Domain>(
     let mut phases = PhaseStats::default();
     let mut expand_ns = 0u64;
     let mut prof = PhaseProf::default();
-    let ub = incumbent.as_ref().map(|&(u, _)| u);
+    let mut probing = true;
+    let mut incumbent: Option<Incumbent<D::Key>> = None;
+    // The incumbent's cost, pruned against by the exact search.
+    let mut ub: Option<u64> = None;
     // The hot loop is allocation-free: successors are relaxed inline as
     // the domain emits them from its scratch buffers, with no
     // intermediate Vec.
     let mut best: Option<(u64, u64)> = None;
-    let mut proved_incumbent = false;
     let reason = loop {
+        if probing && (incumbent.is_some() || stats.settled >= probe_budget) {
+            probing = false;
+            if stop_at_switch {
+                phases.merge(&prof.take());
+                phases.succ_gen_ns = expand_ns.saturating_sub(phases.timed_ns());
+                return Ended::Switch(Probe {
+                    incumbent,
+                    stats,
+                    phases,
+                });
+            }
+            ub = incumbent.as_ref().map(|&(u, _)| u);
+            let cap = ub.unwrap_or(u64::MAX);
+            frontier.rekey(|idx, d, f| arena.meta(idx).dist == d && f < cap);
+        }
         let Some((f, idx, d)) = frontier.pop() else {
-            // With an incumbent, exhausting every `f < ub` state IS the
-            // optimality proof: the admissible bound keeps some state of
-            // any strictly cheaper schedule enqueued until it is found.
-            proved_incumbent = ub.is_some();
-            break if proved_incumbent {
+            // Emptying the frontier below the incumbent proves it optimal;
+            // without one, no goal is reachable.
+            break if ub.is_some() {
                 StopReason::Solved
             } else {
                 StopReason::Exhausted
             };
         };
-        if let Some(ub) = ub {
-            // The popped f is the frontier minimum, which lower-bounds
-            // the cost of any schedule not yet found — reaching the
-            // incumbent proves the incumbent optimal. (Pushes filter
-            // `f >= ub`, so this triggers at most for the root.)
-            if f >= ub {
-                proved_incumbent = true;
-                break StopReason::Solved;
-            }
-        }
+        debug_assert!(
+            ub.is_none_or(|u| f < u),
+            "queued entries beat the incumbent"
+        );
         if arena.meta(idx).dist != d {
             stats.stale += 1;
             continue;
         }
         let key = domain.unpack(arena.key_words(idx));
         if domain.is_goal(&key) {
+            if probing {
+                incumbent = Some((d, reconstruct_path(domain, &[&arena], gid(0, idx))));
+                continue;
+            }
             best = Some((d, gid(0, idx)));
             break StopReason::Solved;
         }
         stats.settled += 1;
+        stats.probe_settled += u64::from(probing);
         if stats.settled > config.limits.max_states as u64 {
             break StopReason::StateLimit;
         }
@@ -338,11 +360,11 @@ fn sequential<D: Domain>(
         domain.expand(&key, &mut prof, &mut |k2, c, mv, hv| {
             phases.emitted += 1;
             let nd = d + c;
-            // With a seeded incumbent the heuristic is evaluated
-            // eagerly: a successor whose f provably cannot *beat* the
-            // known feasible schedule is discarded before paying the
-            // dominant cost of hashing and interning it. Dead
-            // successors (`hv() == None`) are discarded the same way.
+            // With an incumbent the heuristic is evaluated eagerly: a
+            // successor whose f provably cannot *beat* the incumbent is
+            // discarded before paying the dominant cost of hashing and
+            // interning it. Dead successors (`hv() == None`) are
+            // discarded the same way.
             let mut hval: Option<u64> = None;
             if let Some(ub) = ub {
                 match hv() {
@@ -363,7 +385,14 @@ fn sequential<D: Domain>(
             if improved {
                 if let Some(hv) = hval.or_else(hv) {
                     let tq = if timing { Some(Instant::now()) } else { None };
-                    frontier.push(nd + weigh(hv), idx2, nd);
+                    // At weight 1 no push pays for a division.
+                    let f = nd
+                        + if probing {
+                            hv.saturating_mul(num) / den
+                        } else {
+                            hv
+                        };
+                    frontier.push(f, hv, idx2, nd);
                     stats.pushed += 1;
                     stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u64);
                     if let Some(t0) = tq {
@@ -383,27 +412,18 @@ fn sequential<D: Domain>(
     // minus the phases timed individually (all of which run inside
     // expand or its emit callback).
     phases.succ_gen_ns = expand_ns.saturating_sub(phases.timed_ns());
-    if proved_incumbent {
-        let (d, path) = incumbent.expect("proved_incumbent implies an incumbent");
-        return DriverOutcome {
-            best: Some((d, path)),
-            stats,
-            shards: Vec::new(),
-            reason: StopReason::Solved,
-            phases,
-        };
-    }
-    if let Some((d, goal_gid)) = best {
-        let path = reconstruct_path(domain, &[&arena], goal_gid);
-        return DriverOutcome {
-            best: Some((d, path)),
-            stats,
-            shards: Vec::new(),
-            reason: StopReason::Solved,
-            phases,
-        };
-    }
-    DriverOutcome::stopped(stats, Vec::new(), reason, phases)
+    let best = match best {
+        Some((d, goal_gid)) => Some((d, reconstruct_path(domain, &[&arena], goal_gid))),
+        None if reason == StopReason::Solved => incumbent,
+        None => None,
+    };
+    Ended::Search(DriverOutcome {
+        best,
+        stats,
+        shards: Vec::new(),
+        reason,
+        phases,
+    })
 }
 
 /// Walks the parent chain from `goal_gid` back to the root (marked by a
@@ -601,7 +621,7 @@ impl<'a, D: Domain> Worker<'a, D> {
             if let Some(hv) = self.domain.heuristic(&key) {
                 let f = dist + hv;
                 if f < self.shared.incumbent.load(Ordering::Relaxed) {
-                    self.frontier.push(f, idx, dist);
+                    self.frontier.push(f, hv, idx, dist);
                     self.pushed += 1;
                     self.frontier_peak = self.frontier_peak.max(self.frontier.len() as u64);
                 }
@@ -641,7 +661,7 @@ impl<'a, D: Domain> Worker<'a, D> {
                     } else {
                         None
                     };
-                    self.frontier.push(f, idx, dist);
+                    self.frontier.push(f, hv, idx, dist);
                     self.pushed += 1;
                     self.frontier_peak = self.frontier_peak.max(self.frontier.len() as u64);
                     if let Some(t0) = tq {
@@ -941,36 +961,35 @@ impl<'a, D: Domain> Worker<'a, D> {
             },
             stale: self.stale,
             frontier_peak: self.frontier_peak,
-            heap_fallback: matches!(self.frontier, Frontier::Heap(_)),
+            heap_fallback: matches!(self.frontier, Frontier::Heap { .. }),
             phases: self.phases,
             arena: self.arena,
         }
     }
 }
 
-/// The sharded engine; the deadline counts from `start`.
+/// The sharded engine, started where the sequential loop's probe ended:
+/// it takes the probe's incumbent, and its shards search from the root
+/// with their own arenas. The probe's expansions count toward
+/// `max_states`; the deadline counts from `start`.
 fn parallel<D: Domain>(
     domain: &D,
     config: &SearchConfig,
     threads: usize,
-    incumbent: Option<Incumbent<D::Key>>,
+    probe: Probe<D::Key>,
     start: Instant,
 ) -> DriverOutcome<D::Key> {
     let kw = domain.key_words();
     let root = domain.root();
+    let h0 = probe.stats.h_root;
     let mut stats = SearchStats {
         threads: threads as u64,
+        h_root: h0,
+        settled: probe.stats.settled,
+        probe_settled: probe.stats.probe_settled,
         ..SearchStats::default()
     };
-    let Some(h0) = domain.heuristic(&root) else {
-        return DriverOutcome::stopped(
-            stats,
-            Vec::new(),
-            StopReason::Exhausted,
-            PhaseStats::default(),
-        );
-    };
-    stats.h_root = h0;
+    let incumbent = probe.incumbent;
 
     let mut root_words = [0u64; MAX_KEY_WORDS];
     domain.pack(&root, &mut root_words[..kw]);
@@ -978,6 +997,7 @@ fn parallel<D: Domain>(
     let root_owner = domain.owner(&root, root_hash, threads);
 
     let shared = Shared::new();
+    shared.settled.store(probe.stats.settled, Ordering::SeqCst);
     if let Some((ub, _)) = incumbent {
         // Seed the shared incumbent exactly as if a goal of cost `ub`
         // had already been offered: every push and pop keeps only
@@ -1034,7 +1054,7 @@ fn parallel<D: Domain>(
                             w.arena
                                 .relax(&root_words[..kw], root_hash, 0, gid(me, 0), 0);
                         debug_assert_eq!(ridx, 0);
-                        w.frontier.push(h0, 0, 0);
+                        w.frontier.push(h0, h0, 0, 0);
                         w.pushed = 1;
                         w.frontier_peak = 1;
                     }
@@ -1049,7 +1069,7 @@ fn parallel<D: Domain>(
     });
 
     let mut shards = Vec::with_capacity(threads);
-    let mut phases = PhaseStats::default();
+    let mut phases = probe.phases;
     for r in &results {
         phases.merge(&r.phases);
         stats.settled += r.shard.settled;

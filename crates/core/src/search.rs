@@ -6,17 +6,21 @@
 //! searched by the one domain in `mpp/exact.rs`, so the machinery lives
 //! here once:
 //!
-//! - `Frontier`: a monotone **bucket queue** indexed by `f = d + h`.
-//!   Edge costs are tiny integers, so the full priority range is at most
-//!   the trivial upper bound of Lemma 1; `pop` is a cursor advance and
-//!   `push` a `Vec` append, with zero per-operation heap rebalancing.
-//!   Instances whose cost range would make buckets wasteful (huge `g`)
-//!   fall back to a binary heap transparently.
+//! - `Frontier`: a **bucket queue** indexed by `f = d + h` that pops
+//!   the smallest `f`, then the deepest state (smallest `h`), then the
+//!   latest push. Edge costs are tiny integers, so the full priority
+//!   range is at most the trivial upper bound of Lemma 1; `pop` is a
+//!   cursor advance and `push` a `Vec` append into the bucket's run for
+//!   its `h`, with zero per-operation heap rebalancing. Instances whose
+//!   cost range would make buckets wasteful (huge `g`) fall back to a
+//!   binary heap with the same pop order.
 //! - [`AdmissibleHeuristic`]: the lower bound guiding A\*, computed by
 //!   its one evaluation, [`AdmissibleHeuristic::eval`]. See the
 //!   admissibility argument on the type; it is also *consistent*, so
-//!   the first settling of a state is final and the bucket cursor never
-//!   moves backwards.
+//!   at weight 1 a settling is final and the bucket cursor never moves
+//!   backwards. The incumbent probe's weighted priorities break both,
+//!   which the driver (re-opening) and the frontier (a cursor that moves
+//!   back) tolerate.
 //! - [`SearchStats`] / [`ShardStats`] / [`PhaseStats`]: counters for
 //!   the benchmark harness and trace gauges, including the packed-arena
 //!   memory axis and the hot-path phase profile.
@@ -223,8 +227,17 @@ impl StopReason {
 /// tracing never adds per-relaxation overhead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// States settled (popped with an up-to-date distance and expanded).
+    /// States settled (popped with an up-to-date distance and expanded),
+    /// counted at both weights of the sequential loop: the incumbent
+    /// probe's expansions and the exact search's, including a state the
+    /// exact search re-expands at a shorter distance than the probe
+    /// reached it at. [`SolveLimits::max_states`] bounds this count.
     pub settled: u64,
+    /// The part of [`SearchStats::settled`] expanded by the incumbent
+    /// probe, the loop's first phase at weight 3/2 (zero when the
+    /// heuristic is disabled). In a parallel solve the shards' settled
+    /// counts make up the rest.
+    pub probe_settled: u64,
     /// Queue pushes (each corresponds to a distance improvement).
     pub pushed: u64,
     /// Stale queue entries skipped on pop.
@@ -297,6 +310,7 @@ impl SearchStats {
             return;
         }
         rbp_trace::counter(&format!("solver.{which}.settled"), self.settled);
+        rbp_trace::counter(&format!("solver.{which}.probe_settled"), self.probe_settled);
         rbp_trace::counter(&format!("solver.{which}.pushed"), self.pushed);
         rbp_trace::counter(&format!("solver.{which}.stale"), self.stale);
         rbp_trace::gauge(
@@ -489,9 +503,9 @@ pub struct PhaseStats {
     pub idle_suppressed: u64,
     /// Successors emitted to the driver (post-pruning).
     pub emitted: u64,
-    /// Emitted successors the driver discarded before interning because
-    /// `g + h` exceeded the beam-probe upper bound (or the successor
-    /// was provably dead).
+    /// Emitted successors the exact search discarded before interning
+    /// because `g + h` could not beat the incumbent probe's schedule (or
+    /// the successor was provably dead).
     pub ub_pruned: u64,
 }
 
@@ -680,16 +694,36 @@ pub type PackedMove = u32;
 
 const BUCKET_CAP: u64 = 1 << 22;
 
-/// Min-priority frontier: bucket queue for small priority ranges, binary
-/// heap fallback otherwise. Entries carry the g-value at push time so
-/// stale entries can be recognized without a decrease-key operation.
+/// Entries of one `f` bucket with one `h`, in push order.
+type Run<K> = Vec<(K, u64)>;
+
+/// A heap entry, `(f, h, push sequence number, key, dist)`: the
+/// max-heap pops the smallest `(f, h)` and among those the latest push.
+type HeapEntry<K> = (Reverse<u64>, Reverse<u64>, u64, K, u64);
+
+/// Min-priority frontier ordered by `(f, h)`: the smallest `f` first,
+/// then the smallest `h` — the deepest state, since `h = f − g` at
+/// weight 1 — and the last pushed among equal `(f, h)`. A bucket queue
+/// serves small priority ranges and a binary heap the rest; both pop in
+/// this one order. Entries carry the g-value at push time so stale
+/// entries can be recognized without a decrease-key operation.
+///
+/// The tie-break never changes an optimum: A\* proves one whichever
+/// entry of the minimum `f` it pops. It decides how much of the
+/// `f = OPT` plateau a search settles before it reaches a goal there,
+/// and how deep the incumbent probe dives.
 pub(crate) enum Frontier<K> {
     Buckets {
-        buckets: Vec<Vec<(K, u64)>>,
+        /// `buckets[f]` holds one run per `h`, in decreasing `h` (the
+        /// deepest run last); no run is empty.
+        buckets: Vec<Vec<(u64, Run<K>)>>,
         cursor: usize,
         len: usize,
     },
-    Heap(BinaryHeap<(Reverse<u64>, K, u64)>),
+    Heap {
+        heap: BinaryHeap<HeapEntry<K>>,
+        seq: u64,
+    },
 }
 
 impl<K: Copy + Ord> Frontier<K> {
@@ -704,33 +738,49 @@ impl<K: Copy + Ord> Frontier<K> {
                 len: 0,
             }
         } else {
-            Frontier::Heap(BinaryHeap::new())
+            Frontier::Heap {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            }
         }
     }
 
-    pub(crate) fn push(&mut self, priority: u64, key: K, dist: u64) {
+    /// Queues `key` at distance `dist` with priority `f` and admissible
+    /// bound `h` (`f = dist + h` at weight 1).
+    pub(crate) fn push(&mut self, f: u64, h: u64, key: K, dist: u64) {
         match self {
             Frontier::Buckets {
                 buckets,
                 cursor,
                 len,
             } => {
-                let idx = usize::try_from(priority).expect("priority fits usize");
+                let idx = usize::try_from(f).expect("priority fits usize");
                 if idx >= buckets.len() {
                     buckets.resize_with(idx + 1, Vec::new);
                 }
-                buckets[idx].push((key, dist));
-                // A consistent heuristic never pushes below the cursor;
-                // tolerate it anyway so a merely-admissible heuristic
-                // still yields correct results.
+                let runs = &mut buckets[idx];
+                let at = match runs.binary_search_by(|&(rh, _)| h.cmp(&rh)) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        runs.insert(at, (h, Vec::new()));
+                        at
+                    }
+                };
+                runs[at].1.push((key, dist));
+                // A consistent heuristic never pushes below the cursor at
+                // weight 1, but the probe's weighted priorities can;
+                // tolerate it so every weight stays correct.
                 *cursor = (*cursor).min(idx);
                 *len += 1;
             }
-            Frontier::Heap(heap) => heap.push((Reverse(priority), key, dist)),
+            Frontier::Heap { heap, seq } => {
+                *seq += 1;
+                heap.push((Reverse(f), Reverse(h), *seq, key, dist));
+            }
         }
     }
 
-    /// Pops the minimum-priority entry as `(priority, key, dist)`.
+    /// Pops the minimum entry as `(f, key, dist)`.
     pub(crate) fn pop(&mut self) -> Option<(u64, K, u64)> {
         match self {
             Frontier::Buckets {
@@ -745,9 +795,51 @@ impl<K: Copy + Ord> Frontier<K> {
                     *cursor += 1;
                 }
                 *len -= 1;
-                buckets[*cursor].pop().map(|(k, d)| (*cursor as u64, k, d))
+                let runs = &mut buckets[*cursor];
+                let run = &mut runs.last_mut().expect("bucket is non-empty").1;
+                let (k, d) = run.pop().expect("runs are non-empty");
+                if run.is_empty() {
+                    runs.pop();
+                }
+                Some((*cursor as u64, k, d))
             }
-            Frontier::Heap(heap) => heap.pop().map(|(Reverse(p), k, d)| (p, k, d)),
+            Frontier::Heap { heap, .. } => heap.pop().map(|(Reverse(f), _, _, k, d)| (f, k, d)),
+        }
+    }
+
+    /// Re-keys every entry at weight 1, `f = dist + h`, keeping those
+    /// for which `keep(key, dist, f)` holds, and pushes them back in
+    /// their stored order. The pushes of one search use one weight, so
+    /// entries that shared an `(f, h)` share the new one and keep their
+    /// LIFO order: both representations still pop alike.
+    pub(crate) fn rekey(&mut self, mut keep: impl FnMut(K, u64, u64) -> bool) {
+        let entries: Vec<(u64, K, u64)> = match self {
+            Frontier::Buckets {
+                buckets,
+                cursor,
+                len,
+            } => {
+                *cursor = 0;
+                *len = 0;
+                std::mem::take(buckets)
+                    .into_iter()
+                    .flatten()
+                    .flat_map(|(h, run)| run.into_iter().map(move |(k, d)| (h, k, d)))
+                    .collect()
+            }
+            Frontier::Heap { heap, .. } => {
+                let mut old = std::mem::take(heap).into_vec();
+                old.sort_unstable_by_key(|&(_, _, seq, _, _)| seq);
+                old.into_iter()
+                    .map(|(_, Reverse(h), _, k, d)| (h, k, d))
+                    .collect()
+            }
+        };
+        for (h, k, d) in entries {
+            let f = d + h;
+            if keep(k, d, f) {
+                self.push(f, h, k, d);
+            }
         }
     }
 
@@ -770,7 +862,7 @@ impl<K: Copy + Ord> Frontier<K> {
                 }
                 Some(*cursor as u64)
             }
-            Frontier::Heap(heap) => heap.peek().map(|(Reverse(p), _, _)| *p),
+            Frontier::Heap { heap, .. } => heap.peek().map(|&(Reverse(f), ..)| f),
         }
     }
 
@@ -778,7 +870,7 @@ impl<K: Copy + Ord> Frontier<K> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Frontier::Buckets { len, .. } => *len,
-            Frontier::Heap(heap) => heap.len(),
+            Frontier::Heap { heap, .. } => heap.len(),
         }
     }
 }
@@ -948,45 +1040,89 @@ mod tests {
         AdmissibleHeuristic::new(&Game::spp(inst), inst.model, 0)
     }
 
+    /// One frontier of each representation.
+    fn both_frontiers() -> [Frontier<u32>; 2] {
+        let buckets = Frontier::new(100);
+        assert!(matches!(buckets, Frontier::Buckets { .. }));
+        let heap = Frontier::new(u64::MAX);
+        assert!(matches!(heap, Frontier::Heap { .. }));
+        [buckets, heap]
+    }
+
+    fn drain(f: &mut Frontier<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| f.pop().map(|(_, k, _)| k)).collect()
+    }
+
     #[test]
-    fn frontier_bucket_orders_by_priority() {
-        let mut f: Frontier<u32> = Frontier::new(100);
-        assert!(matches!(f, Frontier::Buckets { .. }));
-        f.push(5, 50, 5);
-        f.push(1, 10, 1);
-        f.push(3, 30, 3);
-        f.push(1, 11, 1);
-        assert_eq!(f.peek_priority(), Some(1));
-        let mut out = Vec::new();
-        while let Some((p, k, d)) = f.pop() {
-            assert_eq!(p, d, "test entries carry priority as dist");
-            out.push(k);
+    fn frontier_pops_smallest_f_then_smallest_h_then_latest() {
+        for mut f in both_frontiers() {
+            // (f, h, key); dist = f - h.
+            for (pf, h, k) in [(5, 2, 50), (3, 1, 31), (3, 2, 32), (3, 1, 33), (3, 0, 30)] {
+                f.push(pf, h, k, pf - h);
+            }
+            f.push(4, 0, 40, 4);
+            f.push(3, 2, 34, 1);
+            assert_eq!(f.peek_priority(), Some(3));
+            assert_eq!(f.pop(), Some((3, 30, 3)));
+            // A deeper entry pushed on the current f jumps the queue.
+            f.push(3, 0, 35, 3);
+            assert_eq!(f.len(), 7);
+            assert_eq!(drain(&mut f), [35, 33, 31, 34, 32, 40, 50]);
+            assert_eq!(f.peek_priority(), None);
         }
-        assert_eq!(out.len(), 4);
-        assert!(out[..2].contains(&10) && out[..2].contains(&11));
-        assert_eq!(&out[2..], &[30, 50]);
-        assert_eq!(f.peek_priority(), None);
     }
 
     #[test]
     fn frontier_heap_fallback_orders_by_priority() {
-        let mut f: Frontier<u32> = Frontier::new(u64::MAX);
-        assert!(matches!(f, Frontier::Heap(_)));
-        f.push(1 << 40, 2, 7);
-        f.push(3, 1, 3);
+        let [_, mut f] = both_frontiers();
+        f.push(1 << 40, 0, 2, 1 << 40);
+        f.push(3, 0, 1, 3);
         assert_eq!(f.peek_priority(), Some(3));
         assert_eq!(f.pop(), Some((3, 1, 3)));
-        assert_eq!(f.pop(), Some((1 << 40, 2, 7)));
+        assert_eq!(f.pop(), Some((1 << 40, 2, 1 << 40)));
         assert_eq!(f.pop(), None);
     }
 
     #[test]
     fn frontier_tolerates_push_below_cursor() {
-        let mut f: Frontier<u32> = Frontier::new(100);
-        f.push(5, 50, 5);
-        assert_eq!(f.pop(), Some((5, 50, 5)));
-        f.push(2, 20, 2);
-        assert_eq!(f.pop(), Some((2, 20, 2)));
+        for mut f in both_frontiers() {
+            f.push(5, 0, 50, 5);
+            assert_eq!(f.pop(), Some((5, 50, 5)));
+            f.push(2, 0, 20, 2);
+            assert_eq!(f.pop(), Some((2, 20, 2)));
+        }
+    }
+
+    /// Entries pushed at weight 3/2 and re-keyed at weight 1 pop exactly
+    /// as if the kept ones had been pushed at weight 1 in their original
+    /// order, in both representations.
+    #[test]
+    fn frontier_rekey_keeps_the_stored_order() {
+        let mut rng = rbp_util::Rng::new(7);
+        // (key, dist, h)
+        let entries: Vec<(u32, u64, u64)> = (0..300)
+            .map(|k| (k, rng.range_u64(0, 12), rng.range_u64(0, 9)))
+            .collect();
+        let keep = |k: u32, f: u64| k % 7 != 3 && f < 16;
+        let mut orders = Vec::new();
+        for (mut f, mut reference) in both_frontiers().into_iter().zip(both_frontiers()) {
+            for &(k, d, h) in &entries {
+                f.push(d + h * 3 / 2, h, k, d);
+            }
+            // Pop some first, as the probe does before the switch.
+            let popped: Vec<u32> = (0..20).map(|_| f.pop().expect("queued").1).collect();
+            f.rekey(|k, _, pf| keep(k, pf));
+            for &(k, d, h) in &entries {
+                if !popped.contains(&k) && keep(k, d + h) {
+                    reference.push(d + h, h, k, d);
+                }
+            }
+            let order = drain(&mut f);
+            assert_eq!(order, drain(&mut reference));
+            orders.push(order);
+        }
+        assert_eq!(orders[0], orders[1], "representations agree");
+        assert!(orders[0].len() > 100);
     }
 
     #[test]

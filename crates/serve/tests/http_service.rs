@@ -247,3 +247,68 @@ fn graceful_shutdown_via_endpoint_drains() {
     let after = http::request(addr, "GET", "/v1/healthz", None, Duration::from_millis(500));
     assert!(after.is_err() || after.unwrap().status != 200);
 }
+
+/// Hostile-size input over real TCP. A legal body one byte under
+/// `max_body_bytes` — one ~1 MiB `dag_text` string, a tiny DAG behind
+/// a megabyte of comment lines, so the JSON string parser and the DAG
+/// parser each scan all of it — is answered within a fixed bound. A
+/// request declaring a body one byte over the cap is refused with 413
+/// from its head alone. The server still answers `/v1/healthz` after
+/// both.
+#[test]
+fn body_under_the_size_cap_is_answered_and_one_byte_over_is_refused() {
+    use std::io::{Read as _, Write as _};
+
+    let server = small_server();
+    let cap = ServeConfig::default().max_body_bytes;
+
+    let head = r#"{"k":2,"r":3,"g":2,"dag_text":""#;
+    let tail = r#"dag hostile\nnodes 2\nedge 0 1\nend\n"}"#;
+    let pad = r"# padding line\n";
+    let mut body = String::with_capacity(cap);
+    body.push_str(head);
+    while body.len() + pad.len() + tail.len() < cap {
+        body.push_str(pad);
+    }
+    while body.len() + tail.len() < cap - 1 {
+        body.push('#');
+    }
+    body.push_str(tail);
+    assert_eq!(body.len(), cap - 1);
+
+    let started = Instant::now();
+    let big = post(&server, "/v1/solve", &body);
+    let took = started.elapsed();
+    assert!(
+        big.status < 500,
+        "a legal body is answered, not failed: {} {}",
+        big.status,
+        big.body
+    );
+    // Release parses this in milliseconds; the bound leaves room for a
+    // debug build on a loaded host and still catches a parser that is
+    // quadratic in the string length (~30 s for this body).
+    assert!(
+        took < Duration::from_secs(5),
+        "a {cap}-byte-cap body took {took:?}"
+    );
+
+    // Over the cap: the server refuses on the declared length and never
+    // reads the body, so none is sent (writing into a connection the
+    // server has closed would race its reply).
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    write!(
+        stream,
+        "POST /v1/solve HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        cap + 1
+    )
+    .unwrap();
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("read the refusal");
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 413"), "{reply}");
+
+    assert_eq!(get(&server, "/v1/healthz").status, 200);
+    server.shutdown();
+}

@@ -109,23 +109,25 @@ echo "== hot-path perf guard (state-count ceiling on a fixed fixture) =="
 # Load-independent regression gate for the sequential hot path: the
 # settled-state count on this fixture is deterministic, so a ceiling —
 # not a wall-clock — catches pruning regressions even on a busy CI
-# host. Measured counts on grid_3x3 (k=2, r=3, g=2), OPT = 11, with
-# the incumbent-probe + branch-and-bound engine:
-#   dominance+heuristic (default) : 27,375 settled
-#   dominance off                 : 31,947
+# host. Settled counts the incumbent probe's expansions and the exact
+# search's together. Measured on grid_3x3 (k=2, r=3, g=2), OPT = 11:
+#   dominance+heuristic (default) : 23,413 settled (16,528 in the probe,
+#                                   which finds a schedule here)
+#   dominance off                 : 31,554
 #   heuristic off (no probe)      : 80,303
-#   both off                      : 187,589
-# The 30,000 ceiling passes the default config with ~9% headroom and
-# fails if the heuristic or dominance stops pruning. The incumbent
-# probe finds no schedule on this fixture within its 20,000-state
-# budget, so this guard cannot see it; the incumbent-probe guard below
-# covers it.
+#   heuristic and dominance off   : 95,369
+#   probe disabled                : 23,021
+# The 25,000 ceiling passes the default config with ~7% headroom and
+# fails if the heuristic or dominance stops pruning. It cannot see a
+# lost probe: without it the search settles slightly fewer states here
+# (though it pushes more, 74,348 against 64,315); the incumbent-probe
+# guard below covers the probe.
 guard_trace=$(mktemp)
 trap 'rm -f "$guard_trace"' EXIT
 guard_opt=$(RBP_TRACE="$guard_trace" \
-    ./target/release/rbp solve tests/fixtures/grid_3x3.dag 2 3 2 --max-states 30000 \
+    ./target/release/rbp solve tests/fixtures/grid_3x3.dag 2 3 2 --max-states 25000 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
-    || { echo "perf guard failed: settled-state count exceeded 30000 (hot-path regression)"; exit 1; }
+    || { echo "perf guard failed: settled-state count exceeded 25000 (hot-path regression)"; exit 1; }
 [ "$guard_opt" = "11" ] \
     || { echo "perf guard failed: OPT=$guard_opt on grid_3x3, expected 11"; exit 1; }
 # The same run must emit phase counters and render them as a report
@@ -137,71 +139,80 @@ echo "$guard_report" | grep -q "solver.phase.mpp.idle_suppressed" \
     || { echo "perf guard failed: solver.phase.mpp.idle_suppressed counter missing"; exit 1; }
 trap - EXIT
 rm -f "$guard_trace"
-echo "perf guard: OPT=11 within the 30000-state ceiling, Hot path section rendered"
+echo "perf guard: OPT=11 within the 25000-state ceiling, Hot path section rendered"
 
 echo "== three-level perf guard (state-count ceiling on the separation gadget) =="
 # The same load-independent gate for the three-level search. Measured
 # counts on hier_skip 4 (k=2, r=3, g=2, green_cap=2, green_cost=1),
 # OPT = 9:
-#   default        : 36,455 settled
-#   dominance off  : 36,514
+#   default        : 26,982 settled (12,512 in the probe, which finds
+#                    a schedule here)
+#   dominance off  : 27,463
 #   heuristic off  : 4,483,187
-# The 40,000 ceiling catches a lost heuristic. It does not catch lost
-# dominance pruning, which saves this instance almost nothing (the
-# grid_3x3 guard above covers that), nor a lost incumbent probe: the
-# probe finds no schedule here within its 20,000-state budget, so the
-# count is 36,455 with or without it (the incumbent-probe guard below
-# covers the probe).
+#   probe disabled : 20,997 (but 228,828 pushes against 171,483)
+# The 29,000 ceiling passes the default config with ~7% headroom and
+# catches a lost heuristic. It does not catch lost dominance pruning,
+# which saves this instance almost nothing (the grid_3x3 guard above
+# covers that), nor a lost incumbent probe, without which fewer states
+# settle here (the incumbent-probe guard below covers the probe).
 hier_guard_dag=$(mktemp)
 trap 'rm -f "$hier_guard_dag"' EXIT
 ./target/release/rbp gen hier_skip 4 > "$hier_guard_dag"
 hier_guard_opt=$(./target/release/rbp solve "$hier_guard_dag" 2 3 2 \
-    --levels 3 --green-cap 2 --green-cost 1 --max-states 40000 \
+    --levels 3 --green-cap 2 --green-cost 1 --max-states 29000 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
-    || { echo "three-level perf guard failed: settled-state count exceeded 40000"; exit 1; }
+    || { echo "three-level perf guard failed: settled-state count exceeded 29000"; exit 1; }
 [ "$hier_guard_opt" = "9" ] \
     || { echo "three-level perf guard failed: OPT=$hier_guard_opt on hier_skip 4, expected 9"; exit 1; }
 trap - EXIT
 rm -f "$hier_guard_dag"
-echo "three-level perf guard: OPT=9 within the 40000-state ceiling"
+echo "three-level perf guard: OPT=9 within the 29000-state ceiling"
 
 echo "== single-processor perf guard (state-count ceiling at k = 1) =="
 # The same load-independent gate for the one-processor path of the one
 # exact search (SPP is its k = 1 case). Measured counts on pyramid 4
 # (k=1, r=3, g=2), OPT = 37:
-#   default        : 340,279 settled
-#   dominance off  : 340,279 (it prunes nothing here at k = 1)
+#   default        : 328,643 settled (20,000 in the probe, which finds
+#                    no schedule within its budget)
+#   dominance off  : 328,643 (it prunes nothing here at k = 1)
 #   heuristic off  : 1,027,170
-# The 360,000 ceiling passes the default config with ~6% headroom and
-# fails if the heuristic stops pruning.
+# The 345,000 ceiling passes the default config with ~5% headroom and
+# fails if the heuristic stops pruning, or if the exact search starts
+# over instead of carrying on from the probe's states (the probe's
+# 20,000 plus the 328,130 the exact search settles alone: 348,130).
 k1_guard_dag=$(mktemp)
 trap 'rm -f "$k1_guard_dag"' EXIT
 ./target/release/rbp gen pyramid 4 > "$k1_guard_dag"
-k1_guard_opt=$(./target/release/rbp solve "$k1_guard_dag" 1 3 2 --max-states 360000 \
+k1_guard_opt=$(./target/release/rbp solve "$k1_guard_dag" 1 3 2 --max-states 345000 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
-    || { echo "single-processor perf guard failed: settled-state count exceeded 360000"; exit 1; }
+    || { echo "single-processor perf guard failed: settled-state count exceeded 345000"; exit 1; }
 [ "$k1_guard_opt" = "37" ] \
     || { echo "single-processor perf guard failed: OPT=$k1_guard_opt on pyramid 4, expected 37"; exit 1; }
 trap - EXIT
 rm -f "$k1_guard_dag"
-echo "single-processor perf guard: OPT=37 within the 360000-state ceiling"
+echo "single-processor perf guard: OPT=37 within the 345000-state ceiling"
 
 echo "== incumbent-probe guard (state-count ceiling where the probe prunes) =="
 # The weighted-A* incumbent probe finds a schedule on fft 2 (k=2, r=3,
 # g=2), and branch-and-bound on its cost then prunes the search.
 # Measured, OPT = 12:
-#   default        : 41,453 settled (solver.phase.mpp.ub_pruned = 221,644)
-#   probe disabled : 73,733 settled
-# The 50,000 ceiling passes the default config with ~17% headroom and
-# fails if the probe stops finding its incumbent or stops pruning.
+#   default        : 41,536 settled, 5,153 of them in the probe
+#                    (solver.phase.mpp.ub_pruned = 214,196)
+#   dominance off  : 51,723
+#   probe disabled : 41,464 settled
+# Since the frontier pops the deepest state first among equal f, the
+# exact search alone settles about as few states here, so the
+# ub_pruned > 0 check, not the ceiling, fails if the probe stops finding
+# its incumbent or stops pruning. The 45,000 ceiling passes the default
+# config with ~8% headroom and fails if dominance stops pruning.
 probe_dag=$(mktemp)
 probe_trace=$(mktemp)
 trap 'rm -f "$probe_dag" "$probe_trace"' EXIT
 ./target/release/rbp gen fft 2 > "$probe_dag"
 probe_opt=$(RBP_TRACE="$probe_trace" \
-    ./target/release/rbp solve "$probe_dag" 2 3 2 --max-states 50000 \
+    ./target/release/rbp solve "$probe_dag" 2 3 2 --max-states 45000 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p') \
-    || { echo "probe guard failed: settled-state count exceeded 50000 (incumbent probe lost)"; exit 1; }
+    || { echo "probe guard failed: settled-state count exceeded 45000"; exit 1; }
 [ "$probe_opt" = "12" ] \
     || { echo "probe guard failed: OPT=$probe_opt on fft 2, expected 12"; exit 1; }
 ub_pruned=$(./target/release/rbp report "$probe_trace" \
@@ -210,7 +221,7 @@ ub_pruned=$(./target/release/rbp report "$probe_trace" \
     || { echo "probe guard failed: solver.phase.mpp.ub_pruned='$ub_pruned', expected > 0"; exit 1; }
 trap - EXIT
 rm -f "$probe_dag" "$probe_trace"
-echo "probe guard: OPT=12 within the 50000-state ceiling, ub_pruned=$ub_pruned"
+echo "probe guard: OPT=12 within the 45000-state ceiling, ub_pruned=$ub_pruned"
 
 echo "== trace report smoke (fixture round trip) =="
 ./target/release/rbp report tests/fixtures/trace_small.jsonl | grep -q "| chain(4) | 2 | 2 |"

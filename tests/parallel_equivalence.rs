@@ -39,8 +39,9 @@ fn sequential_cfg() -> SearchConfig {
 }
 
 /// 60 random MPP instances × thread counts {2, 4, 8}: the parallel
-/// engine proves the sequential optimum, its witness validates, and it
-/// reports one shard row per worker.
+/// engine proves the sequential optimum, its witness validates, it
+/// reports one shard row per worker, and its settled count is the
+/// incumbent probe's plus the shards'.
 #[test]
 fn mpp_parallel_matches_sequential_on_random_dags() {
     let seq_cfg = sequential_cfg();
@@ -82,8 +83,9 @@ fn mpp_parallel_matches_sequential_on_random_dags() {
             assert_eq!(par.shards.len(), threads, "{ctx}: shard row count");
             let shard_settled: u64 = par.shards.iter().map(|s| s.settled).sum();
             assert_eq!(
-                shard_settled, par.stats.settled,
-                "{ctx}: shard settled sums to the aggregate"
+                par.stats.probe_settled + shard_settled,
+                par.stats.settled,
+                "{ctx}: probe and shard settled sum to the aggregate"
             );
         }
     }
