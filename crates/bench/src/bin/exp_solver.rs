@@ -2,23 +2,26 @@
 //!
 //! Runs the exact MPP solver over an `(n, k, r, g)` grid of DAG
 //! families per instance as baseline (plain Dijkstra, no symmetry
-//! reduction), optimized (processor-symmetry canonicalization +
-//! admissible A\*), and a `--threads ∈ {2, 4}` × `--partition ∈ {hash,
-//! bands, anchors}` sweep of the sharded parallel engine — checking all
-//! optima agree — and reports per-instance wall time, settled-state
-//! counts, packed-arena memory (peak bytes and bytes per interned
-//! state), cross-shard traffic per partition mode, and aggregate
-//! speedups.
-//! Results land in `BENCH_solver.json` for commit-to-commit comparison;
-//! the EXPERIMENTS speedup table is regenerated from this run. The
-//! host's `hardware_threads` is recorded alongside a `sweep_valid`
-//! flag: on a single-hardware-thread host the wall-clock side of the
-//! thread sweep measures nothing but scheduling overhead, so the sweep
+//! reduction) and optimized (processor-symmetry canonicalization +
+//! admissible A\*), checking the optima agree, and reports per-instance
+//! wall time, settled-state counts, packed-arena memory (peak bytes and
+//! bytes per interned state) and aggregate speedups. The instances run
+//! concurrently in that pass, so its walls carry co-scheduling noise;
+//! its settled counts do not.
+//!
+//! A `--threads ∈ {2, 4}` sweep of the hash-sharded engine follows,
+//! one solve at a time, so no other solve competes for the cores. Each
+//! round runs a fresh `t = 1` solve and then the `t ≥ 2` solve of the
+//! same instance; a point's speedup is the median `t = 1` wall over the
+//! median `t ≥ 2` wall of [`ROUNDS`] rounds, and every point must prove
+//! the sequential optimum. On a single-hardware-thread host the sweep
 //! is **skipped entirely** (its table columns print `-`, the JSON
-//! arrays stay empty), the flag goes `false`, and `rbp report` calls
-//! the absence out. Cross-shard send counts are deterministic
-//! properties of the partition, so re-running on a multi-core host
-//! restores them with no schema change.
+//! arrays stay empty): time-sliced workers would only measure
+//! scheduling overhead. The host's `hardware_threads` is recorded with
+//! a `sweep_valid` flag, and `rbp report` calls a skipped sweep out.
+//!
+//! Results land in `BENCH_solver.json` for commit-to-commit comparison;
+//! the EXPERIMENTS E16 and E19 tables are regenerated from this run.
 //!
 //! Usage: `exp_solver [--quick]` (`--quick` trims the grid for CI).
 
@@ -26,7 +29,7 @@ use std::time::Instant;
 
 use rbp_bench::{banner, par_sweep, Table};
 use rbp_core::rbp_dag::{generators, Dag};
-use rbp_core::{solve_mpp_with, MppInstance, PartitionMode, SearchConfig, SearchStats};
+use rbp_core::{solve_mpp_with, MppInstance, SearchConfig, SearchStats};
 use rbp_util::env_seed;
 use rbp_util::json::Json;
 
@@ -38,12 +41,25 @@ struct Case {
     g: u64,
 }
 
-/// One parallel-engine run at a fixed thread count and partition mode.
+/// Thread counts of the sharded-engine sweep.
+const SWEEP_THREADS: [usize; 2] = [2, 4];
+/// Interleaved `t = 1` / `t ≥ 2` rounds per sweep point (odd, so the
+/// median is one run).
+const ROUNDS: usize = 3;
+
+/// The sharded engine at one thread count: median walls of [`ROUNDS`]
+/// interleaved runs, and the counters of the median `t ≥ 2` run.
 struct SweepPoint {
     threads: usize,
-    partition: PartitionMode,
     wall_ns: u64,
+    t1_wall_ns: u64,
     stats: SearchStats,
+}
+
+impl SweepPoint {
+    fn speedup(&self) -> f64 {
+        self.t1_wall_ns as f64 / self.wall_ns.max(1) as f64
+    }
 }
 
 struct Outcome {
@@ -55,18 +71,6 @@ struct Outcome {
     base_stats: SearchStats,
     opt_ns: u64,
     opt_stats: SearchStats,
-    sweep: Vec<SweepPoint>,
-}
-
-impl Outcome {
-    /// The sweep point at `(threads, partition)`; every case runs the
-    /// full cross product, so the lookup always succeeds.
-    fn point(&self, threads: usize, partition: PartitionMode) -> &SweepPoint {
-        self.sweep
-            .iter()
-            .find(|p| p.threads == threads && p.partition == partition)
-            .expect("full threads x partition sweep")
-    }
 }
 
 fn grid_cases(quick: bool) -> Vec<Case> {
@@ -105,17 +109,20 @@ fn grid_cases(quick: bool) -> Vec<Case> {
     cases
 }
 
-fn run_case(case: &Case, do_sweep: bool) -> Outcome {
-    let inst = MppInstance::new(&case.dag, case.k, case.r, case.g);
-    let base_cfg = SearchConfig::baseline();
-    let opt_cfg = SearchConfig::default();
+/// Wall-clock nanoseconds of one solve, with its outcome.
+fn timed<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let t = Instant::now();
+    let out = f();
+    (
+        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        out,
+    )
+}
 
-    let t = Instant::now();
-    let base = solve_mpp_with(&inst, &base_cfg);
-    let base_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let t = Instant::now();
-    let opt = solve_mpp_with(&inst, &opt_cfg);
-    let opt_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+fn run_case(case: &Case) -> Outcome {
+    let inst = MppInstance::new(&case.dag, case.k, case.r, case.g);
+    let (base_ns, base) = timed(|| solve_mpp_with(&inst, &SearchConfig::baseline()));
+    let (opt_ns, opt) = timed(|| solve_mpp_with(&inst, &SearchConfig::default()));
 
     let b = base.solution.expect("baseline solved");
     let o = opt.solution.expect("optimized solved");
@@ -128,34 +135,6 @@ fn run_case(case: &Case, do_sweep: bool) -> Outcome {
         .validate(&inst)
         .expect("optimized witness validates");
 
-    // Threads × partition sweep of the sharded engine; every point must
-    // prove the same optimum. Skipped wholesale on single-core hosts
-    // (`do_sweep == false`) — time-sliced workers would only record
-    // scheduling-overhead noise.
-    let mut sweep = Vec::new();
-    let thread_counts: &[usize] = if do_sweep { &[2, 4] } else { &[] };
-    for &threads in thread_counts {
-        for partition in PartitionMode::ALL {
-            let cfg = opt_cfg.with_threads(threads).with_partition(partition);
-            let t = Instant::now();
-            let par = solve_mpp_with(&inst, &cfg);
-            let wall_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let p = par.solution.expect("parallel solved");
-            assert_eq!(
-                p.total, o.total,
-                "{} k={} r={} g={}: --threads {threads} --partition {partition} \
-                 changed the optimum",
-                case.family, case.k, case.r, case.g
-            );
-            sweep.push(SweepPoint {
-                threads,
-                partition,
-                wall_ns,
-                stats: par.stats,
-            });
-        }
-    }
-
     Outcome {
         label: format!("{} k={} r={} g={}", case.family, case.k, case.r, case.g),
         n: case.dag.n(),
@@ -165,8 +144,50 @@ fn run_case(case: &Case, do_sweep: bool) -> Outcome {
         base_stats: base.stats,
         opt_ns,
         opt_stats: opt.stats,
-        sweep,
     }
+}
+
+/// The thread sweep of one case, run while nothing else runs: per
+/// thread count, [`ROUNDS`] rounds of a fresh `t = 1` solve followed by
+/// the `t ≥ 2` solve, each of which must prove `total`.
+fn sweep_case(case: &Case, total: u64) -> Vec<SweepPoint> {
+    let inst = MppInstance::new(&case.dag, case.k, case.r, case.g);
+    let cfg = SearchConfig::default();
+    let median = |mut walls: Vec<u64>| {
+        walls.sort_unstable();
+        walls[walls.len() / 2]
+    };
+    SWEEP_THREADS
+        .into_iter()
+        .map(|threads| {
+            let mut t1_walls = Vec::with_capacity(ROUNDS);
+            let mut runs = Vec::with_capacity(ROUNDS);
+            for _ in 0..ROUNDS {
+                let (t1_ns, seq) = timed(|| solve_mpp_with(&inst, &cfg));
+                assert_eq!(seq.solution.map(|s| s.total), Some(total));
+                t1_walls.push(t1_ns);
+                let (ns, par) = timed(|| solve_mpp_with(&inst, &cfg.with_threads(threads)));
+                assert_eq!(
+                    par.solution.map(|s| s.total),
+                    Some(total),
+                    "{} k={} r={} g={}: --threads {threads} changed the optimum",
+                    case.family,
+                    case.k,
+                    case.r,
+                    case.g
+                );
+                runs.push((ns, par.stats));
+            }
+            runs.sort_unstable_by_key(|&(ns, _)| ns);
+            let (wall_ns, stats) = runs.swap_remove(ROUNDS / 2);
+            SweepPoint {
+                threads,
+                wall_ns,
+                t1_wall_ns: median(t1_walls),
+                stats,
+            }
+        })
+        .collect()
 }
 
 fn main() {
@@ -182,7 +203,20 @@ fn main() {
     // entirely and flag the run rather than record fake scaling data.
     let sweep_valid = hardware_threads > 1;
     let cases = grid_cases(quick);
-    let results = par_sweep(cases, |case| run_case(case, sweep_valid));
+    let results = par_sweep((0..cases.len()).collect(), |&i| run_case(&cases[i]));
+    // The thread sweep starts once the concurrent pass has ended, so
+    // its workers have the host's cores to themselves.
+    let sweeps: Vec<Vec<SweepPoint>> = cases
+        .iter()
+        .zip(&results)
+        .map(|(case, o)| {
+            if sweep_valid {
+                sweep_case(case, o.total)
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
 
     let mut t = Table::new(&[
         "instance",
@@ -196,42 +230,21 @@ fn main() {
         "wall x",
         "bytes/st",
         "t2 ms",
+        "t2 x",
         "t4 ms",
-        "send redux",
+        "t4 x",
     ]);
     let mut rows = Vec::new();
     let (mut k2_settled_base, mut k2_settled_opt) = (0u64, 0u64);
     let (mut k2_ns_base, mut k2_ns_opt) = (0u64, 0u64);
     let (mut k2_arena_bytes, mut k2_arena_states) = (0u64, 0u64);
-    let mut k2_thread_ns = [0u64; 2];
-    // Per-partition t=4 traffic aggregates (indexed like PartitionMode::ALL).
-    let mut k2_t4_sends = [0u64; 3];
-    let mut k2_t4_settled = [0u64; 3];
-    for o in &results {
+    // Per sweep thread count: summed median walls at t and at t = 1.
+    let mut k2_thread_ns = [0u64; SWEEP_THREADS.len()];
+    let mut k2_thread_t1_ns = [0u64; SWEEP_THREADS.len()];
+    for (o, sweep) in results.iter().zip(&sweeps) {
         let settled_x = o.base_stats.settled as f64 / o.opt_stats.settled.max(1) as f64;
         let wall_x = o.base_ns as f64 / o.opt_ns.max(1) as f64;
-        // The sweep columns collapse to `-` when the sweep was skipped
-        // (single-hardware-thread host).
-        let (t2_ms, t4_ms, send_redux) = if o.sweep.is_empty() {
-            ("-".to_string(), "-".to_string(), "-".to_string())
-        } else {
-            let hash4 = o.point(4, PartitionMode::Hash);
-            let anchors4 = o.point(4, PartitionMode::Anchors);
-            // Sends-per-settled normalizes away the (mode-dependent)
-            // amount of duplicated exploration before comparing traffic.
-            let hash_sps = hash4.stats.cross_sends as f64 / hash4.stats.settled.max(1) as f64;
-            let anchors_sps =
-                anchors4.stats.cross_sends as f64 / anchors4.stats.settled.max(1) as f64;
-            (
-                format!(
-                    "{:.2}",
-                    o.point(2, PartitionMode::Hash).wall_ns as f64 / 1e6
-                ),
-                format!("{:.2}", hash4.wall_ns as f64 / 1e6),
-                format!("{:.1}x", hash_sps / anchors_sps.max(1e-9)),
-            )
-        };
-        t.row(&[
+        let mut cells = vec![
             o.label.clone(),
             o.n.to_string(),
             o.total.to_string(),
@@ -242,10 +255,23 @@ fn main() {
             format!("{settled_x:.1}x"),
             format!("{wall_x:.1}x"),
             format!("{:.1}", o.opt_stats.bytes_per_state()),
-            t2_ms,
-            t4_ms,
-            send_redux,
-        ]);
+        ];
+        // The sweep columns collapse to `-` when the sweep was skipped
+        // (single-hardware-thread host).
+        if sweep.is_empty() {
+            cells.extend([
+                "-".to_string(),
+                "-".to_string(),
+                "-".to_string(),
+                "-".to_string(),
+            ]);
+        } else {
+            for p in sweep {
+                cells.push(format!("{:.2}", p.wall_ns as f64 / 1e6));
+                cells.push(format!("{:.2}x", p.speedup()));
+            }
+        }
+        t.row(&cells);
         if o.k >= 2 && o.n >= 8 {
             k2_settled_base += o.base_stats.settled;
             k2_settled_opt += o.opt_stats.settled;
@@ -253,29 +279,22 @@ fn main() {
             k2_ns_opt += o.opt_ns;
             k2_arena_bytes += o.opt_stats.arena_peak_bytes;
             k2_arena_states += o.opt_stats.arena_states;
-            if !o.sweep.is_empty() {
-                for (slot, threads) in k2_thread_ns.iter_mut().zip([2usize, 4]) {
-                    *slot += o.point(threads, PartitionMode::Hash).wall_ns;
-                }
-                for (i, mode) in PartitionMode::ALL.into_iter().enumerate() {
-                    let p = o.point(4, mode);
-                    k2_t4_sends[i] += p.stats.cross_sends;
-                    k2_t4_settled[i] += p.stats.settled;
-                }
+            for (i, p) in sweep.iter().enumerate() {
+                k2_thread_ns[i] += p.wall_ns;
+                k2_thread_t1_ns[i] += p.t1_wall_ns;
             }
         }
-        let sweep_json: Vec<Json> = o
-            .sweep
+        let sweep_json: Vec<Json> = sweep
             .iter()
             .map(|p| {
                 Json::obj(vec![
                     ("threads", Json::from(p.threads)),
-                    ("partition", Json::from(p.partition.as_str())),
                     ("wall_ns", Json::from(p.wall_ns)),
+                    ("t1_wall_ns", Json::from(p.t1_wall_ns)),
+                    ("speedup_vs_t1", Json::from(p.speedup())),
                     ("settled", Json::from(p.stats.settled)),
                     ("cross_sends", Json::from(p.stats.cross_sends)),
                     ("send_blocks", Json::from(p.stats.send_blocks)),
-                    ("foreign_expansions", Json::from(p.stats.foreign_expansions)),
                     ("locality_fraction", Json::from(p.stats.locality_fraction())),
                     ("arena_peak_bytes", Json::from(p.stats.arena_peak_bytes)),
                 ])
@@ -317,68 +336,31 @@ fn main() {
          wall-clock speedup {wall_speedup:.1}x"
     );
     println!("memory: {bytes_per_state:.1} bytes/interned state packed");
-    let sends_per_settled = |i: usize| k2_t4_sends[i] as f64 / k2_t4_settled[i].max(1) as f64;
-    if sweep_valid {
-        for (i, threads) in [2usize, 4].into_iter().enumerate() {
-            println!(
-                "threads={threads}: wall {:.1}x vs opt t1 ({} hardware threads on this host)",
-                k2_ns_opt as f64 / k2_thread_ns[i].max(1) as f64,
-                hardware_threads
-            );
-        }
-        let hash_sps = sends_per_settled(0);
-        for (i, mode) in PartitionMode::ALL.into_iter().enumerate() {
-            println!(
-                "partition={mode} t=4: {:.3} cross-shard sends/settled ({:.1}x fewer than hash)",
-                sends_per_settled(i),
-                hash_sps / sends_per_settled(i).max(1e-9)
-            );
-        }
+    let thread_aggregate: Vec<Json> = if sweep_valid {
+        SWEEP_THREADS
+            .into_iter()
+            .zip(k2_thread_ns.into_iter().zip(k2_thread_t1_ns))
+            .map(|(threads, (ns, t1_ns))| {
+                let speedup = t1_ns as f64 / ns.max(1) as f64;
+                println!(
+                    "threads={threads}: wall {speedup:.2}x vs interleaved t1, \
+                     median of {ROUNDS} ({hardware_threads} hardware threads on this host)"
+                );
+                Json::obj(vec![
+                    ("threads", Json::from(threads)),
+                    ("wall_ns", Json::from(ns)),
+                    ("t1_wall_ns", Json::from(t1_ns)),
+                    ("speedup_vs_t1", Json::from(speedup)),
+                ])
+            })
+            .collect()
     } else {
         println!(
             "WARNING: sweep_valid=false — single hardware thread; the t>=2 sweep \
              was skipped (time-sliced workers would measure scheduling overhead, \
              not speedup); re-run on a multi-core host for scaling data"
         );
-    }
-
-    let (thread_aggregate, partition_aggregate): (Vec<Json>, Vec<Json>) = if sweep_valid {
-        let hash_sps = sends_per_settled(0);
-        (
-            [2usize, 4]
-                .into_iter()
-                .zip(k2_thread_ns)
-                .map(|(threads, ns)| {
-                    Json::obj(vec![
-                        ("threads", Json::from(threads)),
-                        ("wall_ns", Json::from(ns)),
-                        (
-                            "speedup_vs_t1",
-                            Json::from(k2_ns_opt as f64 / ns.max(1) as f64),
-                        ),
-                    ])
-                })
-                .collect(),
-            PartitionMode::ALL
-                .into_iter()
-                .enumerate()
-                .map(|(i, mode)| {
-                    Json::obj(vec![
-                        ("partition", Json::from(mode.as_str())),
-                        ("threads", Json::from(4u64)),
-                        ("cross_sends", Json::from(k2_t4_sends[i])),
-                        ("settled", Json::from(k2_t4_settled[i])),
-                        ("sends_per_settled", Json::from(sends_per_settled(i))),
-                        (
-                            "send_reduction_vs_hash",
-                            Json::from(hash_sps / sends_per_settled(i).max(1e-9)),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
+        Vec::new()
     };
     let json = Json::obj(vec![
         ("suite", Json::from("solver")),
@@ -398,7 +380,6 @@ fn main() {
                 ("arena_states", Json::from(k2_arena_states)),
                 ("bytes_per_state", Json::from(bytes_per_state)),
                 ("threads", Json::Arr(thread_aggregate)),
-                ("partitions_t4", Json::Arr(partition_aggregate)),
             ]),
         ),
         ("results", Json::Arr(rows)),

@@ -23,9 +23,8 @@
 //! `threads ≥ 2` runs the same loop up to that switch and then
 //! [`parallel`], which takes only the probe's incumbent (its shards
 //! start from the root with arenas of their own): an HDA\*-style
-//! search (Kishimoto et al.). Every canonical state is **owned** by a
-//! shard chosen through [`Domain::owner`] — the hash partition or a
-//! structure-aware projection ([`crate::partition::Partition`]); each
+//! search (Kishimoto et al.). Every canonical state is **owned** by the
+//! shard its packed-key hash selects ([`crate::arena::shard_of`]); each
 //! worker keeps a private arena + frontier for its shard and forwards
 //! successors it does not own over bounded SPSC rings, packed into
 //! fixed-capacity [`MsgBlock`]s that flush on fill or on local-frontier
@@ -42,15 +41,6 @@
 //! observed twice with no send in between implies no work exists
 //! anywhere.
 //!
-//! When a worker's frontier is empty but quiescence has not been
-//! reached, it **speculatively expands** the best foreign successor it
-//! buffered instead of spinning. Every speculative state was *also*
-//! delivered to its true owner, so the buffer never holds the only copy
-//! of any work item and can be ignored by the termination argument;
-//! duplicates reconcile through the ordinary arena g-value check, so
-//! optimality is untouched and the only cost is some duplicated
-//! expansion (counted per shard as `foreign_expansions` / `dup_msgs`).
-//!
 //! Resource limits are **global** at any thread count and cover the
 //! probe: a shared settled counter, which starts at the probe's count,
 //! and the shared deadline abort every worker through a status word,
@@ -61,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::arena::{gid, gid_idx, gid_shard, hash_words, StateArena, MAX_KEY_WORDS};
+use crate::arena::{gid, gid_idx, gid_shard, hash_words, shard_of, StateArena, MAX_KEY_WORDS};
 use crate::search::{
     phase_timing_enabled, Frontier, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchStats,
     ShardStats, StopReason, MAX_THREADS,
@@ -121,13 +111,6 @@ pub trait Domain: Sync {
     /// Upper bound on every `f` value under weight 1/1 (selects the
     /// frontier representation).
     fn max_priority(&self) -> u64;
-    /// Owning shard of the canonical `key` whose packed-key hash is
-    /// `hash`, under a [`crate::partition::Partition`] (the hash
-    /// partition among them). Must be a pure, total function of the
-    /// canonical state (same key → same shard on every call and every
-    /// worker) — the distributed termination proof and duplicate
-    /// detection rely on it.
-    fn owner(&self, key: &Self::Key, hash: u64, shards: usize) -> usize;
 }
 
 /// What a driver run produced: the optimal cost plus the root-to-goal
@@ -464,9 +447,6 @@ const CHAN_CAP: usize = 1 << 7;
 /// Messages per ring block: a full block spans eight cache lines, so
 /// the per-slot atomic hand-off cost is amortized over eight states.
 const BLOCK_CAP: usize = 8;
-/// Per-worker cap on buffered foreign states eligible for speculative
-/// expansion. Small: it is a starvation stopgap, not a second frontier.
-const SPEC_CAP: usize = 64;
 
 const STATUS_RUNNING: u64 = 0;
 const STATUS_DONE: u64 = 1;
@@ -581,9 +561,6 @@ struct Worker<'a, D: Domain> {
     /// Per-destination out-buffers; `out[to]` fills until [`BLOCK_CAP`]
     /// then flushes into the ring (`out[me]` stays unused).
     out: Vec<MsgBlock>,
-    /// Bounded stash of foreign successors for speculative expansion
-    /// (every entry was *also* sent to its owner).
-    spec: Vec<Msg>,
     settled: u64,
     pushed: u64,
     stale: u64,
@@ -592,7 +569,6 @@ struct Worker<'a, D: Domain> {
     local_succs: u64,
     received: u64,
     dup_msgs: u64,
-    foreign_expansions: u64,
     frontier_peak: u64,
 }
 
@@ -600,11 +576,11 @@ impl<'a, D: Domain> Worker<'a, D> {
     /// Relaxes an owned state given its packed words and hash; enqueues
     /// it when the distance improved, the heuristic finds it alive, and
     /// its `f` still beats the incumbent. Returns whether the distance
-    /// was created or improved. Used for states arriving over channels
-    /// or the speculation stash, which come without a heuristic thunk —
-    /// the bound is evaluated here, lazily, only on improvement. Runs
-    /// outside `expand`, so it is deliberately untimed: the phase
-    /// profile accounts the expansion path.
+    /// was created or improved. Used for states arriving over channels,
+    /// which come without a heuristic thunk — the bound is evaluated
+    /// here, lazily, only on improvement. Runs outside `expand`, so it
+    /// is deliberately untimed: the phase profile accounts the
+    /// expansion path.
     #[inline]
     fn relax_owned(
         &mut self,
@@ -702,10 +678,9 @@ impl<'a, D: Domain> Worker<'a, D> {
     }
 
     /// Buffers a successor for its owning shard, flushing the block
-    /// when full, and stashes a copy for speculative expansion.
+    /// when full.
     fn buffer_send(&mut self, to: usize, msg: Msg) {
         self.sent += 1;
-        self.spec_offer(msg);
         let blk = &mut self.out[to];
         blk.msgs[blk.len as usize] = msg;
         blk.len += 1;
@@ -747,55 +722,6 @@ impl<'a, D: Domain> Worker<'a, D> {
                 self.flush(to);
             }
         }
-    }
-
-    /// Stashes a foreign successor for possible speculative expansion,
-    /// keeping the `SPEC_CAP` best (lowest-distance) entries.
-    fn spec_offer(&mut self, msg: Msg) {
-        if msg.dist >= self.shared.incumbent.load(Ordering::Relaxed) {
-            return;
-        }
-        if self.spec.len() < SPEC_CAP {
-            self.spec.push(msg);
-            return;
-        }
-        let (worst, wd) = self
-            .spec
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (i, m.dist))
-            .max_by_key(|&(_, d)| d)
-            .expect("spec buffer non-empty at cap");
-        if msg.dist < wd {
-            self.spec[worst] = msg;
-        }
-    }
-
-    /// Speculatively expands buffered foreign work: promotes the
-    /// best-distance stashed state into the local arena and frontier.
-    /// Returns `true` when something was promoted (the main loop should
-    /// go back to popping). Safe to drain to empty before idling —
-    /// every entry was also delivered to its owner.
-    fn promote_spec(&mut self) -> bool {
-        while !self.spec.is_empty() {
-            let best = self
-                .spec
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, m)| m.dist)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let m = self.spec.swap_remove(best);
-            if m.dist >= self.shared.incumbent.load(Ordering::Relaxed) {
-                continue;
-            }
-            let h = hash_words(&m.words[..self.kw]);
-            if self.relax_owned(&m.words[..self.kw], h, m.dist, m.parent, m.mv) {
-                self.foreign_expansions += 1;
-                return true;
-            }
-        }
-        false
     }
 
     /// Records a popped goal state, lowering the shared incumbent.
@@ -905,7 +831,7 @@ impl<'a, D: Domain> Worker<'a, D> {
                     let mut wbuf = [0u64; MAX_KEY_WORDS];
                     domain.pack(&k2, &mut wbuf[..kw]);
                     let h = hash_words(&wbuf[..kw]);
-                    let owner = domain.owner(&k2, h, self.threads);
+                    let owner = shard_of(h, self.threads);
                     if let Some(t0) = ti {
                         self.phases.hash_intern_ns += t0.elapsed().as_nanos() as u64;
                     }
@@ -932,10 +858,9 @@ impl<'a, D: Domain> Worker<'a, D> {
             if !progress {
                 // Local frontier exhausted: ship partial blocks so no
                 // work hides in an out-buffer, then look for incoming
-                // work, then fall back to speculative expansion before
-                // attempting quiescence.
+                // work before attempting quiescence.
                 self.flush_all();
-                if self.drain_inboxes() || self.promote_spec() {
+                if self.drain_inboxes() {
                     continue;
                 }
                 if self.idle_protocol() {
@@ -955,7 +880,6 @@ impl<'a, D: Domain> Worker<'a, D> {
                 local_succs: self.local_succs,
                 received: self.received,
                 dup_msgs: self.dup_msgs,
-                foreign_expansions: self.foreign_expansions,
                 arena_states: self.arena.len() as u64,
                 arena_bytes: self.arena.bytes(),
             },
@@ -994,7 +918,7 @@ fn parallel<D: Domain>(
     let mut root_words = [0u64; MAX_KEY_WORDS];
     domain.pack(&root, &mut root_words[..kw]);
     let root_hash = hash_words(&root_words[..kw]);
-    let root_owner = domain.owner(&root, root_hash, threads);
+    let root_owner = shard_of(root_hash, threads);
 
     let shared = Shared::new();
     shared.settled.store(probe.stats.settled, Ordering::SeqCst);
@@ -1037,7 +961,6 @@ fn parallel<D: Domain>(
                         phases: PhaseStats::default(),
                         expand_ns: 0,
                         out: vec![EMPTY_BLOCK; threads],
-                        spec: Vec::with_capacity(SPEC_CAP),
                         settled: 0,
                         pushed: 0,
                         stale: 0,
@@ -1046,7 +969,6 @@ fn parallel<D: Domain>(
                         local_succs: 0,
                         received: 0,
                         dup_msgs: 0,
-                        foreign_expansions: 0,
                         frontier_peak: 0,
                     };
                     if me == root_owner {
@@ -1080,7 +1002,6 @@ fn parallel<D: Domain>(
         stats.cross_sends += r.shard.sent;
         stats.send_blocks += r.shard.send_blocks;
         stats.local_succs += r.shard.local_succs;
-        stats.foreign_expansions += r.shard.foreign_expansions;
         stats.arena_states += r.shard.arena_states;
         stats.arena_peak_bytes += r.shard.arena_bytes;
         shards.push(r.shard);

@@ -48,7 +48,6 @@ pub mod cost;
 mod driver;
 pub mod mode;
 pub mod mpp;
-mod partition;
 pub mod rules;
 pub mod search;
 pub mod spp;
@@ -62,7 +61,6 @@ pub use mpp::{
     IoClass, MppError, MppErrorKind, MppInstance, MppMove, MppRun, MppRunStats, MppSimulator,
     MppSolution, MppStrategy, Pebble, ProcId, StreamHeader,
 };
-pub use partition::PartitionMode;
 pub use search::{
     phase_timing_enabled, AdmissibleHeuristic, PhaseStats, SearchConfig, SearchOutcome,
     SearchStats, ShardStats, SolveLimits, StopReason, MAX_THREADS,

@@ -69,11 +69,9 @@ use rbp_util::Json;
 
 use crate::arena::{pack_fields, unpack_fields, words_for};
 use crate::driver::{self, Domain, EmitFn};
-use crate::partition::Partition;
 use crate::rules::{Game, Move, Rule};
 use crate::search::{
     game_masks, trace_shards, PackedMove, PhaseProf, SearchConfig, SearchOutcome, StopReason,
-    MAX_THREADS,
 };
 use crate::{AdmissibleHeuristic, Cost, CostModel, MppInstance, MppStrategy, ProcId, SolveLimits};
 
@@ -241,7 +239,6 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
             ("heuristic", Json::from(config.heuristic)),
             ("symmetry", Json::from(config.symmetry)),
             ("threads", Json::from(config.threads.max(1))),
-            ("partition", Json::from(config.partition.as_str())),
         ],
     );
     solve_game(&Game::mpp(instance), instance.model, 0, config, "mpp").map(|(total, moves)| {
@@ -354,7 +351,6 @@ struct MppDomain<const K: usize> {
     /// whose successors differ in the ever-computed mask.
     reload_dominates: bool,
     max_priority: u64,
-    partition: Partition,
 }
 
 impl<const K: usize> MppDomain<K> {
@@ -423,11 +419,6 @@ impl<const K: usize> MppDomain<K> {
                 && !variant.one_shot
                 && model.g <= model.compute,
             max_priority,
-            partition: Partition::build(
-                config.partition,
-                dag,
-                config.threads.clamp(1, MAX_THREADS),
-            ),
         })
     }
 
@@ -577,13 +568,6 @@ impl<const K: usize> Domain for MppDomain<K> {
 
     fn max_priority(&self) -> u64 {
         self.max_priority
-    }
-
-    fn owner(&self, key: &Key<K>, hash: u64, shards: usize) -> usize {
-        // Green pebbles are fast-memory-adjacent for locality purposes:
-        // fold them into the red side of the partition signature.
-        self.partition
-            .owner(key.red_all() | self.green(key), key.blue, hash, shards)
     }
 
     fn expand(&self, key: &Key<K>, prof: &mut PhaseProf, emit: EmitFn<'_, Key<K>>) {

@@ -39,7 +39,7 @@ use std::collections::BinaryHeap;
 use std::time::Duration;
 
 use crate::rules::Game;
-use crate::{CostModel, PartitionMode};
+use crate::CostModel;
 
 /// Resource limits for the exact solvers.
 ///
@@ -121,10 +121,6 @@ pub struct SearchConfig {
     /// runs the sharded parallel engine (HDA\*-style state ownership),
     /// which returns the same optimal costs. Capped at [`MAX_THREADS`].
     pub threads: usize,
-    /// Shard-ownership strategy for the parallel engine (ignored at
-    /// `threads ≤ 1`). Every mode proves the same optima; they differ
-    /// only in cross-shard traffic and load balance.
-    pub partition: PartitionMode,
     /// Resource limits.
     pub limits: SolveLimits,
 }
@@ -136,7 +132,6 @@ impl Default for SearchConfig {
             symmetry: true,
             dominance: true,
             threads: 1,
-            partition: PartitionMode::default(),
             limits: SolveLimits::default(),
         }
     }
@@ -167,14 +162,6 @@ impl SearchConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// This configuration with a shard-ownership strategy (see
-    /// [`SearchConfig::partition`]).
-    #[must_use]
-    pub fn with_partition(mut self, partition: PartitionMode) -> Self {
-        self.partition = partition;
         self
     }
 }
@@ -265,12 +252,9 @@ pub struct SearchStats {
     /// Ring blocks those sends were batched into; `cross_sends /
     /// send_blocks` is the achieved batching factor.
     pub send_blocks: u64,
-    /// Successors kept on the shard that generated them (the locality
-    /// the partition bought; zero in the sequential engine).
+    /// Successors kept on the shard that generated them (zero in the
+    /// sequential engine).
     pub local_succs: u64,
-    /// Foreign states expanded speculatively by an otherwise-starving
-    /// shard (work stealing by duplication; never affects optimality).
-    pub foreign_expansions: u64,
     /// Worker threads the solve actually used.
     pub threads: u64,
 }
@@ -290,7 +274,7 @@ impl SearchStats {
 
     /// Fraction of generated successors that stayed on their shard
     /// (`local_succs / (local_succs + cross_sends)`). Zero when nothing
-    /// was generated; 1.0 would be a perfectly local partition.
+    /// was generated; 1.0 would mean no successor crossed shards.
     #[must_use]
     pub fn locality_fraction(&self) -> f64 {
         let total = self.local_succs + self.cross_sends;
@@ -332,10 +316,6 @@ impl SearchStats {
         );
         rbp_trace::counter(&format!("solver.{which}.cross_sends"), self.cross_sends);
         rbp_trace::counter(&format!("solver.{which}.send_blocks"), self.send_blocks);
-        rbp_trace::counter(
-            &format!("solver.{which}.foreign_expansions"),
-            self.foreign_expansions,
-        );
         rbp_trace::gauge(
             &format!("solver.{which}.locality_fraction"),
             self.locality_fraction(),
@@ -372,12 +352,8 @@ pub struct ShardStats {
     /// Messages this shard received from other shards.
     pub received: u64,
     /// Received messages that did not improve any distance (duplicates
-    /// of work already done, e.g. re-deliveries of speculatively
-    /// expanded states).
+    /// of work already done).
     pub dup_msgs: u64,
-    /// Foreign states this shard expanded speculatively while its own
-    /// frontier was empty.
-    pub foreign_expansions: u64,
     /// Distinct states interned into this shard's arena.
     pub arena_states: u64,
     /// Bytes held by this shard's arena (keys + metadata + table).
@@ -409,8 +385,8 @@ impl ShardStats {
 }
 
 /// Emits per-shard counters as `solver.<which>.shard<i>.{settled,
-/// pushed,sent,send_blocks,foreign_expansions,locality_fraction,
-/// duplicate_rate,arena_bytes}` trace gauges. No-op while tracing is
+/// pushed,sent,send_blocks,locality_fraction,duplicate_rate,
+/// arena_bytes}` trace gauges. No-op while tracing is
 /// disabled or for sequential solves (empty slice).
 pub(crate) fn trace_shards(which: &str, shards: &[ShardStats]) {
     if !rbp_trace::enabled() {
@@ -427,10 +403,6 @@ pub(crate) fn trace_shards(which: &str, shards: &[ShardStats]) {
         rbp_trace::gauge(
             &format!("solver.{which}.shard{i}.send_blocks"),
             s.send_blocks as f64,
-        );
-        rbp_trace::gauge(
-            &format!("solver.{which}.shard{i}.foreign_expansions"),
-            s.foreign_expansions as f64,
         );
         rbp_trace::gauge(
             &format!("solver.{which}.shard{i}.locality_fraction"),

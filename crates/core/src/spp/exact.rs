@@ -59,7 +59,6 @@ pub fn solve_with(instance: &SppInstance, config: &SearchConfig) -> SearchOutcom
             ("one_shot", rbp_util::Json::from(instance.variant.one_shot)),
             ("heuristic", rbp_util::Json::from(config.heuristic)),
             ("threads", rbp_util::Json::from(config.threads.max(1))),
-            ("partition", rbp_util::Json::from(config.partition.as_str())),
         ],
     );
     solve_game(&Game::spp(instance), instance.model, 0, config, "spp").map(|(total, moves)| {

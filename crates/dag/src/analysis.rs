@@ -169,53 +169,6 @@ pub fn level_antichain(dag: &Dag) -> Vec<NodeId> {
     levels.into_iter().max_by_key(Vec::len).unwrap_or_default()
 }
 
-/// Selects up to `count` **anchor nodes** for structure-aware state
-/// partitioning (the `anchors` mode of the parallel exact solver).
-///
-/// Anchors are the nodes whose pebbling status best summarizes search
-/// progress: per topological band the highest-total-degree node is
-/// preferred (ties broken by node id), and bands are visited round-robin
-/// so the chosen set spreads across the DAG's depth instead of
-/// clustering in one layer. The selection is a pure function of the DAG
-/// — deterministic across runs and platforms — because shard ownership
-/// derived from it must be stable for the solver's distributed
-/// termination proof.
-///
-/// Returns the anchors in ascending node-id order; fewer than `count`
-/// only when the DAG has fewer than `count` nodes.
-#[must_use]
-pub fn anchor_nodes(dag: &Dag, count: usize) -> Vec<NodeId> {
-    let count = count.min(dag.n());
-    if count == 0 {
-        return Vec::new();
-    }
-    let topo = dag.topo();
-    let mut by_level = topo.levels();
-    for level in &mut by_level {
-        level.sort_by_key(|&v| (std::cmp::Reverse(dag.in_degree(v) + dag.out_degree(v)), v));
-    }
-    let mut out = Vec::with_capacity(count);
-    let mut round = 0usize;
-    'fill: loop {
-        let mut picked_any = false;
-        for level in &by_level {
-            if let Some(&v) = level.get(round) {
-                out.push(v);
-                picked_any = true;
-                if out.len() == count {
-                    break 'fill;
-                }
-            }
-        }
-        if !picked_any {
-            break;
-        }
-        round += 1;
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

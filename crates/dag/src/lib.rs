@@ -34,7 +34,7 @@ mod nodeset;
 mod topo;
 pub mod traversal;
 
-pub use analysis::{anchor_nodes, min_peak_memory, min_peak_order, DagStats};
+pub use analysis::{min_peak_memory, min_peak_order, DagStats};
 pub use graph::{dag_from_edges, Dag, DagBuilder, DagError, NodeId};
 pub use nodeset::{HybridNodeSet, HybridNodeSetIter, NodeSet, NodeSetIter};
 pub use topo::{longest_path, TopoInfo};

@@ -61,7 +61,6 @@ pub fn solve_with(instance: &HierInstance, config: &SearchConfig) -> SearchOutco
             ("heuristic", Json::from(config.heuristic)),
             ("symmetry", Json::from(config.symmetry)),
             ("threads", Json::from(config.threads.max(1))),
-            ("partition", Json::from(config.partition.as_str())),
         ],
     );
     let out = solve_game(

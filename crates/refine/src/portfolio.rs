@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use rbp_core::{
     batchify, solve_mpp_with, validate_mpp, GameMode, MppError, MppInstance, MppMove, MppRun,
-    MppStrategy, PartitionMode, SearchConfig, SolveLimits,
+    MppStrategy, SearchConfig, SolveLimits,
 };
 use rbp_schedulers::all_schedulers;
 use rbp_util::Rng;
@@ -48,9 +48,6 @@ pub struct PortfolioConfig {
     /// Worker threads for the exact solver (`≥ 2` runs the sharded
     /// parallel engine; same proven optimum).
     pub exact_threads: usize,
-    /// Shard-ownership strategy for the parallel exact solver
-    /// (irrelevant when `exact_threads == 1`).
-    pub exact_partition: PartitionMode,
     /// Number of concurrent refinement workers.
     pub refine_workers: usize,
     /// Game mode, carried from the workspace-wide [`GameMode`] flag
@@ -72,7 +69,6 @@ impl Default for PortfolioConfig {
             use_exact: true,
             exact_max_states: 200_000,
             exact_threads: 1,
-            exact_partition: PartitionMode::default(),
             refine_workers: 2,
             mode: GameMode::Vanilla,
         }
@@ -228,8 +224,7 @@ pub fn race(instance: &MppInstance, cfg: &PortfolioConfig) -> Result<PortfolioOu
         if exact_feasible {
             let search = SearchConfig::default()
                 .with_limits(SolveLimits::states(cfg.exact_max_states))
-                .with_threads(cfg.exact_threads.max(1))
-                .with_partition(cfg.exact_partition);
+                .with_threads(cfg.exact_threads.max(1));
             handles.push(scope.spawn(move || {
                 let started = Instant::now();
                 let sol = solve_mpp_with(instance, &search).solution;

@@ -9,9 +9,7 @@
 //! the response envelope. `docs/SCHEMAS.md` documents every body shape.
 
 use rbp_core::rbp_dag::{generators, io, Dag};
-use rbp_core::{
-    CostModel, GameMode, MppInstance, MppRunStats, PartitionMode, SearchConfig, SolveLimits,
-};
+use rbp_core::{CostModel, GameMode, MppInstance, MppRunStats, SearchConfig, SolveLimits};
 use rbp_hier::{all_hier_schedulers, HierInstance};
 use rbp_refine::{race, PortfolioConfig};
 use rbp_schedulers::all_schedulers;
@@ -75,8 +73,6 @@ pub enum Work {
         /// Solver worker threads (the server caps this at
         /// [`ServeConfig::max_solve_threads`](crate::ServeConfig)).
         threads: usize,
-        /// Shard-ownership strategy for the parallel engine.
-        partition: PartitionMode,
         /// Game mode: vanilla two-level MPP or the three-level
         /// hierarchy (`levels`/`green_cap`/`green_cost` body fields).
         mode: GameMode,
@@ -169,11 +165,6 @@ impl Work {
                 let threads = opt_u64(body, "threads")?
                     .map_or(1, |v| v as usize)
                     .clamp(1, rbp_core::MAX_THREADS);
-                let partition = match body.get("partition") {
-                    None | Some(Json::Null) => PartitionMode::default(),
-                    Some(Json::Str(s)) => s.parse::<PartitionMode>().map_err(bad)?,
-                    Some(_) => return Err(bad("\"partition\" must be a string")),
-                };
                 let mode = mode_from_body(body)?;
                 Ok(Work::Solve {
                     dag,
@@ -182,7 +173,6 @@ impl Work {
                     g,
                     max_states,
                     threads,
-                    partition,
                     mode,
                 })
             }
@@ -291,11 +281,10 @@ impl Work {
                 g,
                 max_states,
                 threads,
-                partition,
                 mode,
             } => format!(
                 "solve|v1|k={k}|r={r}|g={g}|max_states={max_states}|threads={threads}\
-                 |partition={partition}|mode={}|{}",
+                 |mode={}|{}",
                 mode.token(),
                 io::to_text(dag)
             ),
@@ -348,14 +337,12 @@ impl Work {
                 g,
                 max_states,
                 threads,
-                partition,
                 mode,
             } => {
                 let inst = MppInstance::new(dag, *k, *r, *g);
                 let config = SearchConfig::default()
                     .with_limits(SolveLimits::states(*max_states))
-                    .with_threads(*threads)
-                    .with_partition(*partition);
+                    .with_threads(*threads);
                 let budget_err = |reason: &str| {
                     ApiError::new(
                         422,
@@ -382,7 +369,6 @@ impl Work {
                         ("compute_steps", Json::from(sol.cost.computes)),
                         ("moves", Json::from(sol.strategy.len())),
                         ("threads", Json::from(*threads)),
-                        ("partition", Json::from(partition.as_str())),
                         ("settled", Json::from(out.stats.settled)),
                         ("proven_optimal", Json::from(true)),
                     ]));
@@ -400,7 +386,6 @@ impl Work {
                     ("compute_steps", Json::from(sol.cost.computes)),
                     ("moves", Json::from(sol.strategy.len())),
                     ("threads", Json::from(*threads)),
-                    ("partition", Json::from(partition.as_str())),
                     ("settled", Json::from(out.stats.settled)),
                     ("proven_optimal", Json::from(true)),
                 ]))
@@ -1036,59 +1021,28 @@ mod tests {
     }
 
     #[test]
-    fn solve_partition_parse_key_and_rejects_junk() {
-        let plain =
-            parse_body(r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2}"#);
-        let default_key = Work::parse("solve", &plain).unwrap().cache_key();
-        // The explicit default spells the same key as the omitted field.
-        let hash = parse_body(
-            r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2,"partition":"hash"}"#,
-        );
-        assert_eq!(
-            Work::parse("solve", &hash).unwrap().cache_key(),
-            default_key
-        );
-        // A different mode changes the key (stats differ even though the
-        // optimum does not).
-        let anchors = parse_body(
-            r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2,"partition":"anchors"}"#,
-        );
-        assert_ne!(
-            Work::parse("solve", &anchors).unwrap().cache_key(),
-            default_key
-        );
-        let junk = parse_body(
-            r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2,"partition":"fancy"}"#,
-        );
-        assert_eq!(Work::parse("solve", &junk).unwrap_err().status, 400);
-        let not_str = parse_body(
-            r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2,"partition":7}"#,
-        );
-        assert_eq!(Work::parse("solve", &not_str).unwrap_err().status, 400);
-    }
-
-    #[test]
     fn parallel_solve_executes_and_matches_sequential_total() {
         let body =
             parse_body(r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2}"#);
         let seq = Work::parse("solve", &body).unwrap().execute().unwrap();
-        for mode in ["hash", "bands", "anchors"] {
-            let par_body = parse_body(&format!(
-                r#"{{"generator":{{"family":"grid","params":[2,3]}},"k":2,"r":3,"g":2,"threads":2,"partition":"{mode}"}}"#,
-            ));
-            let par = Work::parse("solve", &par_body).unwrap().execute().unwrap();
-            assert_eq!(
-                seq.get("total").unwrap().as_u64(),
-                par.get("total").unwrap().as_u64(),
-                "partition={mode}"
-            );
-            assert_eq!(par.get("threads").unwrap().as_u64(), Some(2));
-            assert_eq!(
-                par.get("partition").and_then(Json::as_str),
-                Some(mode),
-                "partition mode must be echoed in the response"
-            );
-        }
+        let par_body = parse_body(
+            r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2,"threads":2}"#,
+        );
+        let par = Work::parse("solve", &par_body).unwrap().execute().unwrap();
+        assert_eq!(
+            seq.get("total").unwrap().as_u64(),
+            par.get("total").unwrap().as_u64()
+        );
+        assert_eq!(par.get("threads").unwrap().as_u64(), Some(2));
+        // A field this schema no longer reads is ignored like any other
+        // unknown one: same work, same cache key.
+        let old_client = parse_body(
+            r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2,"threads":2,"partition":"anchors"}"#,
+        );
+        assert_eq!(
+            Work::parse("solve", &old_client).unwrap().cache_key(),
+            Work::parse("solve", &par_body).unwrap().cache_key()
+        );
     }
 
     #[test]

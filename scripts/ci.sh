@@ -71,18 +71,18 @@ trap 'rm -rf "$refine_dir"' EXIT
 trap - EXIT
 rm -rf "$refine_dir"
 
-echo "== parallel solver smoke (--threads 4, every partition mode, same optimum) =="
+echo "== parallel solver smoke (--threads 2 and 4, same optimum) =="
 seq_opt=$(./target/release/rbp solve tests/fixtures/chains_2x4.dag 2 3 2 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p')
 [ -n "$seq_opt" ] || { echo "parallel smoke failed: no sequential OPT"; exit 1; }
-for mode in hash bands anchors; do
+for threads in 2 4; do
     par_opt=$(./target/release/rbp solve tests/fixtures/chains_2x4.dag 2 3 2 \
-        --threads 4 --partition "$mode" \
+        --threads "$threads" \
         | sed -n 's/^OPT = \([0-9]*\).*/\1/p')
     [ "$seq_opt" = "$par_opt" ] \
-        || { echo "parallel smoke failed: sequential=$seq_opt threads4/$mode=$par_opt"; exit 1; }
+        || { echo "parallel smoke failed: sequential=$seq_opt threads$threads=$par_opt"; exit 1; }
 done
-echo "parallel smoke: OPT=$seq_opt at 1 thread and 4 threads x {hash,bands,anchors}"
+echo "parallel smoke: OPT=$seq_opt at 1, 2 and 4 threads"
 
 echo "== hier smoke (three-level solve on the separation gadget) =="
 hier_dag=$(mktemp)
@@ -96,6 +96,11 @@ hier_opt=$(./target/release/rbp solve "$hier_dag" 1 3 3 --levels 3 --green-cap 1
     || { echo "hier smoke failed: vanilla=$vanilla_opt hier=$hier_opt"; exit 1; }
 [ "$hier_opt" -lt "$vanilla_opt" ] \
     || { echo "hier smoke failed: hier=$hier_opt not < vanilla=$vanilla_opt"; exit 1; }
+# The sharded engine runs the green tier too: same three-level optimum.
+hier_par_opt=$(./target/release/rbp solve "$hier_dag" 1 3 3 --levels 3 --green-cap 1 --green-cost 1 \
+    --threads 2 | sed -n 's/^OPT = \([0-9]*\).*/\1/p')
+[ "$hier_par_opt" = "$hier_opt" ] \
+    || { echo "hier smoke failed: threads2=$hier_par_opt, sequential three-level=$hier_opt"; exit 1; }
 # Degenerate reduction: green_cap=0 must reproduce the vanilla optimum.
 degen_opt=$(./target/release/rbp solve "$hier_dag" 1 3 3 --levels 3 --green-cap 0 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p')
@@ -103,7 +108,7 @@ degen_opt=$(./target/release/rbp solve "$hier_dag" 1 3 3 --levels 3 --green-cap 
     || { echo "hier smoke failed: cap=0 gave $degen_opt, vanilla $vanilla_opt"; exit 1; }
 trap - EXIT
 rm -f "$hier_dag"
-echo "hier smoke: OPT(3-level)=$hier_opt < OPT(2-level)=$vanilla_opt, cap=0 reduces exactly"
+echo "hier smoke: OPT(3-level)=$hier_opt < OPT(2-level)=$vanilla_opt at 1 and 2 threads, cap=0 reduces exactly"
 
 echo "== hot-path perf guard (state-count ceiling on a fixed fixture) =="
 # Load-independent regression gate for the sequential hot path: the

@@ -19,11 +19,9 @@
 //! `--out <file>` (with `--stream` and exactly one scheduler selected:
 //! stream the strategy to JSONL re-loadable by `rbp improve --in`).
 //! `solve` options: `--threads <N>` (default 1; `≥ 2` runs the
-//! sharded parallel engine, same proven optimum), `--partition
-//! hash|bands|anchors` (shard-ownership strategy for the parallel
-//! engine; default `hash`), `--max-states <N>` (settled-state budget),
-//! `--deadline-ms <N>` (wall-clock limit; budget and deadline
-//! exhaustion are reported distinctly).
+//! hash-sharded parallel engine, same proven optimum), `--max-states
+//! <N>` (settled-state budget), `--deadline-ms <N>` (wall-clock limit;
+//! budget and deadline exhaustion are reported distinctly).
 //!
 //! `solve`, `schedule`, `portfolio`, and `bounds` accept the game-mode
 //! flags `--levels <2|3>`, `--green-cap <N>`, and `--green-cost <N>`
@@ -37,9 +35,8 @@
 //! auto|hill|anneal|lns`, `--in <file>` (resume from a saved strategy),
 //! `--out <file>` (save the refined strategy as JSONL).
 //! `portfolio` options: `--budget-ms <N>` (default 1000),
-//! `--no-exact`, `--exact-threads <N>`, `--partition
-//! hash|bands|anchors` (for the exact lane). Both honor the
-//! workspace-wide `RBP_SEED` environment variable for deterministic
+//! `--no-exact`, `--exact-threads <N>` (for the exact lane). Both honor
+//! the workspace-wide `RBP_SEED` environment variable for deterministic
 //! reruns.
 //!
 //! `serve` options: `--addr <host:port>` (default `127.0.0.1:8017`;
@@ -74,8 +71,8 @@ macro_rules! outln {
 use rbp::bounds::trivial;
 use rbp::core::rbp_dag::{dot, io, Dag, DagStats};
 use rbp::core::{
-    async_makespan, batchify, GameMode, MppInstance, MppRun, MppRunStats, PartitionMode,
-    SearchConfig, SolveLimits, StopReason, StreamHeader,
+    async_makespan, batchify, GameMode, MppInstance, MppRun, MppRunStats, SearchConfig,
+    SolveLimits, StopReason, StreamHeader,
 };
 use rbp::hier::{all_hier_schedulers, HierInstance};
 use rbp::refine::{persist, Budget, Driver, PortfolioConfig, RefineConfig};
@@ -219,12 +216,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 let ms: u64 = ms.parse().map_err(|_| "bad --deadline-ms".to_string())?;
                 limits = limits.with_deadline(std::time::Duration::from_millis(ms));
             }
-            let partition = flag_value(args, "--partition")?
-                .map_or(Ok(PartitionMode::default()), str::parse)?;
             let config = SearchConfig::default()
                 .with_limits(limits)
-                .with_threads(threads)
-                .with_partition(partition);
+                .with_threads(threads);
             let mode = game_mode(args)?;
             if let Some(hinst) = HierInstance::from_mode(&inst, mode) {
                 let out = rbp::hier::solve_hier_with(&hinst, &config);
@@ -373,14 +367,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 v.parse::<usize>()
                     .map_err(|_| "bad --exact-threads".to_string())
             })?;
-            let exact_partition = flag_value(args, "--partition")?
-                .map_or(Ok(PartitionMode::default()), str::parse)?;
             let cfg = PortfolioConfig {
                 budget_millis: budget,
                 seed: env_seed(0),
                 use_exact: !args.iter().any(|a| a == "--no-exact"),
                 exact_threads: exact_threads.max(1),
-                exact_partition,
                 mode: game_mode(args)?,
                 ..PortfolioConfig::default()
             };

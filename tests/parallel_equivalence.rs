@@ -1,15 +1,14 @@
 //! Equivalence harness for the sharded parallel exact solver.
 //!
-//! The parallel engine (HDA\*-style shard ownership over SPSC
-//! channels) must be invisible in the results: on every instance,
-//! every thread count, and every [`PartitionMode`] it proves the same
-//! optimal `total` as the sequential engine, its witness validates,
-//! and its stop reasons stay meaningful. This harness checks that on
-//! randomized small instances across MPP (k ≤ 3) and the SPP variant
-//! zoo, at 2, 4, and 8 worker threads (rotating the partition mode
-//! through the random cases and sweeping all modes exhaustively on
-//! fixed instances), plus determinism of the proven cost across
-//! repeated parallel runs.
+//! The parallel engine (HDA\*-style hash ownership over SPSC channels)
+//! must be invisible in the results: on every instance and every
+//! thread count it proves the same optimal `total` as the sequential
+//! engine, its witness validates, and its stop reasons stay
+//! meaningful. This harness checks that on randomized small instances
+//! across MPP (k ≤ 3), the same instances lifted to the three-level
+//! game, and the SPP variant zoo, at 2, 4, and 8 worker threads, plus
+//! on fixed instances, and checks determinism of the proven cost
+//! across repeated parallel runs.
 //!
 //! Every case is a deterministic function of its loop index (seeded
 //! in-tree RNG), so a failure message identifies the exact instance.
@@ -18,21 +17,14 @@ use std::time::{Duration, Instant};
 
 use rbp::core::rbp_dag::generators;
 use rbp::core::{
-    solve_mpp_with, solve_spp_with, CostModel, MppInstance, PartitionMode, SearchConfig,
-    SolveLimits, SppInstance, SppVariant, StopReason,
+    solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SolveLimits, SppInstance,
+    SppVariant, StopReason,
 };
 use rbp::gadgets::HierSkip;
 use rbp::hier::{solve_hier_with, HierInstance};
 use rbp::util::Rng;
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
-
-/// Deterministically rotates ownership strategies through the random
-/// cases, so every (mode, thread-count) pair gets steady coverage
-/// without tripling the harness's runtime.
-fn rotate_mode(case: u64, threads: usize) -> PartitionMode {
-    PartitionMode::ALL[(case as usize + threads) % PartitionMode::ALL.len()]
-}
 
 fn sequential_cfg() -> SearchConfig {
     SearchConfig::default().with_limits(SolveLimits::states(400_000))
@@ -41,7 +33,9 @@ fn sequential_cfg() -> SearchConfig {
 /// 60 random MPP instances × thread counts {2, 4, 8}: the parallel
 /// engine proves the sequential optimum, its witness validates, it
 /// reports one shard row per worker, and its settled count is the
-/// incumbent probe's plus the shards'.
+/// incumbent probe's plus the shards'. Each instance is also solved as
+/// a three-level game (green cap 1, green cost 1), whose sharded
+/// optimum must match its own sequential one.
 #[test]
 fn mpp_parallel_matches_sequential_on_random_dags() {
     let seq_cfg = sequential_cfg();
@@ -60,16 +54,16 @@ fn mpp_parallel_matches_sequential_on_random_dags() {
         let s = seq
             .solution
             .unwrap_or_else(|| panic!("{ctx}: sequential budget"));
+        let hinst = HierInstance::from_mpp(&inst, 1, 1);
+        let hs = solve_hier_with(&hinst, &seq_cfg)
+            .solution
+            .unwrap_or_else(|| panic!("{ctx}: sequential three-level budget"));
         for threads in THREAD_COUNTS {
-            let mode = rotate_mode(case, threads);
-            let par = solve_mpp_with(&inst, &seq_cfg.with_threads(threads).with_partition(mode));
+            let par = solve_mpp_with(&inst, &seq_cfg.with_threads(threads));
             let p = par
                 .solution
-                .unwrap_or_else(|| panic!("{ctx}: t={threads} {mode} budget"));
-            assert_eq!(
-                s.total, p.total,
-                "{ctx}: t={threads} {mode} optimum differs"
-            );
+                .unwrap_or_else(|| panic!("{ctx}: t={threads} budget"));
+            assert_eq!(s.total, p.total, "{ctx}: t={threads} optimum differs");
             assert_eq!(par.reason, StopReason::Solved, "{ctx}: t={threads} reason");
             let cost = p
                 .strategy
@@ -86,6 +80,24 @@ fn mpp_parallel_matches_sequential_on_random_dags() {
                 par.stats.probe_settled + shard_settled,
                 par.stats.settled,
                 "{ctx}: probe and shard settled sum to the aggregate"
+            );
+
+            let hpar = solve_hier_with(&hinst, &seq_cfg.with_threads(threads));
+            let hp = hpar
+                .solution
+                .unwrap_or_else(|| panic!("{ctx}: t={threads} three-level budget"));
+            assert_eq!(
+                hs.total, hp.total,
+                "{ctx}: t={threads} three-level optimum differs"
+            );
+            let hcost = hp
+                .strategy
+                .validate(&hinst)
+                .unwrap_or_else(|e| panic!("{ctx}: t={threads} three-level witness: {e}"));
+            assert_eq!(
+                hcost.total(hinst.model),
+                hp.total,
+                "{ctx}: three-level witness cost"
             );
         }
     }
@@ -122,8 +134,7 @@ fn spp_parallel_matches_sequential_across_variants() {
         let seq = solve_spp_with(&inst, &seq_cfg);
         let ctx = format!("case {case}: n={n} r={r} g={g} variant={variant:?}");
         for threads in THREAD_COUNTS {
-            let mode = rotate_mode(case, threads);
-            let par = solve_spp_with(&inst, &seq_cfg.with_threads(threads).with_partition(mode));
+            let par = solve_spp_with(&inst, &seq_cfg.with_threads(threads));
             match (&seq.solution, par.solution) {
                 (None, None) => {
                     assert!(variant.one_shot, "{ctx}: only one-shot can be unsolvable");
@@ -152,13 +163,11 @@ fn spp_parallel_matches_sequential_across_variants() {
     );
 }
 
-/// Exhaustive modes × thread-counts sweep on fixed instances: every
-/// partition strategy proves the identical optimum with a validating
-/// witness, reports sane traffic stats (fractions in range, shard rows
-/// summing to the aggregate), and the speculative expander never
-/// invents settled work the counters don't account for.
+/// Thread-count sweep on fixed instances: every thread count proves
+/// the identical optimum with a validating witness and reports sane
+/// traffic stats (fractions in range).
 #[test]
-fn all_partition_modes_prove_identical_optima() {
+fn every_thread_count_proves_identical_optima() {
     let cfg = sequential_cfg();
     for (dag, k, r, g) in [
         (generators::grid(3, 3), 2, 3, 2),
@@ -170,37 +179,27 @@ fn all_partition_modes_prove_identical_optima() {
             .solution
             .expect("sequential budget");
         let ctx = format!("n={} k={k} r={r} g={g}", dag.n());
-        for mode in PartitionMode::ALL {
-            for threads in THREAD_COUNTS {
-                let par = solve_mpp_with(&inst, &cfg.with_threads(threads).with_partition(mode));
-                let sol = par
-                    .solution
-                    .unwrap_or_else(|| panic!("{ctx}: {mode} t={threads} budget"));
-                assert_eq!(
-                    seq.total, sol.total,
-                    "{ctx}: {mode} t={threads} optimum differs"
-                );
-                let cost = sol
-                    .strategy
-                    .validate(&inst)
-                    .unwrap_or_else(|e| panic!("{ctx}: {mode} t={threads} invalid: {e}"));
-                assert_eq!(cost.total(inst.model), sol.total, "{ctx}: witness cost");
-                let lf = par.stats.locality_fraction();
+        for threads in THREAD_COUNTS {
+            let par = solve_mpp_with(&inst, &cfg.with_threads(threads));
+            let sol = par
+                .solution
+                .unwrap_or_else(|| panic!("{ctx}: t={threads} budget"));
+            assert_eq!(seq.total, sol.total, "{ctx}: t={threads} optimum differs");
+            let cost = sol
+                .strategy
+                .validate(&inst)
+                .unwrap_or_else(|e| panic!("{ctx}: t={threads} invalid: {e}"));
+            assert_eq!(cost.total(inst.model), sol.total, "{ctx}: witness cost");
+            let lf = par.stats.locality_fraction();
+            assert!(
+                (0.0..=1.0).contains(&lf),
+                "{ctx}: t={threads} locality_fraction {lf} out of range"
+            );
+            for (i, shard) in par.shards.iter().enumerate() {
+                let dr = shard.duplicate_rate();
                 assert!(
-                    (0.0..=1.0).contains(&lf),
-                    "{ctx}: {mode} t={threads} locality_fraction {lf} out of range"
-                );
-                for (i, shard) in par.shards.iter().enumerate() {
-                    let dr = shard.duplicate_rate();
-                    assert!(
-                        (0.0..=1.0).contains(&dr),
-                        "{ctx}: {mode} t={threads} shard{i} duplicate_rate {dr}"
-                    );
-                }
-                let foreign: u64 = par.shards.iter().map(|s| s.foreign_expansions).sum();
-                assert_eq!(
-                    foreign, par.stats.foreign_expansions,
-                    "{ctx}: {mode} t={threads} foreign_expansions aggregate"
+                    (0.0..=1.0).contains(&dr),
+                    "{ctx}: t={threads} shard{i} duplicate_rate {dr}"
                 );
             }
         }
