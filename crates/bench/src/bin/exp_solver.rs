@@ -6,15 +6,14 @@
 //! admissible A\*), checking the optima agree, and reports per-instance
 //! wall time, settled-state counts, packed-arena memory (peak bytes and
 //! bytes per interned state) and aggregate speedups. The instances run
-//! concurrently in that pass, so its walls carry co-scheduling noise;
-//! its settled counts do not.
+//! one at a time, so no other solve competes for the cores.
 //!
 //! A `--threads ∈ {2, 4}` sweep of the hash-sharded engine follows,
-//! one solve at a time, so no other solve competes for the cores. Each
-//! round runs a fresh `t = 1` solve and then the `t ≥ 2` solve of the
-//! same instance; a point's speedup is the median `t = 1` wall over the
-//! median `t ≥ 2` wall of [`ROUNDS`] rounds, and every point must prove
-//! the sequential optimum. On a single-hardware-thread host the sweep
+//! one solve at a time as well. Each round runs a fresh `t = 1` solve
+//! and then the `t ≥ 2` solve of the same instance; a point's speedup
+//! is the median `t = 1` wall over the median `t ≥ 2` wall of
+//! [`ROUNDS`] rounds, and every point must prove the sequential
+//! optimum. On a single-hardware-thread host the sweep
 //! is **skipped entirely** (its table columns print `-`, the JSON
 //! arrays stay empty): time-sliced workers would only measure
 //! scheduling overhead. The host's `hardware_threads` is recorded with
@@ -27,7 +26,7 @@
 
 use std::time::Instant;
 
-use rbp_bench::{banner, par_sweep, Table};
+use rbp_bench::{banner, Table};
 use rbp_core::rbp_dag::{generators, Dag};
 use rbp_core::{solve_mpp_with, MppInstance, SearchConfig, SearchStats};
 use rbp_util::env_seed;
@@ -203,9 +202,7 @@ fn main() {
     // entirely and flag the run rather than record fake scaling data.
     let sweep_valid = hardware_threads > 1;
     let cases = grid_cases(quick);
-    let results = par_sweep((0..cases.len()).collect(), |&i| run_case(&cases[i]));
-    // The thread sweep starts once the concurrent pass has ended, so
-    // its workers have the host's cores to themselves.
+    let results: Vec<Outcome> = cases.iter().map(run_case).collect();
     let sweeps: Vec<Vec<SweepPoint>> = cases
         .iter()
         .zip(&results)

@@ -8,10 +8,14 @@
 //! drivers here own the search loop, the packed interning arenas, and
 //! the frontier.
 //!
+//! Both engines run the same per-shard search state, [`Search`]: an
+//! arena and a frontier, the counters and the driver's phase timers, a
+//! pop that skips stale entries, and the one relax-then-push step.
+//!
 //! `threads = 1` runs [`sequential`]: one A\* loop in two phases over
-//! one arena and one frontier. The loop first runs as the incumbent
-//! probe, weighted A\* (`f = g + h·3/2`) looking for any schedule; at
-//! its first goal, or after [`PROBE_MAX_STATES`] expansions, it re-keys
+//! one [`Search`]. The loop first runs as the incumbent probe, weighted
+//! A\* (`f = g + h·3/2`) looking for any schedule; at its first goal,
+//! or after [`PROBE_MAX_STATES`] expansions, it re-keys
 //! its frontier at weight 1 and carries on as the exact search, pruning
 //! against the probe's schedule and re-expanding a state the probe
 //! reached the long way round (A\* with re-opening). It stops at the
@@ -22,10 +26,12 @@
 //!
 //! `threads ≥ 2` runs the same loop up to that switch and then
 //! [`parallel`], which takes only the probe's incumbent (its shards
-//! start from the root with arenas of their own): an HDA\*-style
-//! search (Kishimoto et al.). Every canonical state is **owned** by the
+//! start from the root with arenas of their own) — unless that
+//! incumbent meets the root's admissible bound, which proves it optimal
+//! and starts no shard. The sharded engine is an HDA\*-style search
+//! (Kishimoto et al.). Every canonical state is **owned** by the
 //! shard its packed-key hash selects ([`crate::arena::shard_of`]); each
-//! worker keeps a private arena + frontier for its shard and forwards
+//! worker runs a [`Search`] of its own for its shard and forwards
 //! successors it does not own over bounded SPSC rings, packed into
 //! fixed-capacity [`MsgBlock`]s that flush on fill or on local-frontier
 //! exhaustion. A shared atomic **incumbent** (best goal distance so
@@ -53,8 +59,8 @@ use std::time::Instant;
 
 use crate::arena::{gid, gid_idx, gid_shard, hash_words, shard_of, StateArena, MAX_KEY_WORDS};
 use crate::search::{
-    phase_timing_enabled, Frontier, PackedMove, PhaseProf, PhaseStats, SearchConfig, SearchStats,
-    ShardStats, StopReason, MAX_THREADS,
+    Frontier, PackedMove, Phase, PhaseProf, PhaseStats, SearchConfig, SearchStats, ShardStats,
+    SolveLimits, StopReason, MAX_THREADS,
 };
 use crate::spsc::Spsc;
 
@@ -105,12 +111,9 @@ pub trait Domain: Sync {
     /// when an incumbent may prune the successor: most emitted
     /// successors are duplicates (or ship to a foreign shard, which
     /// evaluates on arrival), and their bound is never needed. Phase
-    /// counters accumulate into the worker's `prof`, which the drivers
-    /// drain once per run.
+    /// counters accumulate into `prof`, which the drivers combine with
+    /// their own once per shard.
     fn expand(&self, key: &Self::Key, prof: &mut PhaseProf, emit: EmitFn<'_, Self::Key>);
-    /// Upper bound on every `f` value under weight 1/1 (selects the
-    /// frontier representation).
-    fn max_priority(&self) -> u64;
 }
 
 /// What a driver run produced: the optimal cost plus the root-to-goal
@@ -127,23 +130,6 @@ pub struct DriverOutcome<K> {
     pub reason: StopReason,
     /// Phase-level hot-path accounting (summed across shards).
     pub phases: PhaseStats,
-}
-
-impl<K> DriverOutcome<K> {
-    fn stopped(
-        stats: SearchStats,
-        shards: Vec<ShardStats>,
-        reason: StopReason,
-        phases: PhaseStats,
-    ) -> Self {
-        DriverOutcome {
-            best: None,
-            stats,
-            shards,
-            reason,
-            phases,
-        }
-    }
 }
 
 /// Entry point: dispatches on `config.threads` (clamped to
@@ -168,7 +154,7 @@ type Incumbent<K> = (u64, Vec<(K, PackedMove)>);
 /// `f = g + h·3/2`. Weighted A* with an admissible `h` returns a goal
 /// within `3/2` of optimal while settling a small fraction of the
 /// exact search's states.
-const PROBE_WEIGHT: (u64, u64) = (3, 2);
+pub(crate) const PROBE_WEIGHT: (u64, u64) = (3, 2);
 /// Expansions after which the probe stops looking for a goal and the
 /// loop switches to the exact search, which carries on from the probe's
 /// states.
@@ -191,10 +177,147 @@ struct Probe<K> {
 }
 
 // ---------------------------------------------------------------------
+// One shard's search state
+// ---------------------------------------------------------------------
+
+/// A successor: its packed key and its tentative relaxation. `Copy` and
+/// fixed-size, so the cross-shard SPSC ring can move it by bitwise read.
+#[derive(Clone, Copy)]
+struct Succ {
+    words: [u64; MAX_KEY_WORDS],
+    dist: u64,
+    parent: u64,
+    mv: PackedMove,
+}
+
+const EMPTY_SUCC: Succ = Succ {
+    words: [0; MAX_KEY_WORDS],
+    dist: 0,
+    parent: 0,
+    mv: 0,
+};
+
+/// One shard's search: its arena and frontier, its counters and the
+/// driver's phase timers. The sequential loop runs one; the sharded
+/// engine runs one per worker.
+struct Search {
+    kw: usize,
+    arena: StateArena,
+    frontier: Frontier,
+    /// The settled, pushed, stale and frontier-peak counts, plus a
+    /// worker's traffic counts; [`Search::stats`] adds the arena's.
+    stats: SearchStats,
+    /// The driver's timers and counters. The domain accumulates into a
+    /// profile of its own, which [`PhaseProf::finish`] adds in.
+    prof: PhaseProf,
+}
+
+impl Search {
+    fn new(kw: usize) -> Self {
+        Search {
+            kw,
+            arena: StateArena::new(kw),
+            frontier: Frontier::default(),
+            stats: SearchStats::default(),
+            prof: PhaseProf::default(),
+        }
+    }
+
+    /// Interns the root, packed in `root` with itself as parent (index
+    /// 0 of this shard), and queues it at priority `f`.
+    fn seed(&mut self, root: &Succ, f: u64, h: u64) {
+        let hash = hash_words(&root.words[..self.kw]);
+        let created = self.relax(root, hash, None, || Some((f, h)));
+        debug_assert!(created && self.arena.len() == 1, "root interns at index 0");
+    }
+
+    /// Pops the best live entry as `(f, arena index, dist)`, skipping
+    /// and counting stale ones.
+    fn pop(&mut self) -> Option<(u64, u32, u64)> {
+        loop {
+            let (f, idx, d) = self.frontier.pop()?;
+            if self.arena.meta(idx).dist == d {
+                return Some((f, idx, d));
+            }
+            self.stats.stale += 1;
+        }
+    }
+
+    /// The one relax-then-push step, for generated and received
+    /// successors alike: relaxes `succ`, whose key hashes to `hash`, and
+    /// when that creates or improves its distance queues it at the
+    /// `(f, h)` that `entry` evaluates — only then, since most
+    /// successors are duplicates — unless `entry` finds it dead or cut
+    /// off. `t0` is the hash-intern timer, started before the caller
+    /// packed or hashed the key. Returns whether the distance improved.
+    #[inline]
+    fn relax(
+        &mut self,
+        succ: &Succ,
+        hash: u64,
+        t0: Option<Instant>,
+        entry: impl FnOnce() -> Option<(u64, u64)>,
+    ) -> bool {
+        let words = &succ.words[..self.kw];
+        let (idx, improved) = self
+            .arena
+            .relax(words, hash, succ.dist, succ.parent, succ.mv);
+        self.prof.stop(Phase::HashIntern, t0);
+        if improved {
+            if let Some((f, h)) = entry() {
+                let t0 = self.prof.start();
+                self.frontier.push(f, h, idx, succ.dist);
+                self.stats.pushed += 1;
+                self.stats.frontier_peak = self.stats.frontier_peak.max(self.frontier.len() as u64);
+                self.prof.stop(Phase::Queue, t0);
+            }
+        }
+        improved
+    }
+
+    /// Expands `key`, handing each successor with this state to `succ`;
+    /// times the expansion and counts the successors. `dprof` is the
+    /// domain's profile.
+    fn expand<D: Domain>(
+        &mut self,
+        domain: &D,
+        key: &D::Key,
+        dprof: &mut PhaseProf,
+        mut succ: impl FnMut(&mut Self, D::Key, u64, PackedMove, HeurThunk<'_>),
+    ) {
+        let t0 = self.prof.start();
+        domain.expand(key, dprof, &mut |k2, c, mv, hv| {
+            self.prof.stats.emitted += 1;
+            succ(self, k2, c, mv, hv);
+        });
+        self.prof.stop(Phase::Expand, t0);
+    }
+
+    /// The counters, with the arena's size.
+    fn stats(&self) -> SearchStats {
+        SearchStats {
+            arena_states: self.arena.len() as u64,
+            arena_peak_bytes: self.arena.bytes(),
+            ..self.stats
+        }
+    }
+}
+
+/// Whether `settled` expansions overrun the state budget, or the
+/// deadline counted from `start` has passed, and which.
+fn over_budget(limits: &SolveLimits, settled: u64, start: Instant) -> Option<StopReason> {
+    if settled > limits.max_states as u64 {
+        return Some(StopReason::StateLimit);
+    }
+    let late = limits.deadline.is_some_and(|dl| start.elapsed() >= dl);
+    late.then_some(StopReason::Deadline)
+}
+
+// ---------------------------------------------------------------------
 // Sequential driver
 // ---------------------------------------------------------------------
 
-/// The sequential A\* loop: two phases over one arena and one frontier.
+/// The sequential A\* loop: two phases over one [`Search`].
 ///
 /// 1. **Probe.** Weighted A\*, `f = g + h·3/2` (floored), looks for any
 ///    goal. The probe only follows [`Domain::expand`] edges from the
@@ -226,7 +349,11 @@ struct Probe<K> {
 /// A baseline run (heuristic disabled) switches before its first pop and
 /// keeps the unpruned search it is meant to measure. With
 /// `stop_at_switch` the loop returns at the switch instead of carrying
-/// on, for the parallel engine. The deadline counts from `start`.
+/// on, for the parallel engine — unless the incumbent meets the root's
+/// bound `h_root`, which proves it optimal: every entry has `f ≥ h_root`
+/// under the consistent `h`, so the re-key empties the frontier and the
+/// loop returns the incumbent without starting a shard. The deadline
+/// counts from `start`.
 fn sequential<D: Domain>(
     domain: &D,
     config: &SearchConfig,
@@ -235,50 +362,33 @@ fn sequential<D: Domain>(
 ) -> Ended<D::Key> {
     let kw = domain.key_words();
     let root = domain.root();
-    let mut stats = SearchStats {
-        threads: 1,
-        ..SearchStats::default()
-    };
+    let mut s = Search::new(kw);
+    s.stats.threads = 1;
     let Some(h0) = domain.heuristic(&root) else {
         // The start state is already dead: unsolvable.
-        return Ended::Search(DriverOutcome::stopped(
-            stats,
-            Vec::new(),
-            StopReason::Exhausted,
-            PhaseStats::default(),
-        ));
+        return Ended::Search(DriverOutcome {
+            best: None,
+            stats: s.stats,
+            shards: Vec::new(),
+            reason: StopReason::Exhausted,
+            phases: PhaseStats::default(),
+        });
     };
-    stats.h_root = h0;
+    s.stats.h_root = h0;
     let probe_budget = if config.heuristic {
         PROBE_MAX_STATES
     } else {
         0
     };
     let (num, den) = PROBE_WEIGHT;
+    let mut succ = Succ {
+        parent: gid(0, 0),
+        ..EMPTY_SUCC
+    };
+    domain.pack(&root, &mut succ.words[..kw]);
+    s.seed(&succ, h0 * num / den, h0);
 
-    let mut arena = StateArena::new(kw);
-    // The ceiling that selects the frontier representation covers the
-    // probe's weighted priorities.
-    let mut frontier: Frontier<u32> = Frontier::new(
-        domain
-            .max_priority()
-            .saturating_mul(num)
-            .saturating_add(den),
-    );
-    stats.heap_fallback = matches!(frontier, Frontier::Heap { .. });
-
-    let mut wbuf = [0u64; MAX_KEY_WORDS];
-    domain.pack(&root, &mut wbuf[..kw]);
-    let (ridx, _) = arena.relax(&wbuf[..kw], hash_words(&wbuf[..kw]), 0, gid(0, 0), 0);
-    debug_assert_eq!(ridx, 0, "root interns at index 0");
-    frontier.push(h0.saturating_mul(num) / den, h0, 0, 0);
-    stats.pushed = 1;
-    stats.frontier_peak = 1;
-
-    let timing = phase_timing_enabled();
-    let mut phases = PhaseStats::default();
-    let mut expand_ns = 0u64;
-    let mut prof = PhaseProf::default();
+    let mut dprof = PhaseProf::default();
     let mut probing = true;
     let mut incumbent: Option<Incumbent<D::Key>> = None;
     // The incumbent's cost, pruned against by the exact search.
@@ -288,22 +398,23 @@ fn sequential<D: Domain>(
     // intermediate Vec.
     let mut best: Option<(u64, u64)> = None;
     let reason = loop {
-        if probing && (incumbent.is_some() || stats.settled >= probe_budget) {
+        if probing && (incumbent.is_some() || s.stats.settled >= probe_budget) {
             probing = false;
-            if stop_at_switch {
-                phases.merge(&prof.take());
-                phases.succ_gen_ns = expand_ns.saturating_sub(phases.timed_ns());
+            ub = incumbent.as_ref().map(|&(u, _)| u);
+            // A schedule at the root's bound is optimal: finish here,
+            // where the re-key empties the frontier, and start no shard.
+            if stop_at_switch && ub != Some(h0) {
                 return Ended::Switch(Probe {
                     incumbent,
-                    stats,
-                    phases,
+                    stats: s.stats,
+                    phases: s.prof.finish(&dprof),
                 });
             }
-            ub = incumbent.as_ref().map(|&(u, _)| u);
             let cap = ub.unwrap_or(u64::MAX);
-            frontier.rekey(|idx, d, f| arena.meta(idx).dist == d && f < cap);
+            s.frontier
+                .rekey(|idx, d, f| s.arena.meta(idx).dist == d && f < cap);
         }
-        let Some((f, idx, d)) = frontier.pop() else {
+        let Some((f, idx, d)) = s.pop() else {
             // Emptying the frontier below the incumbent proves it optimal;
             // without one, no goal is reachable.
             break if ub.is_some() {
@@ -316,32 +427,22 @@ fn sequential<D: Domain>(
             ub.is_none_or(|u| f < u),
             "queued entries beat the incumbent"
         );
-        if arena.meta(idx).dist != d {
-            stats.stale += 1;
-            continue;
-        }
-        let key = domain.unpack(arena.key_words(idx));
+        let key = domain.unpack(s.arena.key_words(idx));
         if domain.is_goal(&key) {
             if probing {
-                incumbent = Some((d, reconstruct_path(domain, &[&arena], gid(0, idx))));
+                incumbent = Some((d, reconstruct_path(domain, &[&s.arena], gid(0, idx))));
                 continue;
             }
             best = Some((d, gid(0, idx)));
             break StopReason::Solved;
         }
-        stats.settled += 1;
-        stats.probe_settled += u64::from(probing);
-        if stats.settled > config.limits.max_states as u64 {
-            break StopReason::StateLimit;
+        s.stats.settled += 1;
+        s.stats.probe_settled += u64::from(probing);
+        if let Some(reason) = over_budget(&config.limits, s.stats.settled, start) {
+            break reason;
         }
-        if let Some(dl) = config.limits.deadline {
-            if start.elapsed() >= dl {
-                break StopReason::Deadline;
-            }
-        }
-        let t_exp = if timing { Some(Instant::now()) } else { None };
-        domain.expand(&key, &mut prof, &mut |k2, c, mv, hv| {
-            phases.emitted += 1;
+        succ.parent = gid(0, idx);
+        s.expand(domain, &key, &mut dprof, |s, k2, c, mv, hv| {
             let nd = d + c;
             // With an incumbent the heuristic is evaluated eagerly: a
             // successor whose f provably cannot *beat* the incumbent is
@@ -353,59 +454,33 @@ fn sequential<D: Domain>(
                 match hv() {
                     Some(hb) if nd + hb < ub => hval = Some(hb),
                     _ => {
-                        phases.ub_pruned += 1;
+                        s.prof.stats.ub_pruned += 1;
                         return;
                     }
                 }
             }
-            let ti = if timing { Some(Instant::now()) } else { None };
-            domain.pack(&k2, &mut wbuf[..kw]);
-            let h = hash_words(&wbuf[..kw]);
-            let (idx2, improved) = arena.relax(&wbuf[..kw], h, nd, gid(0, idx), mv);
-            if let Some(t0) = ti {
-                phases.hash_intern_ns += t0.elapsed().as_nanos() as u64;
-            }
-            if improved {
-                if let Some(hv) = hval.or_else(hv) {
-                    let tq = if timing { Some(Instant::now()) } else { None };
-                    // At weight 1 no push pays for a division.
-                    let f = nd
-                        + if probing {
-                            hv.saturating_mul(num) / den
-                        } else {
-                            hv
-                        };
-                    frontier.push(f, hv, idx2, nd);
-                    stats.pushed += 1;
-                    stats.frontier_peak = stats.frontier_peak.max(frontier.len() as u64);
-                    if let Some(t0) = tq {
-                        phases.queue_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-            }
+            let t0 = s.prof.start();
+            (succ.dist, succ.mv) = (nd, mv);
+            domain.pack(&k2, &mut succ.words[..kw]);
+            let hash = hash_words(&succ.words[..kw]);
+            s.relax(&succ, hash, t0, || {
+                let h = hval.or_else(hv)?;
+                // At weight 1 no push pays for a division.
+                Some((nd + if probing { h * num / den } else { h }, h))
+            });
         });
-        if let Some(t0) = t_exp {
-            expand_ns += t0.elapsed().as_nanos() as u64;
-        }
     };
-    stats.arena_states = arena.len() as u64;
-    stats.arena_peak_bytes = arena.bytes();
-    phases.merge(&prof.take());
-    // Successor generation is the in-expand remainder: expand wall-clock
-    // minus the phases timed individually (all of which run inside
-    // expand or its emit callback).
-    phases.succ_gen_ns = expand_ns.saturating_sub(phases.timed_ns());
     let best = match best {
-        Some((d, goal_gid)) => Some((d, reconstruct_path(domain, &[&arena], goal_gid))),
+        Some((d, goal_gid)) => Some((d, reconstruct_path(domain, &[&s.arena], goal_gid))),
         None if reason == StopReason::Solved => incumbent,
         None => None,
     };
     Ended::Search(DriverOutcome {
         best,
-        stats,
+        stats: s.stats(),
         shards: Vec::new(),
         reason,
-        phases,
+        phases: s.prof.finish(&dprof),
     })
 }
 
@@ -453,36 +528,18 @@ const STATUS_DONE: u64 = 1;
 const STATUS_STATE_LIMIT: u64 = 2;
 const STATUS_DEADLINE: u64 = 3;
 
-/// A cross-shard successor hand-off: the packed key plus its tentative
-/// relaxation. `Copy`, fixed-size, so the SPSC ring can move it by
-/// bitwise read.
-#[derive(Clone, Copy)]
-struct Msg {
-    words: [u64; MAX_KEY_WORDS],
-    dist: u64,
-    parent: u64,
-    mv: PackedMove,
-}
-
-const EMPTY_MSG: Msg = Msg {
-    words: [0; MAX_KEY_WORDS],
-    dist: 0,
-    parent: 0,
-    mv: 0,
-};
-
-/// A batch of [`Msg`]s moved through the ring as one slot: senders fill
+/// A batch of [`Succ`]s moved through the ring as one slot: senders fill
 /// blocks in per-destination out-buffers and flush on fill or frontier
 /// exhaustion, so the quiescence counters count blocks, not messages.
 #[derive(Clone, Copy)]
 struct MsgBlock {
     len: u32,
-    msgs: [Msg; BLOCK_CAP],
+    msgs: [Succ; BLOCK_CAP],
 }
 
 const EMPTY_BLOCK: MsgBlock = MsgBlock {
     len: 0,
-    msgs: [EMPTY_MSG; BLOCK_CAP],
+    msgs: [EMPTY_SUCC; BLOCK_CAP],
 };
 
 /// State shared by every worker of one parallel solve.
@@ -530,138 +587,74 @@ impl Shared {
     }
 }
 
-/// What each worker hands back after the join.
-struct WorkerResult {
-    arena: StateArena,
-    shard: ShardStats,
-    stale: u64,
-    frontier_peak: u64,
-    heap_fallback: bool,
-    phases: PhaseStats,
-}
-
+/// One worker of the sharded engine: what surrounds its shard's
+/// [`Search`] — routing, the shared incumbent and quiescence. Its
+/// methods take the search as an argument, so a successor handler can
+/// route while the search is expanding.
 struct Worker<'a, D: Domain> {
     me: usize,
     threads: usize,
-    kw: usize,
     domain: &'a D,
     shared: &'a Shared,
     /// Full `threads x threads` ring matrix, indexed `from * threads +
     /// to`; this worker consumes column `me` and produces row `me`.
     chans: &'a [Spsc<MsgBlock>],
     start: Instant,
-    max_states: u64,
-    deadline: Option<std::time::Duration>,
-    arena: StateArena,
-    frontier: Frontier<u32>,
-    prof: PhaseProf,
-    timing: bool,
-    phases: PhaseStats,
-    expand_ns: u64,
+    limits: SolveLimits,
     /// Per-destination out-buffers; `out[to]` fills until [`BLOCK_CAP`]
     /// then flushes into the ring (`out[me]` stays unused).
     out: Vec<MsgBlock>,
-    settled: u64,
-    pushed: u64,
-    stale: u64,
-    sent: u64,
-    send_blocks: u64,
-    local_succs: u64,
+    /// Messages received, and those that improved no distance.
     received: u64,
     dup_msgs: u64,
-    frontier_peak: u64,
 }
 
-impl<'a, D: Domain> Worker<'a, D> {
-    /// Relaxes an owned state given its packed words and hash; enqueues
-    /// it when the distance improved, the heuristic finds it alive, and
-    /// its `f` still beats the incumbent. Returns whether the distance
-    /// was created or improved. Used for states arriving over channels,
-    /// which come without a heuristic thunk — the bound is evaluated
-    /// here, lazily, only on improvement. Runs outside `expand`, so it
-    /// is deliberately untimed: the phase profile accounts the
-    /// expansion path.
-    #[inline]
-    fn relax_owned(
-        &mut self,
-        words: &[u64],
-        hash: u64,
-        dist: u64,
-        parent: u64,
-        mv: PackedMove,
-    ) -> bool {
-        let (idx, improved) = self.arena.relax(words, hash, dist, parent, mv);
-        if improved {
-            let key = self.domain.unpack(words);
-            self.phases.heur_full_evals += 1;
-            if let Some(hv) = self.domain.heuristic(&key) {
-                let f = dist + hv;
-                if f < self.shared.incumbent.load(Ordering::Relaxed) {
-                    self.frontier.push(f, hv, idx, dist);
-                    self.pushed += 1;
-                    self.frontier_peak = self.frontier_peak.max(self.frontier.len() as u64);
-                }
-            }
-        }
-        improved
+impl<D: Domain> Worker<'_, D> {
+    /// The queue entry of an owned successor at `dist` with bound `h`:
+    /// `(f, h)` while `f = dist + h` beats the incumbent, `None` when it
+    /// cannot or the state is dead.
+    fn entry(&self, dist: u64, h: Option<u64>) -> Option<(u64, u64)> {
+        let h = h?;
+        let f = dist + h;
+        (f < self.shared.incumbent.load(Ordering::Relaxed)).then_some((f, h))
     }
 
-    /// [`Worker::relax_owned`] for locally generated successors, whose
-    /// admissible bound is evaluated lazily — the domain's thunk `hv`
-    /// runs only when the distance actually improved.
-    #[inline]
-    fn relax_owned_h(
-        &mut self,
-        words: &[u64],
-        hash: u64,
-        dist: u64,
-        parent: u64,
-        mv: PackedMove,
-        hv: &mut dyn FnMut() -> Option<u64>,
-    ) {
-        let ti = if self.timing {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let (idx, improved) = self.arena.relax(words, hash, dist, parent, mv);
-        if let Some(t0) = ti {
-            self.phases.hash_intern_ns += t0.elapsed().as_nanos() as u64;
+    /// Routes one successor of a state this shard settled, `succ` with
+    /// its key still unpacked in `key`: relaxes it here if this shard
+    /// owns it, else buffers it for its owner.
+    fn successor(&mut self, s: &mut Search, key: D::Key, mut succ: Succ, hv: HeurThunk<'_>) {
+        if succ.dist >= self.shared.incumbent.load(Ordering::Relaxed) {
+            return;
         }
-        if improved {
-            if let Some(hv) = hv() {
-                let f = dist + hv;
-                if f < self.shared.incumbent.load(Ordering::Relaxed) {
-                    let tq = if self.timing {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    self.frontier.push(f, hv, idx, dist);
-                    self.pushed += 1;
-                    self.frontier_peak = self.frontier_peak.max(self.frontier.len() as u64);
-                    if let Some(t0) = tq {
-                        self.phases.queue_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-            }
+        let t0 = s.prof.start();
+        self.domain.pack(&key, &mut succ.words[..s.kw]);
+        let hash = hash_words(&succ.words[..s.kw]);
+        let owner = shard_of(hash, self.threads);
+        if owner == self.me {
+            s.stats.local_succs += 1;
+            s.relax(&succ, hash, t0, || self.entry(succ.dist, hv()));
+        } else {
+            s.prof.stop(Phase::HashIntern, t0);
+            self.buffer_send(s, owner, succ);
         }
     }
 
     /// Drains every inbox once; returns whether any block arrived.
-    fn drain_inboxes(&mut self) -> bool {
+    fn drain_inboxes(&mut self, s: &mut Search) -> bool {
+        let (me, kw, domain) = (self.me, s.kw, self.domain);
         let mut any = false;
-        for from in 0..self.threads {
-            if from == self.me {
-                continue;
-            }
-            while let Some(blk) = self.chans[from * self.threads + self.me].try_pop() {
-                for j in 0..blk.len as usize {
-                    let m = blk.msgs[j];
-                    let h = hash_words(&m.words[..self.kw]);
-                    if !self.relax_owned(&m.words[..self.kw], h, m.dist, m.parent, m.mv) {
-                        self.dup_msgs += 1;
-                    }
+        for from in (0..self.threads).filter(|&from| from != me) {
+            while let Some(blk) = self.chans[from * self.threads + me].try_pop() {
+                for m in &blk.msgs[..blk.len as usize] {
+                    let t0 = s.prof.start();
+                    let hash = hash_words(&m.words[..kw]);
+                    let improved = s.relax(m, hash, t0, || {
+                        let h = domain.heuristic(&domain.unpack(&m.words[..kw]));
+                        self.entry(m.dist, h)
+                    });
+                    // The bound was evaluated exactly when it improved.
+                    s.prof.stats.heur_full_evals += u64::from(improved);
+                    self.dup_msgs += u64::from(!improved);
                     self.received += 1;
                 }
                 self.shared.received.fetch_add(1, Ordering::SeqCst);
@@ -679,25 +672,25 @@ impl<'a, D: Domain> Worker<'a, D> {
 
     /// Buffers a successor for its owning shard, flushing the block
     /// when full.
-    fn buffer_send(&mut self, to: usize, msg: Msg) {
-        self.sent += 1;
+    fn buffer_send(&mut self, s: &mut Search, to: usize, msg: Succ) {
+        s.stats.cross_sends += 1;
         let blk = &mut self.out[to];
         blk.msgs[blk.len as usize] = msg;
         blk.len += 1;
         if blk.len as usize == BLOCK_CAP {
-            self.flush(to);
+            self.flush(s, to);
         }
     }
 
     /// Pushes `out[to]` into the ring, draining our own inboxes while
     /// the target ring is full (receiving only relaxes locally and
     /// never sends, so this cannot deadlock).
-    fn flush(&mut self, to: usize) {
+    fn flush(&mut self, s: &mut Search, to: usize) {
         if self.out[to].len == 0 {
             return;
         }
         let blk = std::mem::replace(&mut self.out[to], EMPTY_BLOCK);
-        self.send_blocks += 1;
+        s.stats.send_blocks += 1;
         self.shared.sent.fetch_add(1, Ordering::SeqCst);
         loop {
             if self.chans[self.me * self.threads + to].try_push(blk) {
@@ -708,7 +701,7 @@ impl<'a, D: Domain> Worker<'a, D> {
                 // look at the counters again.
                 return;
             }
-            if !self.drain_inboxes() {
+            if !self.drain_inboxes(s) {
                 std::hint::spin_loop();
             }
         }
@@ -716,10 +709,10 @@ impl<'a, D: Domain> Worker<'a, D> {
 
     /// Flushes every non-empty out-buffer. Must run before advertising
     /// idle: the quiescence counters only see flushed blocks.
-    fn flush_all(&mut self) {
+    fn flush_all(&mut self, s: &mut Search) {
         for to in 0..self.threads {
             if to != self.me {
-                self.flush(to);
+                self.flush(s, to);
             }
         }
     }
@@ -735,7 +728,7 @@ impl<'a, D: Domain> Worker<'a, D> {
 
     /// Idle protocol: advertise idleness, watch for new work, and
     /// attempt quiescence detection. Returns `true` to terminate.
-    fn idle_protocol(&mut self) -> bool {
+    fn idle_protocol(&mut self, s: &Search) -> bool {
         let my_bit = 1u64 << self.me;
         let full_mask = if self.threads == 64 {
             u64::MAX
@@ -748,7 +741,7 @@ impl<'a, D: Domain> Worker<'a, D> {
                 return true;
             }
             let inc = self.shared.incumbent.load(Ordering::SeqCst);
-            let has_local = self.frontier.peek_priority().is_some_and(|f| f < inc);
+            let has_local = s.frontier.peek_priority().is_some_and(|f| f < inc);
             if self.has_inbox_msgs() || has_local {
                 self.shared.idle.fetch_and(!my_bit, Ordering::SeqCst);
                 return false;
@@ -770,125 +763,77 @@ impl<'a, D: Domain> Worker<'a, D> {
         }
     }
 
-    fn run(mut self) -> WorkerResult {
+    /// Searches this shard until quiescence or an abort; returns the
+    /// search, its shard row and its phase profile.
+    fn run(mut self, mut s: Search) -> (Search, ShardStats, PhaseStats) {
         let domain = self.domain;
-        let kw = self.kw;
+        let mut dprof = PhaseProf::default();
         'outer: while self.shared.status.load(Ordering::Acquire) == STATUS_RUNNING {
-            let mut progress = self.drain_inboxes();
+            let mut progress = self.drain_inboxes(&mut s);
             for _ in 0..POP_BATCH {
                 let inc = self.shared.incumbent.load(Ordering::Relaxed);
-                let Some((f, idx, d)) = self.frontier.pop() else {
+                let Some((f, idx, d)) = s.pop() else {
                     break;
                 };
                 progress = true;
-                if self.arena.meta(idx).dist != d {
-                    self.stale += 1;
-                    continue;
-                }
                 if f >= inc {
                     // Can no longer beat the incumbent; with the
                     // monotone incumbent this holds forever. Discard.
                     continue;
                 }
-                let key = domain.unpack(self.arena.key_words(idx));
+                let key = domain.unpack(s.arena.key_words(idx));
                 if domain.is_goal(&key) {
                     self.offer_goal(d, gid(self.me, idx));
                     continue;
                 }
-                self.settled += 1;
-                let g = self.shared.settled.fetch_add(1, Ordering::Relaxed) + 1;
-                if g > self.max_states {
-                    self.shared.abort(STATUS_STATE_LIMIT);
+                s.stats.settled += 1;
+                let settled = self.shared.settled.fetch_add(1, Ordering::Relaxed) + 1;
+                if let Some(reason) = over_budget(&self.limits, settled, self.start) {
+                    self.shared.abort(if reason == StopReason::StateLimit {
+                        STATUS_STATE_LIMIT
+                    } else {
+                        STATUS_DEADLINE
+                    });
                     break 'outer;
                 }
-                if let Some(dl) = self.deadline {
-                    if self.start.elapsed() >= dl {
-                        self.shared.abort(STATUS_DEADLINE);
-                        break 'outer;
-                    }
-                }
                 let parent = gid(self.me, idx);
-                // Take the profiler out of `self` so the emit closure can
-                // borrow the rest of the worker mutably; successors are
-                // relaxed or shipped inline, with no intermediate Vec.
-                let mut prof = std::mem::take(&mut self.prof);
-                let t_exp = if self.timing {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                domain.expand(&key, &mut prof, &mut |k2, c, mv, hv| {
-                    self.phases.emitted += 1;
-                    let nd = d + c;
-                    if nd >= self.shared.incumbent.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let ti = if self.timing {
-                        Some(Instant::now())
-                    } else {
-                        None
+                s.expand(domain, &key, &mut dprof, |s, k2, c, mv, hv| {
+                    let succ = Succ {
+                        dist: d + c,
+                        parent,
+                        mv,
+                        ..EMPTY_SUCC
                     };
-                    let mut wbuf = [0u64; MAX_KEY_WORDS];
-                    domain.pack(&k2, &mut wbuf[..kw]);
-                    let h = hash_words(&wbuf[..kw]);
-                    let owner = shard_of(h, self.threads);
-                    if let Some(t0) = ti {
-                        self.phases.hash_intern_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    if owner == self.me {
-                        self.local_succs += 1;
-                        self.relax_owned_h(&wbuf[..kw], h, nd, parent, mv, hv);
-                    } else {
-                        self.buffer_send(
-                            owner,
-                            Msg {
-                                words: wbuf,
-                                dist: nd,
-                                parent,
-                                mv,
-                            },
-                        );
-                    }
+                    self.successor(s, k2, succ, hv);
                 });
-                if let Some(t0) = t_exp {
-                    self.expand_ns += t0.elapsed().as_nanos() as u64;
-                }
-                self.prof = prof;
             }
             if !progress {
                 // Local frontier exhausted: ship partial blocks so no
                 // work hides in an out-buffer, then look for incoming
                 // work before attempting quiescence.
-                self.flush_all();
-                if self.drain_inboxes() {
+                self.flush_all(&mut s);
+                if self.drain_inboxes(&mut s) {
                     continue;
                 }
-                if self.idle_protocol() {
+                if self.idle_protocol(&s) {
                     break;
                 }
             }
         }
-        self.phases.merge(&self.prof.take());
-        self.phases.succ_gen_ns = self.expand_ns.saturating_sub(self.phases.timed_ns());
-        WorkerResult {
-            shard: ShardStats {
-                shard: self.me as u64,
-                settled: self.settled,
-                pushed: self.pushed,
-                sent: self.sent,
-                send_blocks: self.send_blocks,
-                local_succs: self.local_succs,
-                received: self.received,
-                dup_msgs: self.dup_msgs,
-                arena_states: self.arena.len() as u64,
-                arena_bytes: self.arena.bytes(),
-            },
-            stale: self.stale,
-            frontier_peak: self.frontier_peak,
-            heap_fallback: matches!(self.frontier, Frontier::Heap { .. }),
-            phases: self.phases,
-            arena: self.arena,
-        }
+        let shard = ShardStats {
+            shard: self.me as u64,
+            settled: s.stats.settled,
+            pushed: s.stats.pushed,
+            sent: s.stats.cross_sends,
+            send_blocks: s.stats.send_blocks,
+            local_succs: s.stats.local_succs,
+            received: self.received,
+            dup_msgs: self.dup_msgs,
+            arena_states: s.arena.len() as u64,
+            arena_bytes: s.arena.bytes(),
+        };
+        let phases = s.prof.finish(&dprof);
+        (s, shard, phases)
     }
 }
 
@@ -904,7 +849,6 @@ fn parallel<D: Domain>(
     start: Instant,
 ) -> DriverOutcome<D::Key> {
     let kw = domain.key_words();
-    let root = domain.root();
     let h0 = probe.stats.h_root;
     let mut stats = SearchStats {
         threads: threads as u64,
@@ -915,10 +859,10 @@ fn parallel<D: Domain>(
     };
     let incumbent = probe.incumbent;
 
-    let mut root_words = [0u64; MAX_KEY_WORDS];
-    domain.pack(&root, &mut root_words[..kw]);
-    let root_hash = hash_words(&root_words[..kw]);
-    let root_owner = shard_of(root_hash, threads);
+    let mut root = EMPTY_SUCC;
+    domain.pack(&domain.root(), &mut root.words[..kw]);
+    let root_owner = shard_of(hash_words(&root.words[..kw]), threads);
+    root.parent = gid(root_owner, 0);
 
     let shared = Shared::new();
     shared.settled.store(probe.stats.settled, Ordering::SeqCst);
@@ -934,53 +878,29 @@ fn parallel<D: Domain>(
     let chans: Vec<Spsc<MsgBlock>> = (0..threads * threads)
         .map(|_| Spsc::new(CHAN_CAP))
         .collect();
-    let max_states = config.limits.max_states as u64;
-    let deadline = config.limits.deadline;
-    let max_priority = domain.max_priority();
 
-    let results: Vec<WorkerResult> = std::thread::scope(|s| {
+    let results: Vec<(Search, ShardStats, PhaseStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|me| {
-                let shared = &shared;
-                let chans = &chans[..];
-                s.spawn(move || {
-                    let mut w = Worker {
+                let (shared, chans) = (&shared, &chans[..]);
+                scope.spawn(move || {
+                    let mut search = Search::new(kw);
+                    if me == root_owner {
+                        search.seed(&root, h0, h0);
+                    }
+                    let worker = Worker {
                         me,
                         threads,
-                        kw,
                         domain,
                         shared,
                         chans,
                         start,
-                        max_states,
-                        deadline,
-                        arena: StateArena::new(kw),
-                        frontier: Frontier::new(max_priority),
-                        prof: PhaseProf::default(),
-                        timing: phase_timing_enabled(),
-                        phases: PhaseStats::default(),
-                        expand_ns: 0,
+                        limits: config.limits,
                         out: vec![EMPTY_BLOCK; threads],
-                        settled: 0,
-                        pushed: 0,
-                        stale: 0,
-                        sent: 0,
-                        send_blocks: 0,
-                        local_succs: 0,
                         received: 0,
                         dup_msgs: 0,
-                        frontier_peak: 0,
                     };
-                    if me == root_owner {
-                        let (ridx, _) =
-                            w.arena
-                                .relax(&root_words[..kw], root_hash, 0, gid(me, 0), 0);
-                        debug_assert_eq!(ridx, 0);
-                        w.frontier.push(h0, h0, 0, 0);
-                        w.pushed = 1;
-                        w.frontier_peak = 1;
-                    }
-                    w.run()
+                    worker.run(search)
                 })
             })
             .collect();
@@ -992,49 +912,31 @@ fn parallel<D: Domain>(
 
     let mut shards = Vec::with_capacity(threads);
     let mut phases = probe.phases;
-    for r in &results {
-        phases.merge(&r.phases);
-        stats.settled += r.shard.settled;
-        stats.pushed += r.shard.pushed;
-        stats.stale += r.stale;
-        stats.frontier_peak += r.frontier_peak;
-        stats.heap_fallback |= r.heap_fallback;
-        stats.cross_sends += r.shard.sent;
-        stats.send_blocks += r.shard.send_blocks;
-        stats.local_succs += r.shard.local_succs;
-        stats.arena_states += r.shard.arena_states;
-        stats.arena_peak_bytes += r.shard.arena_bytes;
-        shards.push(r.shard);
+    for (search, shard, shard_phases) in &results {
+        stats.merge(&search.stats());
+        phases.merge(shard_phases);
+        shards.push(*shard);
     }
-
-    match shared.status.load(Ordering::SeqCst) {
-        STATUS_STATE_LIMIT => DriverOutcome::stopped(stats, shards, StopReason::StateLimit, phases),
-        STATUS_DEADLINE => DriverOutcome::stopped(stats, shards, StopReason::Deadline, phases),
-        _ => {
-            let goal = *shared.goal.lock().unwrap();
-            if let Some((dist, ggid)) = goal {
-                let arenas: Vec<&StateArena> = results.iter().map(|r| &r.arena).collect();
-                let path = reconstruct_path(domain, &arenas, ggid);
-                DriverOutcome {
-                    best: Some((dist, path)),
-                    stats,
-                    shards,
-                    reason: StopReason::Solved,
-                    phases,
-                }
-            } else if let Some((d, path)) = incumbent {
-                // Quiesced with every `f < ub` state exhausted and no
-                // cheaper goal found: the probe's schedule is optimal.
-                DriverOutcome {
-                    best: Some((d, path)),
-                    stats,
-                    shards,
-                    reason: StopReason::Solved,
-                    phases,
-                }
-            } else {
-                DriverOutcome::stopped(stats, shards, StopReason::Exhausted, phases)
+    let (reason, best) = match shared.status.load(Ordering::SeqCst) {
+        STATUS_STATE_LIMIT => (StopReason::StateLimit, None),
+        STATUS_DEADLINE => (StopReason::Deadline, None),
+        _ => match *shared.goal.lock().unwrap() {
+            Some((dist, goal)) => {
+                let arenas: Vec<&StateArena> = results.iter().map(|(s, ..)| &s.arena).collect();
+                let path = reconstruct_path(domain, &arenas, goal);
+                (StopReason::Solved, Some((dist, path)))
             }
-        }
+            // Quiesced with every `f < ub` state exhausted and no
+            // cheaper goal found: the probe's schedule is optimal.
+            None if incumbent.is_some() => (StopReason::Solved, incumbent),
+            None => (StopReason::Exhausted, None),
+        },
+    };
+    DriverOutcome {
+        best,
+        stats,
+        shards,
+        reason,
+        phases,
     }
 }

@@ -71,7 +71,7 @@ use crate::arena::{pack_fields, unpack_fields, words_for};
 use crate::driver::{self, Domain, EmitFn};
 use crate::rules::{Game, Move, Rule};
 use crate::search::{
-    game_masks, trace_shards, PackedMove, PhaseProf, SearchConfig, SearchOutcome, StopReason,
+    game_masks, trace_shards, PackedMove, Phase, PhaseProf, SearchConfig, SearchOutcome, StopReason,
 };
 use crate::{AdmissibleHeuristic, Cost, CostModel, MppInstance, MppStrategy, ProcId, SolveLimits};
 
@@ -265,8 +265,9 @@ pub fn solve_with(instance: &MppInstance, config: &SearchConfig) -> SearchOutcom
 ///
 /// Unsupported (`None` with [`StopReason::Unsupported`]) when the game
 /// is infeasible (`r ≤ Δ_in`), too large for the packed key (`n > 64`,
-/// `k > 4` or a green capacity above 64), or both three-level and
-/// one-shot.
+/// `k > 4` or a green capacity above 64), both three-level and
+/// one-shot, or priced so high that the search's sums could overflow a
+/// `u64` within `config`'s state budget.
 #[must_use]
 pub fn solve_game<M: Move>(
     game: &Game,
@@ -313,6 +314,28 @@ fn solve_k<const K: usize, M: Move>(
     }
 }
 
+/// The largest sum the search can form on a game of `n` nodes whose
+/// edges cost at most `e`, within `max_states` expansions; `None` when
+/// it overflows a `u64`.
+///
+/// A distance is a sum of edge costs along a chain of expansions, one
+/// per settled state, and the state budget caps those, so it is at most
+/// `max_states · e`. Each term of [`AdmissibleHeuristic::eval`] counts
+/// at most `n` nodes, at a compute, a load (at most `g`) or a store
+/// each, so `h ≤ n·(compute + 2g)`. The largest sums are then the
+/// probe's priority `d + ⌊h·3/2⌋` and the `h·3` inside it.
+fn largest_sum(n: u64, e: u64, model: CostModel, max_states: u64) -> Option<u64> {
+    let h_max = model
+        .g
+        .checked_mul(2)?
+        .checked_add(model.compute)?
+        .checked_mul(n)?;
+    let (num, _) = driver::PROBE_WEIGHT;
+    h_max
+        .checked_mul(num)?
+        .checked_add(max_states.checked_mul(e)?)
+}
+
 /// A game's state space described for the shared search drivers: keys
 /// are `(R^1..R^k, [G,] B[, C])` masks bit-packed to `n` bits a field —
 /// the green field with a tier, the ever-computed field under one-shot;
@@ -350,13 +373,12 @@ struct MppDomain<const K: usize> {
     /// batch is one node (`k = 1`) and outside the one-shot variant,
     /// whose successors differ in the ever-computed mask.
     reload_dominates: bool,
-    max_priority: u64,
 }
 
 impl<const K: usize> MppDomain<K> {
     /// Builds the search domain for a supported, non-empty, feasible
-    /// game; `None` otherwise (the caller distinguishes the trivial
-    /// `n == 0` case itself).
+    /// game whose sums fit a `u64`; `None` otherwise (the caller
+    /// distinguishes the trivial `n == 0` case itself).
     fn build(
         game: &Game,
         model: CostModel,
@@ -376,24 +398,15 @@ impl<const K: usize> MppDomain<K> {
         {
             return None;
         }
-        let (preds_mask, sinks_mask, sources_blue) = game_masks(game);
-
-        // Priority ceiling for the bucket representation: twice a
-        // trivial upper bound — Lemma 1's, plus a load of every source
-        // and a store of every sink for the Hong–Kung convention; the
-        // game can always ignore the green tier — covers every f-value
-        // the search can push.
-        let ub = (model.g * (dag.max_in_degree() as u64 + 1))
-            .saturating_add(model.compute)
-            .saturating_mul(n as u64)
-            .saturating_add(model.g.saturating_mul(2 * n as u64));
+        // A wrapped distance would corrupt the parent chains.
         let tier_cost = if game.green_cap > 0 { green_cost } else { 0 };
-        let max_priority = ub.saturating_mul(2).saturating_add(
-            model
-                .g
-                .saturating_add(model.compute)
-                .saturating_add(tier_cost),
-        );
+        largest_sum(
+            n as u64,
+            model.g.max(model.compute).max(tier_cost),
+            model,
+            config.limits.max_states as u64,
+        )?;
+        let (preds_mask, sinks_mask, sources_blue) = game_masks(game);
 
         Some(MppDomain {
             n,
@@ -418,7 +431,6 @@ impl<const K: usize> MppDomain<K> {
                 && K == 1
                 && !variant.one_shot
                 && model.g <= model.compute,
-            max_priority,
         })
     }
 
@@ -566,10 +578,6 @@ impl<const K: usize> Domain for MppDomain<K> {
         }
     }
 
-    fn max_priority(&self) -> u64 {
-        self.max_priority
-    }
-
     fn expand(&self, key: &Key<K>, prof: &mut PhaseProf, emit: EmitFn<'_, Key<K>>) {
         let r = self.r;
         let key = *key;
@@ -585,7 +593,7 @@ impl<const K: usize> Domain for MppDomain<K> {
                     sort_desc(&mut raw.reds);
                     prof.stats.canon_sorts += 1;
                 }
-                prof.stop_canon(t0);
+                prof.stop(Phase::Canonicalize, t0);
             }
             // The successor's bound, evaluated only if the driver asks.
             emit(raw, cost, mv, &mut || {
@@ -595,7 +603,7 @@ impl<const K: usize> Domain for MppDomain<K> {
                 let t0 = prof.start();
                 prof.stats.heur_full_evals += 1;
                 let hv = self.heuristic(&raw);
-                prof.stop_heur(t0);
+                prof.stop(Phase::Heuristic, t0);
                 hv
             });
         };
@@ -1202,21 +1210,31 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_cost() {
-        for (d, k, r, g) in [
-            (generators::grid(2, 3), 2, 3, 2),
-            (generators::binary_in_tree(4), 2, 3, 1),
-            (generators::independent_chains(2, 4), 2, 3, 2),
+        // The chains' probe schedule meets the root's admissible bound,
+        // which proves it optimal before any shard starts.
+        for (d, k, r, g, shards_run) in [
+            (generators::grid(2, 3), 2, 3, 2, true),
+            (generators::binary_in_tree(4), 2, 3, 1, true),
+            (generators::independent_chains(2, 4), 2, 3, 2, false),
         ] {
             let inst = MppInstance::new(&d, k, r, g);
             let seq = solve_with(&inst, &SearchConfig::default());
+            let s = seq.solution.as_ref().unwrap();
+            assert_eq!(
+                s.total == seq.stats.h_root && seq.stats.settled == seq.stats.probe_settled,
+                !shards_run,
+                "{}: the probe meets h_root",
+                d.name()
+            );
             for threads in [2usize, 4] {
                 let par = solve_with(&inst, &SearchConfig::default().with_threads(threads));
-                let (s, p) = (seq.solution.as_ref().unwrap(), par.solution.unwrap());
+                let p = par.solution.unwrap();
                 assert_eq!(s.total, p.total, "{} threads={threads}", d.name());
                 p.strategy.validate(&inst).unwrap();
                 assert_eq!(par.reason, StopReason::Solved);
-                assert_eq!(par.shards.len(), threads);
-                assert_eq!(par.stats.threads, threads as u64);
+                let workers = if shards_run { threads } else { 0 };
+                assert_eq!(par.shards.len(), workers);
+                assert_eq!(par.stats.threads, workers.max(1) as u64);
             }
         }
     }

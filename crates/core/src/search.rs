@@ -6,21 +6,20 @@
 //! searched by the one domain in `mpp/exact.rs`, so the machinery lives
 //! here once:
 //!
-//! - `Frontier`: a **bucket queue** indexed by `f = d + h` that pops
-//!   the smallest `f`, then the deepest state (smallest `h`), then the
-//!   latest push. Edge costs are tiny integers, so the full priority
-//!   range is at most the trivial upper bound of Lemma 1; `pop` is a
-//!   cursor advance and `push` a `Vec` append into the bucket's run for
-//!   its `h`, with zero per-operation heap rebalancing. Instances whose
-//!   cost range would make buckets wasteful (huge `g`) fall back to a
-//!   binary heap with the same pop order.
+//! - `Frontier`: an ordered map from each queued `f = d + h` to its
+//!   entries, grouped in one run per `h`, that pops the smallest `f`,
+//!   then the deepest state (smallest `h`), then the latest push. Edge
+//!   costs are few distinct integers, so a search queues few distinct
+//!   `f` values at once: `push` is a `Vec` append into the run for its
+//!   `(f, h)`, `pop` a `Vec` pop from the smallest bucket, and only the
+//!   queued values take memory, whatever the cost range.
 //! - [`AdmissibleHeuristic`]: the lower bound guiding A\*, computed by
 //!   its one evaluation, [`AdmissibleHeuristic::eval`]. See the
 //!   admissibility argument on the type; it is also *consistent*, so
-//!   at weight 1 a settling is final and the bucket cursor never moves
-//!   backwards. The incumbent probe's weighted priorities break both,
-//!   which the driver (re-opening) and the frontier (a cursor that moves
-//!   back) tolerate.
+//!   at weight 1 a settling is final and no push lands below the
+//!   smallest queued `f`. The incumbent probe's weighted priorities
+//!   break both, which the driver (re-opening) and the frontier (any
+//!   `f` may be pushed at any time) tolerate.
 //! - [`SearchStats`] / [`ShardStats`] / [`PhaseStats`]: counters for
 //!   the benchmark harness and trace gauges, including the packed-arena
 //!   memory axis and the hot-path phase profile.
@@ -34,9 +33,8 @@
 //! disabled via [`SearchConfig`], which is exactly how the equivalence
 //! tests and the before/after benchmarks obtain the baseline solver.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 use crate::rules::Game;
 use crate::CostModel;
@@ -51,6 +49,9 @@ use crate::CostModel;
 #[derive(Debug, Clone, Copy)]
 pub struct SolveLimits {
     /// Abort after settling this many states (summed across shards).
+    /// The budget also bounds the distances a search can form, so a
+    /// game whose edge costs times this budget overflow a `u64` is
+    /// [`StopReason::Unsupported`].
     pub max_states: usize,
     /// Abort when this much wall-clock time has elapsed since the
     /// solve started (`None` = no deadline). Checked periodically, so
@@ -187,8 +188,10 @@ pub enum StopReason {
     StateLimit,
     /// The wall-clock deadline in [`SolveLimits::deadline`] passed.
     Deadline,
-    /// The instance is outside the solver's supported range
-    /// (`n > 64`, `k > 4`, infeasible capacity).
+    /// The instance is outside the solver's supported range: `n > 64`,
+    /// `k > 4`, a green capacity above 64, a three-level one-shot game,
+    /// infeasible capacity (`r ≤ Δ_in`), or costs so large that the
+    /// search's sums could overflow a `u64` within the state budget.
     Unsupported,
 }
 
@@ -231,9 +234,6 @@ pub struct SearchStats {
     pub stale: u64,
     /// High-water mark of the frontier size (peak open-queue length).
     pub frontier_peak: u64,
-    /// Whether the frontier fell back from the bucket queue to the
-    /// binary heap (priority range exceeded the bucket ceiling).
-    pub heap_fallback: bool,
     /// The admissible heuristic's value at the start state (zero when
     /// the heuristic is disabled). `h_root / OPT` measures heuristic
     /// tightness: 1.0 would be a perfect lower bound.
@@ -285,6 +285,21 @@ impl SearchStats {
         }
     }
 
+    /// Adds a shard's counters into `self` (every field but `h_root`
+    /// and `threads`).
+    pub(crate) fn merge(&mut self, other: &SearchStats) {
+        self.settled += other.settled;
+        self.probe_settled += other.probe_settled;
+        self.pushed += other.pushed;
+        self.stale += other.stale;
+        self.frontier_peak += other.frontier_peak;
+        self.arena_states += other.arena_states;
+        self.arena_peak_bytes += other.arena_peak_bytes;
+        self.cross_sends += other.cross_sends;
+        self.send_blocks += other.send_blocks;
+        self.local_succs += other.local_succs;
+    }
+
     /// Emits these counters through the global tracer under
     /// `solver.<which>.*` names, plus the heuristic-tightness gauge
     /// when the achieved optimum is known. No-op while tracing is
@@ -300,10 +315,6 @@ impl SearchStats {
         rbp_trace::gauge(
             &format!("solver.{which}.frontier_peak"),
             self.frontier_peak as f64,
-        );
-        rbp_trace::counter(
-            &format!("solver.{which}.heap_fallback"),
-            u64::from(self.heap_fallback),
         );
         rbp_trace::counter(&format!("solver.{which}.arena_states"), self.arena_states);
         rbp_trace::gauge(
@@ -440,7 +451,10 @@ pub fn phase_timing_enabled() -> bool {
 ///
 /// The `*_ns` fields partition the wall-clock time spent inside
 /// `Domain::expand` plus the driver's per-successor work; they are only
-/// populated when [`phase_timing_enabled`] (env `RBP_PHASE_PROF=1`).
+/// populated when [`phase_timing_enabled`] (env `RBP_PHASE_PROF=1`). In
+/// a sharded solve `hash_intern_ns` and `queue_ns` also cover the
+/// successors a shard receives, which it relaxes outside its
+/// expansions, so there `succ_gen_ns` understates by their share.
 /// The count fields are always populated. Emitted through `rbp-trace`
 /// as `solver.phase.*` once per solve (see [`PhaseStats::trace`]) and
 /// rendered by `rbp report` as the "Hot path" section.
@@ -560,17 +574,31 @@ impl PhaseStats {
     }
 }
 
-/// Per-worker phase profiler the search domain accumulates into during
-/// [`expand`](crate::driver::Domain::expand).
-///
-/// Owns a [`PhaseStats`] plus the cached timing flag; the driver drains
-/// it once per worker with [`PhaseProf::take`], so the hot loop never
-/// touches shared state.
+/// The phases a [`PhaseProf`] times (see [`PhaseStats`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Phase {
+    Canonicalize,
+    Heuristic,
+    HashIntern,
+    Queue,
+    /// A whole expansion, successor handling included: the span
+    /// [`PhaseProf::finish`] derives successor generation from.
+    Expand,
+}
+
+/// Phase profiler: the counters of a [`PhaseStats`] plus the timers,
+/// which read the clock only while [`phase_timing_enabled`]. The search
+/// domain accumulates into one during
+/// [`expand`](crate::driver::Domain::expand), each shard's driver into
+/// another; [`PhaseProf::finish`] combines them once per shard, so the
+/// hot loop never touches shared state.
 #[derive(Debug, Clone)]
 pub(crate) struct PhaseProf {
     timing: bool,
     /// The counters being accumulated.
     pub stats: PhaseStats,
+    /// Wall-clock of the timed [`Phase::Expand`] spans.
+    expand_ns: u64,
 }
 
 impl Default for PhaseProf {
@@ -578,6 +606,7 @@ impl Default for PhaseProf {
         PhaseProf {
             timing: phase_timing_enabled(),
             stats: PhaseStats::default(),
+            expand_ns: 0,
         }
     }
 }
@@ -587,33 +616,35 @@ impl PhaseProf {
     /// set.
     #[inline]
     #[must_use]
-    pub fn start(&self) -> Option<std::time::Instant> {
+    pub fn start(&self) -> Option<Instant> {
         if self.timing {
-            Some(std::time::Instant::now())
+            Some(Instant::now())
         } else {
             None
         }
     }
 
-    /// Accounts a started timer to the canonicalize phase.
+    /// Accounts a started timer to `phase`.
     #[inline]
-    pub fn stop_canon(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.stats.canonicalize_ns += t0.elapsed().as_nanos() as u64;
-        }
+    pub fn stop(&mut self, phase: Phase, t0: Option<Instant>) {
+        let Some(t0) = t0 else { return };
+        let s = &mut self.stats;
+        *match phase {
+            Phase::Canonicalize => &mut s.canonicalize_ns,
+            Phase::Heuristic => &mut s.heuristic_ns,
+            Phase::HashIntern => &mut s.hash_intern_ns,
+            Phase::Queue => &mut s.queue_ns,
+            Phase::Expand => &mut self.expand_ns,
+        } += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Accounts a started timer to the heuristic phase.
-    #[inline]
-    pub fn stop_heur(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.stats.heuristic_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Drains the accumulated counters, leaving zeros behind.
-    pub fn take(&mut self) -> PhaseStats {
-        std::mem::take(&mut self.stats)
+    /// These counters plus `other`'s, with successor generation as the
+    /// expansion wall-clock the timed phases leave over.
+    pub fn finish(&self, other: &PhaseProf) -> PhaseStats {
+        let mut out = self.stats;
+        out.merge(&other.stats);
+        out.succ_gen_ns = (self.expand_ns + other.expand_ns).saturating_sub(out.timed_ns());
+        out
     }
 }
 
@@ -664,153 +695,77 @@ impl<T> SearchOutcome<T> {
 /// A compact one-word move encoding; the solvers define the bit layout.
 pub type PackedMove = u32;
 
-const BUCKET_CAP: u64 = 1 << 22;
-
-/// Entries of one `f` bucket with one `h`, in push order.
-type Run<K> = Vec<(K, u64)>;
-
-/// A heap entry, `(f, h, push sequence number, key, dist)`: the
-/// max-heap pops the smallest `(f, h)` and among those the latest push.
-type HeapEntry<K> = (Reverse<u64>, Reverse<u64>, u64, K, u64);
+/// Entries of one `(f, h)`: `(arena index, dist)` in push order.
+type Run = Vec<(u32, u64)>;
 
 /// Min-priority frontier ordered by `(f, h)`: the smallest `f` first,
 /// then the smallest `h` — the deepest state, since `h = f − g` at
-/// weight 1 — and the last pushed among equal `(f, h)`. A bucket queue
-/// serves small priority ranges and a binary heap the rest; both pop in
-/// this one order. Entries carry the g-value at push time so stale
-/// entries can be recognized without a decrease-key operation.
+/// weight 1 — and the last pushed among equal `(f, h)`. An ordered map
+/// from each queued `f` to its runs serves every cost range: only the
+/// `f` values queued at the moment take memory, however large `g` makes
+/// them. Entries carry the g-value at push time so stale entries can be
+/// recognized without a decrease-key operation.
 ///
 /// The tie-break never changes an optimum: A\* proves one whichever
 /// entry of the minimum `f` it pops. It decides how much of the
 /// `f = OPT` plateau a search settles before it reaches a goal there,
 /// and how deep the incumbent probe dives.
-pub(crate) enum Frontier<K> {
-    Buckets {
-        /// `buckets[f]` holds one run per `h`, in decreasing `h` (the
-        /// deepest run last); no run is empty.
-        buckets: Vec<Vec<(u64, Run<K>)>>,
-        cursor: usize,
-        len: usize,
-    },
-    Heap {
-        heap: BinaryHeap<HeapEntry<K>>,
-        seq: u64,
-    },
+#[derive(Default)]
+pub(crate) struct Frontier {
+    /// Each queued `f` with one run per `h`, in decreasing `h` (the
+    /// deepest run last); no run and no bucket is empty.
+    buckets: BTreeMap<u64, Vec<(u64, Run)>>,
+    len: usize,
 }
 
-impl<K: Copy + Ord> Frontier<K> {
-    /// `max_priority` should upper-bound every `f` value ever pushed
-    /// (e.g. the Lemma 1 trivial upper bound); it only selects the
-    /// representation, never correctness.
-    pub(crate) fn new(max_priority: u64) -> Self {
-        if max_priority <= BUCKET_CAP {
-            Frontier::Buckets {
-                buckets: Vec::new(),
-                cursor: 0,
-                len: 0,
+impl Frontier {
+    /// Queues arena index `key` at distance `dist` with priority `f` and
+    /// admissible bound `h` (`f = dist + h` at weight 1).
+    #[inline]
+    pub(crate) fn push(&mut self, f: u64, h: u64, key: u32, dist: u64) {
+        let runs = self.buckets.entry(f).or_default();
+        let at = match runs.binary_search_by(|&(rh, _)| h.cmp(&rh)) {
+            Ok(at) => at,
+            Err(at) => {
+                runs.insert(at, (h, Vec::new()));
+                at
             }
-        } else {
-            Frontier::Heap {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            }
-        }
-    }
-
-    /// Queues `key` at distance `dist` with priority `f` and admissible
-    /// bound `h` (`f = dist + h` at weight 1).
-    pub(crate) fn push(&mut self, f: u64, h: u64, key: K, dist: u64) {
-        match self {
-            Frontier::Buckets {
-                buckets,
-                cursor,
-                len,
-            } => {
-                let idx = usize::try_from(f).expect("priority fits usize");
-                if idx >= buckets.len() {
-                    buckets.resize_with(idx + 1, Vec::new);
-                }
-                let runs = &mut buckets[idx];
-                let at = match runs.binary_search_by(|&(rh, _)| h.cmp(&rh)) {
-                    Ok(at) => at,
-                    Err(at) => {
-                        runs.insert(at, (h, Vec::new()));
-                        at
-                    }
-                };
-                runs[at].1.push((key, dist));
-                // A consistent heuristic never pushes below the cursor at
-                // weight 1, but the probe's weighted priorities can;
-                // tolerate it so every weight stays correct.
-                *cursor = (*cursor).min(idx);
-                *len += 1;
-            }
-            Frontier::Heap { heap, seq } => {
-                *seq += 1;
-                heap.push((Reverse(f), Reverse(h), *seq, key, dist));
-            }
-        }
+        };
+        runs[at].1.push((key, dist));
+        self.len += 1;
     }
 
     /// Pops the minimum entry as `(f, key, dist)`.
-    pub(crate) fn pop(&mut self) -> Option<(u64, K, u64)> {
-        match self {
-            Frontier::Buckets {
-                buckets,
-                cursor,
-                len,
-            } => {
-                if *len == 0 {
-                    return None;
-                }
-                while buckets[*cursor].is_empty() {
-                    *cursor += 1;
-                }
-                *len -= 1;
-                let runs = &mut buckets[*cursor];
-                let run = &mut runs.last_mut().expect("bucket is non-empty").1;
-                let (k, d) = run.pop().expect("runs are non-empty");
-                if run.is_empty() {
-                    runs.pop();
-                }
-                Some((*cursor as u64, k, d))
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(u64, u32, u64)> {
+        let mut bucket = self.buckets.first_entry()?;
+        let f = *bucket.key();
+        let runs = bucket.get_mut();
+        let run = &mut runs.last_mut().expect("buckets are non-empty").1;
+        let (key, dist) = run.pop().expect("runs are non-empty");
+        if run.is_empty() {
+            runs.pop();
+            if runs.is_empty() {
+                bucket.remove();
             }
-            Frontier::Heap { heap, .. } => heap.pop().map(|(Reverse(f), _, _, k, d)| (f, k, d)),
         }
+        self.len -= 1;
+        Some((f, key, dist))
     }
 
     /// Re-keys every entry at weight 1, `f = dist + h`, keeping those
     /// for which `keep(key, dist, f)` holds, and pushes them back in
     /// their stored order. The pushes of one search use one weight, so
     /// entries that shared an `(f, h)` share the new one and keep their
-    /// LIFO order: both representations still pop alike.
-    pub(crate) fn rekey(&mut self, mut keep: impl FnMut(K, u64, u64) -> bool) {
-        let entries: Vec<(u64, K, u64)> = match self {
-            Frontier::Buckets {
-                buckets,
-                cursor,
-                len,
-            } => {
-                *cursor = 0;
-                *len = 0;
-                std::mem::take(buckets)
-                    .into_iter()
-                    .flatten()
-                    .flat_map(|(h, run)| run.into_iter().map(move |(k, d)| (h, k, d)))
-                    .collect()
-            }
-            Frontier::Heap { heap, .. } => {
-                let mut old = std::mem::take(heap).into_vec();
-                old.sort_unstable_by_key(|&(_, _, seq, _, _)| seq);
-                old.into_iter()
-                    .map(|(_, Reverse(h), _, k, d)| (h, k, d))
-                    .collect()
-            }
-        };
-        for (h, k, d) in entries {
-            let f = d + h;
-            if keep(k, d, f) {
-                self.push(f, h, k, d);
+    /// LIFO order.
+    pub(crate) fn rekey(&mut self, mut keep: impl FnMut(u32, u64, u64) -> bool) {
+        self.len = 0;
+        for (h, run) in std::mem::take(&mut self.buckets).into_values().flatten() {
+            for (key, dist) in run {
+                let f = dist + h;
+                if keep(key, dist, f) {
+                    self.push(f, h, key, dist);
+                }
             }
         }
     }
@@ -819,31 +774,14 @@ impl<K: Copy + Ord> Frontier<K> {
     /// Conservative in the presence of stale entries: may report a
     /// priority whose entry will be discarded on pop, never one larger
     /// than the true minimum.
-    pub(crate) fn peek_priority(&mut self) -> Option<u64> {
-        match self {
-            Frontier::Buckets {
-                buckets,
-                cursor,
-                len,
-            } => {
-                if *len == 0 {
-                    return None;
-                }
-                while buckets[*cursor].is_empty() {
-                    *cursor += 1;
-                }
-                Some(*cursor as u64)
-            }
-            Frontier::Heap { heap, .. } => heap.peek().map(|&(Reverse(f), ..)| f),
-        }
+    pub(crate) fn peek_priority(&self) -> Option<u64> {
+        self.buckets.first_key_value().map(|(&f, _)| f)
     }
 
     /// Current number of queued (possibly stale) entries.
+    #[inline]
     pub(crate) fn len(&self) -> usize {
-        match self {
-            Frontier::Buckets { len, .. } => *len,
-            Frontier::Heap { heap, .. } => heap.len(),
-        }
+        self.len
     }
 }
 
@@ -1012,62 +950,61 @@ mod tests {
         AdmissibleHeuristic::new(&Game::spp(inst), inst.model, 0)
     }
 
-    /// One frontier of each representation.
-    fn both_frontiers() -> [Frontier<u32>; 2] {
-        let buckets = Frontier::new(100);
-        assert!(matches!(buckets, Frontier::Buckets { .. }));
-        let heap = Frontier::new(u64::MAX);
-        assert!(matches!(heap, Frontier::Heap { .. }));
-        [buckets, heap]
-    }
-
-    fn drain(f: &mut Frontier<u32>) -> Vec<u32> {
+    fn drain(f: &mut Frontier) -> Vec<u32> {
         std::iter::from_fn(|| f.pop().map(|(_, k, _)| k)).collect()
     }
 
     #[test]
     fn frontier_pops_smallest_f_then_smallest_h_then_latest() {
-        for mut f in both_frontiers() {
-            // (f, h, key); dist = f - h.
-            for (pf, h, k) in [(5, 2, 50), (3, 1, 31), (3, 2, 32), (3, 1, 33), (3, 0, 30)] {
-                f.push(pf, h, k, pf - h);
-            }
-            f.push(4, 0, 40, 4);
-            f.push(3, 2, 34, 1);
-            assert_eq!(f.peek_priority(), Some(3));
-            assert_eq!(f.pop(), Some((3, 30, 3)));
-            // A deeper entry pushed on the current f jumps the queue.
-            f.push(3, 0, 35, 3);
-            assert_eq!(f.len(), 7);
-            assert_eq!(drain(&mut f), [35, 33, 31, 34, 32, 40, 50]);
-            assert_eq!(f.peek_priority(), None);
+        let mut f = Frontier::default();
+        // (f, h, key); dist = f - h.
+        for (pf, h, k) in [(5, 2, 50), (3, 1, 31), (3, 2, 32), (3, 1, 33), (3, 0, 30)] {
+            f.push(pf, h, k, pf - h);
         }
+        f.push(4, 0, 40, 4);
+        f.push(3, 2, 34, 1);
+        assert_eq!(f.peek_priority(), Some(3));
+        assert_eq!(f.pop(), Some((3, 30, 3)));
+        // A deeper entry pushed on the current f jumps the queue.
+        f.push(3, 0, 35, 3);
+        assert_eq!(f.len(), 7);
+        assert_eq!(drain(&mut f), [35, 33, 31, 34, 32, 40, 50]);
+        assert_eq!(f.peek_priority(), None);
+        assert_eq!(f.len(), 0);
     }
 
+    /// Priorities far beyond any bucket vector's reach (a huge `g`) cost
+    /// no more than small ones.
     #[test]
-    fn frontier_heap_fallback_orders_by_priority() {
-        let [_, mut f] = both_frontiers();
+    fn frontier_orders_huge_priorities() {
+        let mut f = Frontier::default();
         f.push(1 << 40, 0, 2, 1 << 40);
+        f.push(u64::MAX, 1, 4, u64::MAX - 1);
         f.push(3, 0, 1, 3);
+        f.push(1 << 40, 5, 3, (1 << 40) - 5);
         assert_eq!(f.peek_priority(), Some(3));
         assert_eq!(f.pop(), Some((3, 1, 3)));
         assert_eq!(f.pop(), Some((1 << 40, 2, 1 << 40)));
+        assert_eq!(f.pop(), Some((1 << 40, 3, (1 << 40) - 5)));
+        assert_eq!(f.pop(), Some((u64::MAX, 4, u64::MAX - 1)));
         assert_eq!(f.pop(), None);
     }
 
     #[test]
-    fn frontier_tolerates_push_below_cursor() {
-        for mut f in both_frontiers() {
-            f.push(5, 0, 50, 5);
-            assert_eq!(f.pop(), Some((5, 50, 5)));
-            f.push(2, 0, 20, 2);
-            assert_eq!(f.pop(), Some((2, 20, 2)));
-        }
+    fn frontier_tolerates_push_below_the_minimum() {
+        let mut f = Frontier::default();
+        f.push(5, 0, 50, 5);
+        f.push(7, 0, 70, 7);
+        assert_eq!(f.pop(), Some((5, 50, 5)));
+        f.push(2, 0, 20, 2);
+        assert_eq!(f.peek_priority(), Some(2));
+        assert_eq!(f.pop(), Some((2, 20, 2)));
+        assert_eq!(f.pop(), Some((7, 70, 7)));
     }
 
     /// Entries pushed at weight 3/2 and re-keyed at weight 1 pop exactly
     /// as if the kept ones had been pushed at weight 1 in their original
-    /// order, in both representations.
+    /// order.
     #[test]
     fn frontier_rekey_keeps_the_stored_order() {
         let mut rng = rbp_util::Rng::new(7);
@@ -1076,25 +1013,22 @@ mod tests {
             .map(|k| (k, rng.range_u64(0, 12), rng.range_u64(0, 9)))
             .collect();
         let keep = |k: u32, f: u64| k % 7 != 3 && f < 16;
-        let mut orders = Vec::new();
-        for (mut f, mut reference) in both_frontiers().into_iter().zip(both_frontiers()) {
-            for &(k, d, h) in &entries {
-                f.push(d + h * 3 / 2, h, k, d);
-            }
-            // Pop some first, as the probe does before the switch.
-            let popped: Vec<u32> = (0..20).map(|_| f.pop().expect("queued").1).collect();
-            f.rekey(|k, _, pf| keep(k, pf));
-            for &(k, d, h) in &entries {
-                if !popped.contains(&k) && keep(k, d + h) {
-                    reference.push(d + h, h, k, d);
-                }
-            }
-            let order = drain(&mut f);
-            assert_eq!(order, drain(&mut reference));
-            orders.push(order);
+        let (mut f, mut reference) = (Frontier::default(), Frontier::default());
+        for &(k, d, h) in &entries {
+            f.push(d + h * 3 / 2, h, k, d);
         }
-        assert_eq!(orders[0], orders[1], "representations agree");
-        assert!(orders[0].len() > 100);
+        // Pop some first, as the probe does before the switch.
+        let popped: Vec<u32> = (0..20).map(|_| f.pop().expect("queued").1).collect();
+        f.rekey(|k, _, pf| keep(k, pf));
+        for &(k, d, h) in &entries {
+            if !popped.contains(&k) && keep(k, d + h) {
+                reference.push(d + h, h, k, d);
+            }
+        }
+        assert_eq!(f.len(), reference.len());
+        let order = drain(&mut f);
+        assert_eq!(order, drain(&mut reference));
+        assert!(order.len() > 100);
     }
 
     #[test]

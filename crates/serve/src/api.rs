@@ -9,7 +9,9 @@
 //! the response envelope. `docs/SCHEMAS.md` documents every body shape.
 
 use rbp_core::rbp_dag::{generators, io, Dag};
-use rbp_core::{CostModel, GameMode, MppInstance, MppRunStats, SearchConfig, SolveLimits};
+use rbp_core::{
+    CostModel, GameMode, MppInstance, MppRunStats, SearchConfig, SolveLimits, StopReason,
+};
 use rbp_hier::{all_hier_schedulers, HierInstance};
 use rbp_refine::{race, PortfolioConfig};
 use rbp_schedulers::all_schedulers;
@@ -343,20 +345,22 @@ impl Work {
                 let config = SearchConfig::default()
                     .with_limits(SolveLimits::states(*max_states))
                     .with_threads(*threads);
-                let budget_err = |reason: &str| {
+                let budget_err = |reason: StopReason| {
+                    let why = if reason == StopReason::Unsupported {
+                        "does not support this instance (too large for its packed keys, \
+                         or its costs overflow its u64 sums within the state budget)"
+                            .to_string()
+                    } else {
+                        format!("exhausted its budget of {max_states} states")
+                    };
                     ApiError::new(
                         422,
-                        format!(
-                            "exact solver exhausted its budget of {max_states} states \
-                             (reason: {reason})"
-                        ),
+                        format!("exact solver {why} (reason: {})", reason.as_str()),
                     )
                 };
                 if let Some(hinst) = HierInstance::from_mode(&inst, *mode) {
                     let out = rbp_hier::solve_hier_with(&hinst, &config);
-                    let sol = out
-                        .solution
-                        .ok_or_else(|| budget_err(out.reason.as_str()))?;
+                    let sol = out.solution.ok_or_else(|| budget_err(out.reason))?;
                     return Ok(Json::obj([
                         ("endpoint", Json::from("solve")),
                         ("mode", Json::from(mode.token())),
@@ -374,9 +378,7 @@ impl Work {
                     ]));
                 }
                 let out = rbp_core::solve_mpp_with(&inst, &config);
-                let sol = out
-                    .solution
-                    .ok_or_else(|| budget_err(out.reason.as_str()))?;
+                let sol = out.solution.ok_or_else(|| budget_err(out.reason))?;
                 Ok(Json::obj([
                     ("endpoint", Json::from("solve")),
                     ("mode", Json::from(mode.token())),

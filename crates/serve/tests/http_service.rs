@@ -90,6 +90,27 @@ fn validation_errors_map_to_http_statuses() {
     server.shutdown();
 }
 
+/// A cost whose sums would overflow the search's `u64` arithmetic is
+/// refused with a 422 before any search runs, and the server keeps
+/// answering.
+#[test]
+fn hostile_cost_is_refused_and_the_server_keeps_answering() {
+    let server = small_server();
+    let body = format!(
+        r#"{{"generator":{{"family":"grid","params":[3,3]}},"k":2,"r":3,"g":{}}}"#,
+        i64::MAX
+    );
+    let started = Instant::now();
+    let refused = post(&server, "/v1/solve", &body);
+    assert_eq!(refused.status, 422, "{}", refused.body);
+    assert!(refused.body.contains("unsupported"), "{}", refused.body);
+    assert!(started.elapsed() < TIMEOUT, "refused promptly");
+    let ok = get(&server, "/v1/healthz");
+    assert_eq!(ok.status, 200);
+    assert!(ok.body.contains("\"status\":\"ok\""), "{}", ok.body);
+    server.shutdown();
+}
+
 #[test]
 fn schedule_bounds_generate_endpoints_respond() {
     let server = small_server();

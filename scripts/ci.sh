@@ -71,18 +71,34 @@ trap 'rm -rf "$refine_dir"' EXIT
 trap - EXIT
 rm -rf "$refine_dir"
 
-echo "== parallel solver smoke (--threads 2 and 4, same optimum) =="
-seq_opt=$(./target/release/rbp solve tests/fixtures/chains_2x4.dag 2 3 2 \
+echo "== parallel solver smoke (--threads 2 and 4, same optimum, shards exchange work) =="
+# grid_3x3 (k=2, r=3, g=2): the incumbent probe's schedule does not meet
+# the root's bound here, so the sharded engine runs (a solve whose probe
+# meets it returns at 1 thread). The CLI must report the thread count
+# asked for, and the trace must show successors crossing shards
+# (solver.mpp.cross_sends > 0), or the smoke exercised no sharding.
+seq_opt=$(./target/release/rbp solve tests/fixtures/grid_3x3.dag 2 3 2 \
     | sed -n 's/^OPT = \([0-9]*\).*/\1/p')
 [ -n "$seq_opt" ] || { echo "parallel smoke failed: no sequential OPT"; exit 1; }
+par_trace=$(mktemp)
+trap 'rm -f "$par_trace"' EXIT
 for threads in 2 4; do
-    par_opt=$(./target/release/rbp solve tests/fixtures/chains_2x4.dag 2 3 2 \
-        --threads "$threads" \
-        | sed -n 's/^OPT = \([0-9]*\).*/\1/p')
+    par_out=$(RBP_TRACE="$par_trace" ./target/release/rbp solve tests/fixtures/grid_3x3.dag 2 3 2 \
+        --threads "$threads")
+    par_line=$(echo "$par_out" | sed -n 1p)
+    par_opt=$(echo "$par_line" | sed -n 's/^OPT = \([0-9]*\).*/\1/p')
     [ "$seq_opt" = "$par_opt" ] \
         || { echo "parallel smoke failed: sequential=$seq_opt threads$threads=$par_opt"; exit 1; }
+    echo "$par_line" | grep -q " $threads threads)$" \
+        || { echo "parallel smoke failed: asked for $threads threads, got: $par_line"; exit 1; }
+    cross_sends=$(./target/release/rbp report "$par_trace" \
+        | sed -n 's/^| solver\.mpp\.cross_sends | \([0-9]*\) |$/\1/p')
+    [ -n "$cross_sends" ] && [ "$cross_sends" -gt 0 ] \
+        || { echo "parallel smoke failed: threads$threads cross_sends='$cross_sends', expected > 0"; exit 1; }
 done
-echo "parallel smoke: OPT=$seq_opt at 1, 2 and 4 threads"
+trap - EXIT
+rm -f "$par_trace"
+echo "parallel smoke: OPT=$seq_opt at 1, 2 and 4 threads, successors crossed shards"
 
 echo "== hier smoke (three-level solve on the separation gadget) =="
 hier_dag=$(mktemp)

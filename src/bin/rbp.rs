@@ -613,9 +613,9 @@ fn solve_failure(reason: &StopReason, config: &SearchConfig) -> String {
             config.limits.max_states
         ),
         StopReason::Deadline => "exact solve hit its --deadline-ms wall-clock budget".to_string(),
-        StopReason::Unsupported => {
-            "exact solve failed (instance too large or infeasible)".to_string()
-        }
+        StopReason::Unsupported => "exact solve failed (instance too large or infeasible, \
+             or its costs overflow the search's u64 sums within the state budget)"
+            .to_string(),
         other => format!("exact solve failed ({})", other.as_str()),
     }
 }

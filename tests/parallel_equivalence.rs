@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 
 use rbp::core::rbp_dag::generators;
 use rbp::core::{
-    solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SolveLimits, SppInstance,
-    SppVariant, StopReason,
+    solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SearchStats, SolveLimits,
+    SppInstance, SppVariant, StopReason,
 };
 use rbp::gadgets::HierSkip;
 use rbp::hier::{solve_hier_with, HierInstance};
@@ -30,16 +30,31 @@ fn sequential_cfg() -> SearchConfig {
     SearchConfig::default().with_limits(SolveLimits::states(400_000))
 }
 
+/// Whether the incumbent probe's schedule met the root's admissible
+/// bound in a sequential solve with this outcome: then it is optimal,
+/// and every engine returns it without starting a shard. It did exactly
+/// when the optimum is `h_root` and the exact search settled nothing
+/// after the probe: every `f` is at least `h_root`, so nothing is left
+/// below such a schedule, and a cheaper goal found after the probe's
+/// would have needed an expansion. (The probe finds its schedule within
+/// its budget on these small instances.)
+fn probe_met_h_root(stats: &SearchStats, total: u64) -> bool {
+    total == stats.h_root && stats.settled == stats.probe_settled
+}
+
 /// 60 random MPP instances × thread counts {2, 4, 8}: the parallel
 /// engine proves the sequential optimum, its witness validates, it
-/// reports one shard row per worker, and its settled count is the
-/// incumbent probe's plus the shards'. Each instance is also solved as
-/// a three-level game (green cap 1, green cost 1), whose sharded
-/// optimum must match its own sequential one.
+/// reports one shard row per worker — or one thread and none when the
+/// probe's schedule met the root's bound — and its settled count is
+/// the incumbent probe's plus the shards'. Each instance is also solved
+/// as a three-level game (green cap 1, green cost 1), whose sharded
+/// optimum must match its own sequential one. At least 40 cases of each
+/// game run the shards.
 #[test]
 fn mpp_parallel_matches_sequential_on_random_dags() {
     let seq_cfg = sequential_cfg();
     let mut rng = Rng::new(0x9a11e1);
+    let (mut sharded, mut hier_sharded) = (0u32, 0u32);
     for case in 0..60u64 {
         let n = 4 + rng.index(4); // 4..=7 nodes
         let p = 0.15 + rng.f64() * 0.45;
@@ -55,9 +70,16 @@ fn mpp_parallel_matches_sequential_on_random_dags() {
             .solution
             .unwrap_or_else(|| panic!("{ctx}: sequential budget"));
         let hinst = HierInstance::from_mpp(&inst, 1, 1);
-        let hs = solve_hier_with(&hinst, &seq_cfg)
+        let hseq = solve_hier_with(&hinst, &seq_cfg);
+        let hs = hseq
             .solution
             .unwrap_or_else(|| panic!("{ctx}: sequential three-level budget"));
+        let shards = !probe_met_h_root(&seq.stats, s.total);
+        let hier_shards = !probe_met_h_root(&hseq.stats, hs.total);
+        sharded += u32::from(shards);
+        hier_sharded += u32::from(hier_shards);
+        // One shard row per worker when the shards run, none otherwise.
+        let rows = |run: bool, threads: usize| if run { threads } else { 0 };
         for threads in THREAD_COUNTS {
             let par = solve_mpp_with(&inst, &seq_cfg.with_threads(threads));
             let p = par
@@ -71,10 +93,15 @@ fn mpp_parallel_matches_sequential_on_random_dags() {
                 .unwrap_or_else(|e| panic!("{ctx}: t={threads} witness invalid: {e}"));
             assert_eq!(cost.total(inst.model), p.total, "{ctx}: witness cost");
             assert_eq!(
-                par.stats.threads, threads as u64,
-                "{ctx}: reported thread count"
+                par.stats.threads,
+                rows(shards, threads).max(1) as u64,
+                "{ctx}: t={threads} reported thread count"
             );
-            assert_eq!(par.shards.len(), threads, "{ctx}: shard row count");
+            assert_eq!(
+                par.shards.len(),
+                rows(shards, threads),
+                "{ctx}: t={threads} shard row count"
+            );
             let shard_settled: u64 = par.shards.iter().map(|s| s.settled).sum();
             assert_eq!(
                 par.stats.probe_settled + shard_settled,
@@ -99,8 +126,24 @@ fn mpp_parallel_matches_sequential_on_random_dags() {
                 hp.total,
                 "{ctx}: three-level witness cost"
             );
+            assert_eq!(
+                (hpar.stats.threads, hpar.shards.len()),
+                (
+                    rows(hier_shards, threads).max(1) as u64,
+                    rows(hier_shards, threads)
+                ),
+                "{ctx}: t={threads} three-level thread count and shard rows"
+            );
         }
     }
+    assert!(
+        sharded >= 40,
+        "only {sharded} of 60 MPP cases ran the shards"
+    );
+    assert!(
+        hier_sharded >= 40,
+        "only {hier_sharded} of 60 three-level cases ran the shards"
+    );
 }
 
 /// 40 random SPP instances across the §3.1 variant zoo × thread counts

@@ -16,8 +16,8 @@
 
 use rbp::core::rbp_dag::{generators, io, Dag};
 use rbp::core::{
-    solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SppInstance, SppVariant,
-    StopReason,
+    solve_mpp_with, solve_spp_with, CostModel, MppInstance, SearchConfig, SolveLimits, SppInstance,
+    SppVariant, StopReason,
 };
 use rbp::gadgets::HierSkip;
 use rbp::hier::{solve_hier_with, HierInstance};
@@ -124,9 +124,13 @@ struct GameRow {
     ub_pruned: u64,
 }
 
+fn grid_3x3() -> Dag {
+    io::parse(include_str!("fixtures/grid_3x3.dag")).expect("fixture parses")
+}
+
 #[rustfmt::skip]
 fn game_rows() -> Vec<GameRow> {
-    let fixture = io::parse(include_str!("fixtures/grid_3x3.dag")).expect("fixture parses");
+    let fixture = grid_3x3();
     let row = |name, dag, green, opt, settled, probe_settled, pushed, ub_pruned| GameRow {
         name,
         dag,
@@ -140,8 +144,10 @@ fn game_rows() -> Vec<GameRow> {
         pushed,
         ub_pruned,
     };
-    // The incumbent probe finds a schedule on every row, and its bound
-    // prunes.
+    // At g = 2 the incumbent probe finds a schedule on every row, and
+    // its bound prunes. At g = 10^6 it finds none within its budget, and
+    // the queued priorities reach two million: the row pins the frontier
+    // on a wide cost range.
     vec![
         // 20,001 + 27,375 = 47,376 expansions before (no schedule found).
         row("grid_3x3.dag k2 r3 g2", fixture, None, 11, 23_413, 16_528, 64_315, 40_056),
@@ -149,6 +155,7 @@ fn game_rows() -> Vec<GameRow> {
         row("fft 2 k2 r3 g2", generators::fft(2), None, 12, 41_536, 5_153, 49_606, 214_196),
         // 20,001 + 36,455 = 56,456 (no schedule found).
         row("hier_skip 4 k2 r3 g2 cap2 cost1", HierSkip::build(4).dag, Some((2, 1)), 9, 26_982, 12_512, 171_483, 142_561),
+        GameRow { g: 1_000_000, ..row("grid_3x3.dag k2 r3 g1e6", grid_3x3(), None, 2_000_007, 60_841, 20_000, 192_322, 0) },
     ]
 }
 
@@ -238,4 +245,33 @@ fn zero_heuristic_runs_repeat_no_probe_expansion() {
         switched_mid_search |= (1..with.stats.settled).contains(&with.stats.probe_settled);
     }
     assert!(switched_mid_search, "some instance switches mid-search");
+}
+
+/// Costs whose sums could overflow a `u64` within the state budget are
+/// refused up front as `Unsupported`, at any thread count, rather than
+/// wrapping: a wrapped distance once closed a parent cycle that witness
+/// reconstruction followed without end. At `g = 2^63 − 1` the optimum
+/// `2g + 7` itself overflows; at `g = (2^64 − 1) / 3` it fits, but sums
+/// the search forms on the way do not.
+#[test]
+fn costs_past_the_u64_range_are_unsupported() {
+    let dag = grid_3x3();
+    for g in [i64::MAX as u64, u64::MAX / 3] {
+        for threads in [1, 2] {
+            let config = SearchConfig::default()
+                .with_limits(SolveLimits::states(20_000))
+                .with_threads(threads);
+            let out = solve_mpp_with(&MppInstance::new(&dag, 2, 3, g), &config);
+            assert!(out.solution.is_none(), "g={g} threads={threads}");
+            assert_eq!(
+                out.reason,
+                StopReason::Unsupported,
+                "g={g} threads={threads}"
+            );
+            assert_eq!(
+                out.stats.settled, 0,
+                "g={g} threads={threads}: nothing searched"
+            );
+        }
+    }
 }
