@@ -6,7 +6,9 @@
 //! admissible A\*), checking the optima agree, and reports per-instance
 //! wall time, settled-state counts, packed-arena memory (peak bytes and
 //! bytes per interned state) and aggregate speedups. The instances run
-//! one at a time, so no other solve competes for the cores.
+//! one at a time, so no other solve competes for the cores, and each
+//! wall is the median of [`ROUNDS`] rounds of a baseline solve followed
+//! by an optimized one.
 //!
 //! A `--threads ∈ {2, 4}` sweep of the hash-sharded engine follows,
 //! one solve at a time as well. Each round runs a fresh `t = 1` solve
@@ -19,8 +21,9 @@
 //! scheduling overhead. The host's `hardware_threads` is recorded with
 //! a `sweep_valid` flag, and `rbp report` calls a skipped sweep out.
 //!
-//! Results land in `BENCH_solver.json` for commit-to-commit comparison;
-//! the EXPERIMENTS E16 and E19 tables are regenerated from this run.
+//! Results land in `BENCH_solver.json` for commit-to-commit comparison,
+//! headed by the checkout's `git_rev` and the `RBP_SEED` seed; the
+//! EXPERIMENTS E16 and E19 tables are regenerated from this run.
 //!
 //! Usage: `exp_solver [--quick]` (`--quick` trims the grid for CI).
 
@@ -42,8 +45,8 @@ struct Case {
 
 /// Thread counts of the sharded-engine sweep.
 const SWEEP_THREADS: [usize; 2] = [2, 4];
-/// Interleaved `t = 1` / `t ≥ 2` rounds per sweep point (odd, so the
-/// median is one run).
+/// Interleaved rounds per E16 row (baseline, then optimized) and per
+/// sweep point (`t = 1`, then `t ≥ 2`); odd, so the median is one run.
 const ROUNDS: usize = 3;
 
 /// The sharded engine at one thread count: median walls of [`ROUNDS`]
@@ -118,10 +121,27 @@ fn timed<T>(f: impl FnOnce() -> T) -> (u64, T) {
     )
 }
 
+/// The middle one of an odd number of walls.
+fn median(mut walls: Vec<u64>) -> u64 {
+    walls.sort_unstable();
+    walls[walls.len() / 2]
+}
+
+/// One E16 row: [`ROUNDS`] rounds of a baseline solve followed by an
+/// optimized one, their median walls, and the last round's counters
+/// (the sequential search's are the same every round).
 fn run_case(case: &Case) -> Outcome {
     let inst = MppInstance::new(&case.dag, case.k, case.r, case.g);
-    let (base_ns, base) = timed(|| solve_mpp_with(&inst, &SearchConfig::baseline()));
-    let (opt_ns, opt) = timed(|| solve_mpp_with(&inst, &SearchConfig::default()));
+    let (mut base_walls, mut opt_walls) = (Vec::new(), Vec::new());
+    let mut last = None;
+    for _ in 0..ROUNDS {
+        let (base_ns, base) = timed(|| solve_mpp_with(&inst, &SearchConfig::baseline()));
+        let (opt_ns, opt) = timed(|| solve_mpp_with(&inst, &SearchConfig::default()));
+        base_walls.push(base_ns);
+        opt_walls.push(opt_ns);
+        last = Some((base, opt));
+    }
+    let (base, opt) = last.expect("at least one round");
 
     let b = base.solution.expect("baseline solved");
     let o = opt.solution.expect("optimized solved");
@@ -139,9 +159,9 @@ fn run_case(case: &Case) -> Outcome {
         n: case.dag.n(),
         k: case.k,
         total: o.total,
-        base_ns,
+        base_ns: median(base_walls),
         base_stats: base.stats,
-        opt_ns,
+        opt_ns: median(opt_walls),
         opt_stats: opt.stats,
     }
 }
@@ -152,10 +172,6 @@ fn run_case(case: &Case) -> Outcome {
 fn sweep_case(case: &Case, total: u64) -> Vec<SweepPoint> {
     let inst = MppInstance::new(&case.dag, case.k, case.r, case.g);
     let cfg = SearchConfig::default();
-    let median = |mut walls: Vec<u64>| {
-        walls.sort_unstable();
-        walls[walls.len() / 2]
-    };
     SWEEP_THREADS
         .into_iter()
         .map(|threads| {
@@ -361,6 +377,11 @@ fn main() {
     };
     let json = Json::obj(vec![
         ("suite", Json::from("solver")),
+        (
+            "git_rev",
+            rbp_trace::git_rev().map_or(Json::Null, Json::from),
+        ),
+        ("seed", Json::from(env_seed(0))),
         ("quick", Json::from(quick)),
         ("hardware_threads", Json::from(hardware_threads)),
         ("sweep_valid", Json::from(sweep_valid)),

@@ -132,6 +132,22 @@ pub fn unpack_fields(words: &[u64], bits: usize, fields: &mut [u64]) {
     }
 }
 
+/// Asks the processor to start loading the cache line that holds `*p`,
+/// so a later read of it need not wait for memory. A no-op off x86-64.
+#[inline(always)]
+fn prefetch<T>(p: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a cache hint. It reads and writes no
+    // program-visible memory and cannot fault, and `p` is a live
+    // reference in any case.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(p).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Interning arena: packed key words + metadata + index table.
 #[derive(Debug)]
 pub(crate) struct StateArena {
@@ -188,6 +204,31 @@ impl StateArena {
             + self.table.capacity() * 4) as u64
     }
 
+    /// The table slot a lookup of `hash` probes first.
+    #[inline]
+    fn first_slot(&self, hash: u64) -> usize {
+        hash as usize & self.mask
+    }
+
+    /// Asks the processor to fetch the table slot a lookup of `hash`
+    /// probes first.
+    #[inline]
+    pub fn prefetch_slot(&self, hash: u64) {
+        prefetch(&self.table[self.first_slot(hash)]);
+    }
+
+    /// Asks the processor to fetch the key words and metadata of the
+    /// state in the slot a lookup of `hash` probes first, if it holds
+    /// one: the entry [`StateArena::relax`] compares against first.
+    #[inline]
+    pub fn prefetch_entry(&self, hash: u64) {
+        let e = self.table[self.first_slot(hash)];
+        if e != EMPTY {
+            prefetch(&self.words[e as usize * self.kw]);
+            prefetch(&self.meta[e as usize]);
+        }
+    }
+
     /// Interns `key` (hash precomputed via [`hash_words`]) if new, and
     /// updates its metadata when `dist` improves the stored distance.
     /// Returns the arena index and whether the state's distance was
@@ -202,7 +243,7 @@ impl StateArena {
         mv: PackedMove,
     ) -> (u32, bool) {
         debug_assert_eq!(key.len(), self.kw);
-        let mut slot = hash as usize & self.mask;
+        let mut slot = self.first_slot(hash);
         loop {
             let e = self.table[slot];
             if e == EMPTY {
@@ -289,6 +330,27 @@ mod tests {
             }
             assert!(seen.iter().all(|&b| b), "{shards} shards all hit");
         }
+    }
+
+    #[test]
+    fn prefetches_stay_in_bounds() {
+        let probe = |a: &StateArena| {
+            let keys = (0..4096u64).map(|i| hash_words(&[i, !i]));
+            for h in [0, 1, 1023, 1024, u64::MAX].into_iter().chain(keys) {
+                assert!(a.first_slot(h) < a.table.len());
+                a.prefetch_slot(h);
+                a.prefetch_entry(h);
+            }
+        };
+        let mut a = StateArena::new(2);
+        assert_eq!(a.table.len(), 1024);
+        probe(&a);
+        // The 512th state doubles the table.
+        for i in 0..512u64 {
+            a.relax(&[i, !i], hash_words(&[i, !i]), i, 0, 0);
+        }
+        assert_eq!(a.table.len(), 2048);
+        probe(&a);
     }
 
     #[test]

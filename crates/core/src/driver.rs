@@ -10,7 +10,8 @@
 //!
 //! Both engines run the same per-shard search state, [`Search`]: an
 //! arena and a frontier, the counters and the driver's phase timers, a
-//! pop that skips stale entries, and the one relax-then-push step.
+//! pop that skips stale entries, and the one batched relax step that
+//! every successor goes through — generated or received over a ring.
 //!
 //! `threads = 1` runs [`sequential`]: one A\* loop in two phases over
 //! one [`Search`]. The loop first runs as the incumbent probe, weighted
@@ -64,15 +65,9 @@ use crate::search::{
 };
 use crate::spsc::Spsc;
 
-/// Lazily evaluated admissible bound for an emitted successor — the
-/// value [`Domain::heuristic`] would return for it, computed only if the
-/// driver calls the thunk. `None` marks the state provably dead. See
-/// [`Domain::expand`].
-pub type HeurThunk<'a> = &'a mut dyn FnMut() -> Option<u64>;
-
 /// Successor sink passed to [`Domain::expand`]: receives
-/// `(key, edge_cost, move, heuristic_thunk)` per canonical successor.
-pub type EmitFn<'a, K> = &'a mut dyn FnMut(K, u64, PackedMove, HeurThunk<'_>);
+/// `(key, edge_cost, move)` per canonical successor.
+pub type EmitFn<'a, K> = &'a mut dyn FnMut(K, u64, PackedMove);
 
 /// A solver-specific description of an implicit shortest-path space.
 ///
@@ -98,21 +93,14 @@ pub trait Domain: Sync {
     /// Admissible lower bound on remaining cost; `None` marks the state
     /// provably dead (never enqueued). Must return `Some(0)`-style
     /// constants when the heuristic is disabled in config so baselines
-    /// stay comparable. The drivers call this for the root and for
-    /// states arriving over cross-shard channels; locally generated
-    /// successors carry a [`HeurThunk`] for the same bound instead.
+    /// stay comparable. The drivers call this for the root, for each
+    /// successor whose distance a relaxation created or improved, and —
+    /// once an incumbent exists — for every emitted successor before it
+    /// is interned, to prune it.
     fn heuristic(&self, key: &Self::Key) -> Option<u64>;
-    /// Emits every canonical successor as `(key, edge_cost, move,
-    /// heuristic_thunk)`. The last component evaluates the successor's
-    /// own admissible bound on demand — `None` for provably dead
-    /// successors (interned but never enqueued), `Some(0)` when the
-    /// heuristic is disabled. The drivers invoke it only when the relax
-    /// actually improved a locally owned distance, or before interning
-    /// when an incumbent may prune the successor: most emitted
-    /// successors are duplicates (or ship to a foreign shard, which
-    /// evaluates on arrival), and their bound is never needed. Phase
-    /// counters accumulate into `prof`, which the drivers combine with
-    /// their own once per shard.
+    /// Emits every canonical successor as `(key, edge_cost, move)`.
+    /// Phase counters accumulate into `prof`, which the drivers combine
+    /// with their own once per shard.
     fn expand(&self, key: &Self::Key, prof: &mut PhaseProf, emit: EmitFn<'_, Self::Key>);
 }
 
@@ -197,6 +185,25 @@ const EMPTY_SUCC: Succ = Succ {
     mv: 0,
 };
 
+/// A successor as [`Domain::expand`] emitted it: its key, its tentative
+/// distance and its move, plus its bound once the exact search has
+/// evaluated it eagerly (see [`Search::prune`]).
+struct Emitted<K> {
+    key: K,
+    dist: u64,
+    mv: PackedMove,
+    h: Option<u64>,
+}
+
+/// A successor waiting in a [`Search`]'s batch: packed, hashed, and
+/// with its bound if that is already known. The batch keeps the hash,
+/// never a table slot: an insert can grow the table mid-batch.
+struct Pending {
+    succ: Succ,
+    hash: u64,
+    h: Option<u64>,
+}
+
 /// One shard's search: its arena and frontier, its counters and the
 /// driver's phase timers. The sequential loop runs one; the sharded
 /// engine runs one per worker.
@@ -210,6 +217,11 @@ struct Search {
     /// The driver's timers and counters. The domain accumulates into a
     /// profile of its own, which [`PhaseProf::finish`] adds in.
     prof: PhaseProf,
+    /// Successors staged for [`Search::relax_batch`], in order.
+    batch: Vec<Pending>,
+    /// The batch positions whose relaxation created or improved a
+    /// distance, with their arena indices, in order.
+    improved: Vec<(usize, u32)>,
 }
 
 impl Search {
@@ -220,15 +232,20 @@ impl Search {
             frontier: Frontier::default(),
             stats: SearchStats::default(),
             prof: PhaseProf::default(),
+            batch: Vec::new(),
+            improved: Vec::new(),
         }
     }
 
     /// Interns the root, packed in `root` with itself as parent (index
-    /// 0 of this shard), and queues it at priority `f`.
-    fn seed(&mut self, root: &Succ, f: u64, h: u64) {
-        let hash = hash_words(&root.words[..self.kw]);
-        let created = self.relax(root, hash, None, || Some((f, h)));
-        debug_assert!(created && self.arena.len() == 1, "root interns at index 0");
+    /// 0 of this shard), and queues it with bound `h`.
+    fn seed<D: Domain>(&mut self, domain: &D, root: &Succ, h: u64, probing: bool) {
+        self.stage(*root, hash_words(&root.words[..self.kw]), Some(h));
+        let created = self.relax_batch(domain, probing, u64::MAX);
+        debug_assert!(
+            created == 1 && self.arena.len() == 1,
+            "root interns at index 0"
+        );
     }
 
     /// Pops the best live entry as `(f, arena index, dist)`, skipping
@@ -243,54 +260,116 @@ impl Search {
         }
     }
 
-    /// The one relax-then-push step, for generated and received
-    /// successors alike: relaxes `succ`, whose key hashes to `hash`, and
-    /// when that creates or improves its distance queues it at the
-    /// `(f, h)` that `entry` evaluates — only then, since most
-    /// successors are duplicates — unless `entry` finds it dead or cut
-    /// off. `t0` is the hash-intern timer, started before the caller
-    /// packed or hashed the key. Returns whether the distance improved.
-    #[inline]
-    fn relax(
-        &mut self,
-        succ: &Succ,
-        hash: u64,
-        t0: Option<Instant>,
-        entry: impl FnOnce() -> Option<(u64, u64)>,
-    ) -> bool {
-        let words = &succ.words[..self.kw];
-        let (idx, improved) = self
-            .arena
-            .relax(words, hash, succ.dist, succ.parent, succ.mv);
-        self.prof.stop(Phase::HashIntern, t0);
-        if improved {
-            if let Some((f, h)) = entry() {
-                let t0 = self.prof.start();
-                self.frontier.push(f, h, idx, succ.dist);
-                self.stats.pushed += 1;
-                self.stats.frontier_peak = self.stats.frontier_peak.max(self.frontier.len() as u64);
-                self.prof.stop(Phase::Queue, t0);
-            }
-        }
-        improved
-    }
-
-    /// Expands `key`, handing each successor with this state to `succ`;
-    /// times the expansion and counts the successors. `dprof` is the
-    /// domain's profile.
+    /// Expands `key`, at distance `dist`, into `out`: each successor with
+    /// its own distance and move, in emission order. Starts the chain of
+    /// phase laps that times this expansion's passes, and counts the
+    /// successors. `dprof` is the domain's profile.
     fn expand<D: Domain>(
         &mut self,
         domain: &D,
         key: &D::Key,
+        dist: u64,
         dprof: &mut PhaseProf,
-        mut succ: impl FnMut(&mut Self, D::Key, u64, PackedMove, HeurThunk<'_>),
+        out: &mut Vec<Emitted<D::Key>>,
     ) {
-        let t0 = self.prof.start();
-        domain.expand(key, dprof, &mut |k2, c, mv, hv| {
-            self.prof.stats.emitted += 1;
-            succ(self, k2, c, mv, hv);
+        out.clear();
+        self.prof.begin();
+        domain.expand(key, dprof, &mut |key, c, mv| {
+            out.push(Emitted {
+                key,
+                dist: dist + c,
+                mv,
+                h: None,
+            });
         });
-        self.prof.stop(Phase::Expand, t0);
+        self.prof.lap(Phase::Expand);
+        self.prof.stats.emitted += out.len() as u64;
+    }
+
+    /// Evaluates the bound of every successor in `emitted` and keeps
+    /// only those whose `dist + h` can beat the incumbent's cost `ub`:
+    /// the others, and dead ones, are discarded before they pay for
+    /// hashing and interning, the dominant cost.
+    fn prune<D: Domain>(&mut self, domain: &D, emitted: &mut Vec<Emitted<D::Key>>, ub: u64) {
+        let all = emitted.len();
+        emitted.retain_mut(|e| {
+            e.h = domain.heuristic(&e.key).filter(|&h| e.dist + h < ub);
+            e.h.is_some()
+        });
+        self.prof.stats.heur_full_evals += all as u64;
+        self.prof.stats.ub_pruned += (all - emitted.len()) as u64;
+        self.prof.lap(Phase::Heuristic);
+    }
+
+    /// Adds `succ`, whose key hashes to `hash`, to the batch with its
+    /// bound `h` if known, and prefetches the table slot its lookup
+    /// probes first.
+    #[inline]
+    fn stage(&mut self, succ: Succ, hash: u64, h: Option<u64>) {
+        self.arena.prefetch_slot(hash);
+        self.batch.push(Pending { succ, hash, h });
+    }
+
+    /// The one relax step, for generated and received successors alike:
+    /// relaxes the batch in staging order and queues each successor
+    /// whose distance that creates or improves at `f = dist + h` (`h·3/2`
+    /// while `probing`) if `f < cap` and it is not dead. The bound is
+    /// evaluated only then, unless already known: most successors are
+    /// duplicates. Returns how many distances improved.
+    ///
+    /// Once the arena outgrows the cache, a lookup misses three times in
+    /// a row — the table slot, then the key words and the metadata it
+    /// points to. So the lookups of one batch overlap: staging
+    /// prefetched each first slot, a first pass here prefetches each
+    /// slot's occupant, and only then does the second relax them, in
+    /// order, through [`StateArena::relax`]. The bounds and the pushes
+    /// of the improved successors follow in passes of their own, in the
+    /// same order; neither touches the arena, so every count, tie-break
+    /// and witness is that of relaxing the successors one at a time. Each
+    /// pass is one phase lap: staging and the lookups are `hash_intern`.
+    fn relax_batch<D: Domain>(&mut self, domain: &D, probing: bool, cap: u64) -> u64 {
+        for p in &self.batch {
+            self.arena.prefetch_entry(p.hash);
+        }
+        self.improved.clear();
+        for (at, p) in self.batch.iter().enumerate() {
+            let succ = &p.succ;
+            let (idx, better) = self.arena.relax(
+                &succ.words[..self.kw],
+                p.hash,
+                succ.dist,
+                succ.parent,
+                succ.mv,
+            );
+            if better {
+                self.improved.push((at, idx));
+            }
+        }
+        self.prof.lap(Phase::HashIntern);
+        for &(at, _) in &self.improved {
+            let p = &mut self.batch[at];
+            if p.h.is_none() {
+                self.prof.stats.heur_full_evals += 1;
+                p.h = domain.heuristic(&domain.unpack(&p.succ.words[..self.kw]));
+            }
+        }
+        self.prof.lap(Phase::Heuristic);
+        let (num, den) = PROBE_WEIGHT;
+        for &(at, idx) in &self.improved {
+            let p = &self.batch[at];
+            // A dead successor is interned but never queued.
+            let Some(h) = p.h else { continue };
+            // At weight 1 no push pays for a division.
+            let f = p.succ.dist + if probing { h * num / den } else { h };
+            if f < cap {
+                self.frontier.push(f, h, idx, p.succ.dist);
+                self.stats.pushed += 1;
+                self.stats.frontier_peak = self.stats.frontier_peak.max(self.frontier.len() as u64);
+            }
+        }
+        self.prof.lap(Phase::Queue);
+        self.batch.clear();
+        self.improved.len() as u64
     }
 
     /// The counters, with the arena's size.
@@ -380,22 +459,21 @@ fn sequential<D: Domain>(
     } else {
         0
     };
-    let (num, den) = PROBE_WEIGHT;
     let mut succ = Succ {
         parent: gid(0, 0),
         ..EMPTY_SUCC
     };
     domain.pack(&root, &mut succ.words[..kw]);
-    s.seed(&succ, h0 * num / den, h0);
+    s.seed(domain, &succ, h0, true);
 
     let mut dprof = PhaseProf::default();
     let mut probing = true;
     let mut incumbent: Option<Incumbent<D::Key>> = None;
     // The incumbent's cost, pruned against by the exact search.
     let mut ub: Option<u64> = None;
-    // The hot loop is allocation-free: successors are relaxed inline as
-    // the domain emits them from its scratch buffers, with no
-    // intermediate Vec.
+    // One expansion's successors; reused, so the hot loop allocates
+    // nothing once it has grown.
+    let mut emitted = Vec::new();
     let mut best: Option<(u64, u64)> = None;
     let reason = loop {
         if probing && (incumbent.is_some() || s.stats.settled >= probe_budget) {
@@ -442,33 +520,16 @@ fn sequential<D: Domain>(
             break reason;
         }
         succ.parent = gid(0, idx);
-        s.expand(domain, &key, &mut dprof, |s, k2, c, mv, hv| {
-            let nd = d + c;
-            // With an incumbent the heuristic is evaluated eagerly: a
-            // successor whose f provably cannot *beat* the incumbent is
-            // discarded before paying the dominant cost of hashing and
-            // interning it. Dead successors (`hv() == None`) are
-            // discarded the same way.
-            let mut hval: Option<u64> = None;
-            if let Some(ub) = ub {
-                match hv() {
-                    Some(hb) if nd + hb < ub => hval = Some(hb),
-                    _ => {
-                        s.prof.stats.ub_pruned += 1;
-                        return;
-                    }
-                }
-            }
-            let t0 = s.prof.start();
-            (succ.dist, succ.mv) = (nd, mv);
-            domain.pack(&k2, &mut succ.words[..kw]);
-            let hash = hash_words(&succ.words[..kw]);
-            s.relax(&succ, hash, t0, || {
-                let h = hval.or_else(hv)?;
-                // At weight 1 no push pays for a division.
-                Some((nd + if probing { h * num / den } else { h }, h))
-            });
-        });
+        s.expand(domain, &key, d, &mut dprof, &mut emitted);
+        if let Some(ub) = ub {
+            s.prune(domain, &mut emitted, ub);
+        }
+        for e in &emitted {
+            (succ.dist, succ.mv) = (e.dist, e.mv);
+            domain.pack(&e.key, &mut succ.words[..kw]);
+            s.stage(succ, hash_words(&succ.words[..kw]), e.h);
+        }
+        s.relax_batch(domain, probing, ub.unwrap_or(u64::MAX));
     };
     let best = match best {
         Some((d, goal_gid)) => Some((d, reconstruct_path(domain, &[&s.arena], goal_gid))),
@@ -607,56 +668,63 @@ struct Worker<'a, D: Domain> {
     /// Messages received, and those that improved no distance.
     received: u64,
     dup_msgs: u64,
+    /// The current expansion's successors, and those of them that
+    /// another shard owns, sent once the owned ones are relaxed.
+    emitted: Vec<Emitted<D::Key>>,
+    foreign: Vec<(usize, Succ)>,
 }
 
 impl<D: Domain> Worker<'_, D> {
-    /// The queue entry of an owned successor at `dist` with bound `h`:
-    /// `(f, h)` while `f = dist + h` beats the incumbent, `None` when it
-    /// cannot or the state is dead.
-    fn entry(&self, dist: u64, h: Option<u64>) -> Option<(u64, u64)> {
-        let h = h?;
-        let f = dist + h;
-        (f < self.shared.incumbent.load(Ordering::Relaxed)).then_some((f, h))
-    }
-
-    /// Routes one successor of a state this shard settled, `succ` with
-    /// its key still unpacked in `key`: relaxes it here if this shard
-    /// owns it, else buffers it for its owner.
-    fn successor(&mut self, s: &mut Search, key: D::Key, mut succ: Succ, hv: HeurThunk<'_>) {
-        if succ.dist >= self.shared.incumbent.load(Ordering::Relaxed) {
-            return;
+    /// Routes `emitted`, the successors of the state `parent` this shard
+    /// just settled: relaxes those this shard owns, then buffers the
+    /// others for their owners. Sending can drain the inboxes, which
+    /// relax through the batch too, so the owned successors go first.
+    fn successors(&mut self, s: &mut Search, parent: u64) {
+        let inc = self.shared.incumbent.load(Ordering::Relaxed);
+        for e in &self.emitted {
+            if e.dist >= inc {
+                continue;
+            }
+            let mut succ = Succ {
+                dist: e.dist,
+                parent,
+                mv: e.mv,
+                ..EMPTY_SUCC
+            };
+            self.domain.pack(&e.key, &mut succ.words[..s.kw]);
+            let hash = hash_words(&succ.words[..s.kw]);
+            let owner = shard_of(hash, self.threads);
+            if owner == self.me {
+                s.stats.local_succs += 1;
+                s.stage(succ, hash, None);
+            } else {
+                self.foreign.push((owner, succ));
+            }
         }
-        let t0 = s.prof.start();
-        self.domain.pack(&key, &mut succ.words[..s.kw]);
-        let hash = hash_words(&succ.words[..s.kw]);
-        let owner = shard_of(hash, self.threads);
-        if owner == self.me {
-            s.stats.local_succs += 1;
-            s.relax(&succ, hash, t0, || self.entry(succ.dist, hv()));
-        } else {
-            s.prof.stop(Phase::HashIntern, t0);
+        s.relax_batch(self.domain, false, inc);
+        for i in 0..self.foreign.len() {
+            let (owner, succ) = self.foreign[i];
             self.buffer_send(s, owner, succ);
         }
+        self.foreign.clear();
     }
 
-    /// Drains every inbox once; returns whether any block arrived.
+    /// Drains every inbox once, relaxing each block as one batch;
+    /// returns whether any block arrived.
     fn drain_inboxes(&mut self, s: &mut Search) -> bool {
-        let (me, kw, domain) = (self.me, s.kw, self.domain);
+        let me = self.me;
         let mut any = false;
         for from in (0..self.threads).filter(|&from| from != me) {
             while let Some(blk) = self.chans[from * self.threads + me].try_pop() {
-                for m in &blk.msgs[..blk.len as usize] {
-                    let t0 = s.prof.start();
-                    let hash = hash_words(&m.words[..kw]);
-                    let improved = s.relax(m, hash, t0, || {
-                        let h = domain.heuristic(&domain.unpack(&m.words[..kw]));
-                        self.entry(m.dist, h)
-                    });
-                    // The bound was evaluated exactly when it improved.
-                    s.prof.stats.heur_full_evals += u64::from(improved);
-                    self.dup_msgs += u64::from(!improved);
-                    self.received += 1;
+                let msgs = &blk.msgs[..blk.len as usize];
+                s.prof.begin();
+                for m in msgs {
+                    s.stage(*m, hash_words(&m.words[..s.kw]), None);
                 }
+                let inc = self.shared.incumbent.load(Ordering::Relaxed);
+                let improved = s.relax_batch(self.domain, false, inc);
+                self.dup_msgs += msgs.len() as u64 - improved;
+                self.received += msgs.len() as u64;
                 self.shared.received.fetch_add(1, Ordering::SeqCst);
                 any = true;
             }
@@ -796,16 +864,8 @@ impl<D: Domain> Worker<'_, D> {
                     });
                     break 'outer;
                 }
-                let parent = gid(self.me, idx);
-                s.expand(domain, &key, &mut dprof, |s, k2, c, mv, hv| {
-                    let succ = Succ {
-                        dist: d + c,
-                        parent,
-                        mv,
-                        ..EMPTY_SUCC
-                    };
-                    self.successor(s, k2, succ, hv);
-                });
+                s.expand(domain, &key, d, &mut dprof, &mut self.emitted);
+                self.successors(&mut s, gid(self.me, idx));
             }
             if !progress {
                 // Local frontier exhausted: ship partial blocks so no
@@ -886,7 +946,7 @@ fn parallel<D: Domain>(
                 scope.spawn(move || {
                     let mut search = Search::new(kw);
                     if me == root_owner {
-                        search.seed(&root, h0, h0);
+                        search.seed(domain, &root, h0, false);
                     }
                     let worker = Worker {
                         me,
@@ -899,6 +959,8 @@ fn parallel<D: Domain>(
                         out: vec![EMPTY_BLOCK; threads],
                         received: 0,
                         dup_msgs: 0,
+                        emitted: Vec::new(),
+                        foreign: Vec::new(),
                     };
                     worker.run(search)
                 })
@@ -938,5 +1000,215 @@ fn parallel<D: Domain>(
         shards,
         reason,
         phases,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A space of two-word keys `[a, a ^ 0xbeef]` for driving a
+    /// [`Search`] by hand: the bound is `a mod 5`, and keys with
+    /// `a ≡ 3 (mod 7)` are dead.
+    struct Keys;
+
+    impl Domain for Keys {
+        type Key = [u64; 2];
+        fn key_words(&self) -> usize {
+            2
+        }
+        fn pack(&self, key: &[u64; 2], out: &mut [u64]) {
+            out.copy_from_slice(key);
+        }
+        fn unpack(&self, words: &[u64]) -> [u64; 2] {
+            [words[0], words[1]]
+        }
+        fn root(&self) -> [u64; 2] {
+            [0, 0xbeef]
+        }
+        fn is_goal(&self, _: &[u64; 2]) -> bool {
+            false
+        }
+        fn heuristic(&self, key: &[u64; 2]) -> Option<u64> {
+            (key[0] % 7 != 3).then_some(key[0] % 5)
+        }
+        fn expand(&self, _: &[u64; 2], _: &mut PhaseProf, _: EmitFn<'_, [u64; 2]>) {}
+    }
+
+    /// The successor `a` at `dist`, with a parent and a move that tell
+    /// its relaxations apart.
+    fn succ(a: u64, dist: u64) -> Succ {
+        let mut s = Succ {
+            dist,
+            parent: gid(1, a as u32),
+            mv: (a << 8 | dist) as PackedMove,
+            ..EMPTY_SUCC
+        };
+        s.words[..2].copy_from_slice(&[a, a ^ 0xbeef]);
+        s
+    }
+
+    /// The relax step as it was before batching, and the reference
+    /// here: one successor at a time, its bound `h` if known, else the
+    /// domain's, evaluated once its distance improved.
+    struct OneAtATime {
+        arena: StateArena,
+        frontier: Frontier,
+        pushed: u64,
+    }
+
+    impl OneAtATime {
+        fn new() -> Self {
+            OneAtATime {
+                arena: StateArena::new(2),
+                frontier: Frontier::default(),
+                pushed: 0,
+            }
+        }
+
+        fn relax(&mut self, m: &Succ, h: Option<u64>, probing: bool, cap: u64) {
+            let words = &m.words[..2];
+            let (idx, improved) =
+                self.arena
+                    .relax(words, hash_words(words), m.dist, m.parent, m.mv);
+            if !improved {
+                return;
+            }
+            let Some(h) = h.or_else(|| Keys.heuristic(&Keys.unpack(words))) else {
+                return;
+            };
+            let (num, den) = PROBE_WEIGHT;
+            let f = m.dist + if probing { h * num / den } else { h };
+            if f < cap {
+                self.frontier.push(f, h, idx, m.dist);
+                self.pushed += 1;
+            }
+        }
+    }
+
+    /// Stages `batch` and relaxes it as one batch.
+    fn relax_as_batch(s: &mut Search, batch: &[(Succ, Option<u64>)], probing: bool, cap: u64) {
+        for &(m, h) in batch {
+            s.stage(m, hash_words(&m.words[..2]), h);
+        }
+        s.relax_batch(&Keys, probing, cap);
+    }
+
+    /// Every index's key, distance, parent and move, the push count and
+    /// the pop sequence agree (which drains both frontiers).
+    fn assert_same(s: &mut Search, one: &mut OneAtATime) {
+        assert_eq!(s.arena.len(), one.arena.len());
+        for i in 0..one.arena.len() as u32 {
+            assert_eq!(s.arena.key_words(i), one.arena.key_words(i), "key {i}");
+            let (a, b) = (s.arena.meta(i), one.arena.meta(i));
+            assert_eq!((a.dist, a.parent, a.mv), (b.dist, b.parent, b.mv), "{i}");
+        }
+        assert_eq!(s.stats.pushed, one.pushed);
+        let pops = std::iter::from_fn(|| s.frontier.pop()).collect::<Vec<_>>();
+        let want = std::iter::from_fn(|| one.frontier.pop()).collect::<Vec<_>>();
+        assert_eq!(pops, want);
+    }
+
+    #[test]
+    fn a_batch_relaxes_a_repeated_key_as_one_at_a_time_does() {
+        // Keys 1 and 2 exist before the batch. In it, 10 and 2 come
+        // worse then better, 11 and 1 better then worse, and 3 is dead.
+        let pre = [succ(1, 5), succ(2, 9)].map(|m| (m, None));
+        let batch = [
+            succ(10, 8),
+            succ(11, 4),
+            succ(1, 3),
+            succ(10, 6),
+            succ(2, 12),
+            succ(3, 1),
+            succ(11, 7),
+            succ(1, 4),
+            succ(2, 8),
+        ]
+        .map(|m| (m, None));
+        for probing in [false, true] {
+            let (mut s, mut one) = (Search::new(2), OneAtATime::new());
+            for items in [&pre[..], &batch[..]] {
+                relax_as_batch(&mut s, items, probing, u64::MAX);
+                for &(m, h) in items {
+                    one.relax(&m, h, probing, u64::MAX);
+                }
+            }
+            assert_same(&mut s, &mut one);
+        }
+    }
+
+    #[test]
+    fn a_batch_relaxes_across_a_table_growth_as_one_at_a_time_does() {
+        // A fresh table has 1,024 slots and doubles when the 512th
+        // state is interned: 500 states first, then a batch of 40 new
+        // ones, interleaved with shorter paths to earlier states and to
+        // states of the batch itself, on both sides of the growth.
+        let pre: Vec<_> = (0..500).map(|a| (succ(a, 100 + a), None)).collect();
+        let mut batch = Vec::new();
+        for a in 500..540 {
+            batch.push((succ(a, 50), None));
+            if a % 4 == 0 {
+                batch.push((succ(a - 480, 60), None));
+                batch.push((succ(a - 2, 40), None));
+            }
+        }
+        let (mut s, mut one) = (Search::new(2), OneAtATime::new());
+        for items in [&pre[..], &batch[..]] {
+            relax_as_batch(&mut s, items, false, u64::MAX);
+            for &(m, h) in items {
+                one.relax(&m, h, false, u64::MAX);
+            }
+        }
+        assert!(
+            pre.len() < 512 && s.arena.len() > 512,
+            "the batch grew the table"
+        );
+        assert_same(&mut s, &mut one);
+    }
+
+    #[test]
+    fn eager_bounds_under_an_incumbent_relax_as_one_at_a_time_does() {
+        // With an incumbent of cost 12 the loop evaluates every bound
+        // before staging: dead keys (3, 10, 17) and those with
+        // `dist + h >= 12` are dropped, the rest keep their bound.
+        let ub = 12;
+        let (mut s, mut one) = (Search::new(2), OneAtATime::new());
+        let mut emitted: Vec<_> = [(4, 9), (10, 1), (5, 11), (6, 10), (3, 0), (6, 8), (9, 8)]
+            .into_iter()
+            .chain((11..30).map(|a| (a, a % 9)))
+            .map(|(a, dist)| Emitted {
+                key: [a, a ^ 0xbeef],
+                dist,
+                mv: a as PackedMove,
+                h: None,
+            })
+            .collect();
+        let mut pruned = 0;
+        for e in &emitted {
+            match Keys.heuristic(&e.key) {
+                Some(h) if e.dist + h < ub => {
+                    let mut m = succ(e.key[0], e.dist);
+                    m.mv = e.mv;
+                    one.relax(&m, Some(h), false, ub);
+                }
+                _ => pruned += 1,
+            }
+        }
+        s.prune(&Keys, &mut emitted, ub);
+        let batch: Vec<_> = emitted
+            .iter()
+            .map(|e| {
+                let mut m = succ(e.key[0], e.dist);
+                m.mv = e.mv;
+                (m, e.h)
+            })
+            .collect();
+        relax_as_batch(&mut s, &batch, false, ub);
+        assert!(pruned > 0 && !batch.is_empty());
+        assert_eq!(s.prof.stats.ub_pruned, pruned);
+        // Only the eager bounds ran: the improved successors reused them.
+        assert_eq!(s.prof.stats.heur_full_evals, 26);
+        assert_same(&mut s, &mut one);
     }
 }

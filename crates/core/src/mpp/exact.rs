@@ -595,17 +595,7 @@ impl<const K: usize> Domain for MppDomain<K> {
                 }
                 prof.stop(Phase::Canonicalize, t0);
             }
-            // The successor's bound, evaluated only if the driver asks.
-            emit(raw, cost, mv, &mut || {
-                if !self.use_heuristic {
-                    return Some(0);
-                }
-                let t0 = prof.start();
-                prof.stats.heur_full_evals += 1;
-                let hv = self.heuristic(&raw);
-                prof.stop(Phase::Heuristic, t0);
-                hv
-            });
+            emit(raw, cost, mv);
         };
 
         if !self.no_delete {
@@ -921,7 +911,7 @@ pub mod probe {
         scratch: &mut PhaseProf,
     ) -> Vec<(Succ, PackedMove)> {
         let mut out = Vec::new();
-        domain.expand(key, scratch, &mut |k2, c, mv, _hv| {
+        domain.expand(key, scratch, &mut |k2, c, mv| {
             out.push((Succ::of(domain, &k2, c), mv));
         });
         out
@@ -1038,8 +1028,8 @@ pub mod probe {
     /// Successor-generation micro-kernel: expands states along a seeded
     /// walk (canonicalization included, as in the real hot loop) until
     /// `iters` expansions have run; returns the total number of emitted
-    /// successors. The driver evaluates a successor's bound lazily, and
-    /// this walk never asks, so no heuristic runs here.
+    /// successors. Bounds are the driver's to evaluate, so no heuristic
+    /// runs here.
     #[must_use]
     pub fn expand_kernel(instance: &MppInstance, iters: u64, dominance: bool, seed: u64) -> u64 {
         with_k!(instance.k, K => expand_walk::<K>(instance, iters, dominance, seed),

@@ -434,11 +434,12 @@ pub(crate) fn trace_shards(which: &str, shards: &[ShardStats]) {
 /// `RBP_PHASE_PROF` environment variable (any value other than empty
 /// or `0`). Read once and cached for the process lifetime.
 ///
-/// Timing is opt-in because it reads the clock twice per successor —
-/// enabling it unconditionally would pollute the very benchmarks the
-/// profile exists to explain. The phase *counters* (memo hits,
-/// heuristic evaluations, suppressed idles, emissions) are plain
-/// integer increments and are always accumulated.
+/// Timing is opt-in because it reads the clock once per pass over an
+/// expansion's successors and, with several processors, twice per
+/// canonicalization — enabling it unconditionally would pollute the
+/// very benchmarks the profile exists to explain. The phase *counters*
+/// (memo hits, heuristic evaluations, suppressed idles, emissions) are
+/// plain integer increments and are always accumulated.
 #[must_use]
 pub fn phase_timing_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -450,11 +451,15 @@ pub fn phase_timing_enabled() -> bool {
 /// whole solve (summed across shards for parallel runs).
 ///
 /// The `*_ns` fields partition the wall-clock time spent inside
-/// `Domain::expand` plus the driver's per-successor work; they are only
-/// populated when [`phase_timing_enabled`] (env `RBP_PHASE_PROF=1`). In
-/// a sharded solve `hash_intern_ns` and `queue_ns` also cover the
-/// successors a shard receives, which it relaxes outside its
-/// expansions, so there `succ_gen_ns` understates by their share.
+/// `Domain::expand` plus the driver's work on the successors; they are
+/// only populated when [`phase_timing_enabled`] (env
+/// `RBP_PHASE_PROF=1`). The driver times whole passes over one
+/// expansion's successors, not each successor, one clock read a pass
+/// (`PhaseProf::lap`): the domain's expansion, the bounds evaluated
+/// eagerly under an incumbent, packing, hashing and the arena lookups,
+/// the bounds of the improved successors, and their pushes. In a
+/// sharded solve `hash_intern_ns`, `heuristic_ns` and `queue_ns` also
+/// cover the successors a shard receives.
 /// The count fields are always populated. Emitted through `rbp-trace`
 /// as `solver.phase.*` once per solve (see [`PhaseStats::trace`]) and
 /// rendered by `rbp report` as the "Hot path" section.
@@ -464,8 +469,8 @@ pub struct PhaseStats {
     pub canonicalize_ns: u64,
     /// Time evaluating the admissible bound.
     pub heuristic_ns: u64,
-    /// Time enumerating rule batches and building successor keys:
-    /// expand wall-clock minus the other in-expand phases.
+    /// Time enumerating rule batches and building successor keys: the
+    /// measured wall-clock of `Domain::expand` minus canonicalization.
     pub succ_gen_ns: u64,
     /// Time packing, hashing, and interning successors into the arena.
     pub hash_intern_ns: u64,
@@ -481,8 +486,9 @@ pub struct PhaseStats {
     /// and still traced, so that readers of
     /// `solver.phase.*.heur_delta_fast` keep parsing.
     pub heur_delta_fast: u64,
-    /// Heuristic evaluations of successors (each one runs
-    /// [`AdmissibleHeuristic::eval`]).
+    /// Successor bounds the driver asked for: under an incumbent every
+    /// emitted successor's, otherwise each improved one's. Each runs
+    /// [`AdmissibleHeuristic::eval`] unless the heuristic is off.
     pub heur_full_evals: u64,
     /// Successors suppressed by dominance pruning (idle processors that
     /// had an available action, and dominated single moves).
@@ -581,8 +587,8 @@ pub(crate) enum Phase {
     Heuristic,
     HashIntern,
     Queue,
-    /// A whole expansion, successor handling included: the span
-    /// [`PhaseProf::finish`] derives successor generation from.
+    /// One `Domain::expand` call: the span [`PhaseProf::finish`]
+    /// derives successor generation from.
     Expand,
 }
 
@@ -599,6 +605,8 @@ pub(crate) struct PhaseProf {
     pub stats: PhaseStats,
     /// Wall-clock of the timed [`Phase::Expand`] spans.
     expand_ns: u64,
+    /// When the current lap started (see [`PhaseProf::lap`]).
+    lap_start: Option<Instant>,
 }
 
 impl Default for PhaseProf {
@@ -607,6 +615,7 @@ impl Default for PhaseProf {
             timing: phase_timing_enabled(),
             stats: PhaseStats::default(),
             expand_ns: 0,
+            lap_start: None,
         }
     }
 }
@@ -628,6 +637,30 @@ impl PhaseProf {
     #[inline]
     pub fn stop(&mut self, phase: Phase, t0: Option<Instant>) {
         let Some(t0) = t0 else { return };
+        let ns = t0.elapsed().as_nanos() as u64;
+        self.add(phase, ns);
+    }
+
+    /// Starts a chain of laps: consecutive passes, each accounted by
+    /// [`PhaseProf::lap`] with one clock read. Free unless
+    /// `RBP_PHASE_PROF` is set.
+    #[inline]
+    pub fn begin(&mut self) {
+        self.lap_start = self.start();
+    }
+
+    /// Accounts the time since the chain's previous lap (or its
+    /// [`PhaseProf::begin`]) to `phase`, and starts the next lap.
+    #[inline]
+    pub fn lap(&mut self, phase: Phase) {
+        let Some(t0) = self.lap_start else { return };
+        let now = Instant::now();
+        self.add(phase, (now - t0).as_nanos() as u64);
+        self.lap_start = Some(now);
+    }
+
+    #[inline]
+    fn add(&mut self, phase: Phase, ns: u64) {
         let s = &mut self.stats;
         *match phase {
             Phase::Canonicalize => &mut s.canonicalize_ns,
@@ -635,15 +668,16 @@ impl PhaseProf {
             Phase::HashIntern => &mut s.hash_intern_ns,
             Phase::Queue => &mut s.queue_ns,
             Phase::Expand => &mut self.expand_ns,
-        } += t0.elapsed().as_nanos() as u64;
+        } += ns;
     }
 
     /// These counters plus `other`'s, with successor generation as the
-    /// expansion wall-clock the timed phases leave over.
+    /// measured wall-clock of the domain's expansions less the
+    /// canonicalization inside them.
     pub fn finish(&self, other: &PhaseProf) -> PhaseStats {
         let mut out = self.stats;
         out.merge(&other.stats);
-        out.succ_gen_ns = (self.expand_ns + other.expand_ns).saturating_sub(out.timed_ns());
+        out.succ_gen_ns = (self.expand_ns + other.expand_ns).saturating_sub(out.canonicalize_ns);
         out
     }
 }

@@ -130,6 +130,10 @@ pub enum Work {
         /// Family parameters.
         params: Vec<usize>,
     },
+    /// A job that panics when executed (endpoint `panic`, unit tests
+    /// only): the fault the worker pool's panic guard is tested with.
+    #[cfg(test)]
+    Panic,
 }
 
 impl Work {
@@ -142,6 +146,8 @@ impl Work {
             Work::Portfolio { .. } => "portfolio",
             Work::Bounds { .. } => "bounds",
             Work::Generate { .. } => "generate",
+            #[cfg(test)]
+            Work::Panic => "panic",
         }
     }
 
@@ -248,6 +254,8 @@ impl Work {
                 }
                 Ok(Work::Generate { family, params })
             }
+            #[cfg(test)]
+            "panic" => Ok(Work::Panic),
             other => Err(ApiError::new(404, format!("unknown endpoint '{other}'"))),
         }
     }
@@ -321,6 +329,8 @@ impl Work {
             Work::Generate { family, params } => {
                 format!("generate|v1|{family}|{params:?}")
             }
+            #[cfg(test)]
+            Work::Panic => "panic".to_string(),
         };
         rbp_trace::hash_hex(canonical.as_bytes())
     }
@@ -519,6 +529,8 @@ impl Work {
                     ("dag_text", Json::from(io::to_text(&dag))),
                 ]))
             }
+            #[cfg(test)]
+            Work::Panic => panic!("a test-only job that panics"),
         }
     }
 }

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -665,8 +666,26 @@ fn worker_loop(state: &Arc<State>) {
             ],
         );
         let started = Instant::now();
-        match job.work.execute() {
-            Ok(core) => {
+        // A panicking job fails alone: its worker lives on to take the
+        // next one. `execute` touches no server state (the cache, the
+        // store and the registry are updated after it returns), so a
+        // panic leaves none half-updated. A sharded solve's panicking
+        // thread re-panics here when it is joined.
+        match catch_unwind(AssertUnwindSafe(|| job.work.execute())) {
+            Err(panic) => {
+                state.stats.failed.fetch_add(1, Ordering::Relaxed);
+                rbp_trace::counter("serve.job.panicked", 1);
+                let what = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                job.finish(JobState::Failed(
+                    500,
+                    format!("job {} panicked: {what}", job.id),
+                ));
+            }
+            Ok(Ok(core)) => {
                 let rendered = core.render();
                 state.cache.insert(&job.cache_key, rendered.clone());
                 // Persist before finishing the job: once a client has
@@ -681,7 +700,7 @@ fn worker_loop(state: &Arc<State>) {
                 rbp_trace::counter("serve.job.completed", 1);
                 job.finish(JobState::Done(rendered));
             }
-            Err(ApiError { status, msg }) => {
+            Ok(Err(ApiError { status, msg })) => {
                 state.stats.failed.fetch_add(1, Ordering::Relaxed);
                 rbp_trace::counter("serve.job.failed", 1);
                 job.finish(JobState::Failed(status, msg));
@@ -693,4 +712,44 @@ fn worker_loop(state: &Arc<State>) {
 
 fn elapsed_us(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_answers_500_and_keeps_its_worker() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            default_deadline_ms: 10_000,
+            ..ServeConfig::default()
+        })
+        .expect("bind ephemeral port");
+        let state = &server.state;
+        // More panics than workers: had each panic killed its worker,
+        // the last one would find none and time out.
+        for _ in 0..3 {
+            let Submitted::Refused { status, msg, .. } = submit(state, "panic", &Json::Null, true)
+            else {
+                panic!("a panicking job must be refused");
+            };
+            assert_eq!(status, 500);
+            assert!(msg.starts_with("job ") && msg.contains("panicked"), "{msg}");
+        }
+        assert_eq!(state.stats.failed.load(Ordering::Relaxed), 3);
+        assert!(
+            server.workers.iter().all(|w| !w.is_finished()),
+            "the pool is full"
+        );
+        let body =
+            Json::parse(r#"{"generator":{"family":"grid","params":[2,3]},"k":2,"r":3,"g":2}"#)
+                .unwrap();
+        let Submitted::Answer { core, .. } = submit(state, "solve", &body, true) else {
+            panic!("the next request is answered");
+        };
+        assert!(core.contains("\"total\""), "{core}");
+        server.shutdown();
+    }
 }
